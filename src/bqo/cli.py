@@ -577,7 +577,7 @@ def _cmd_game_solve(args):
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
     payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
-               "qo": q.name, "winner": res.winner, "ii_wins": res.ii_wins,
+               "qo": args.qo, "winner": res.winner, "ii_wins": res.ii_wins,
                "strategy_size": len(res.strategy)}
     return payload, [f"winner: {res.winner}",
                      f"ii_wins: {_text_value(res.ii_wins)}"]
@@ -601,7 +601,7 @@ def _cmd_game_play(args):
         strat_I, strat_II = res.strategy, _least_child_II
     t = game_play(x, y, strat_I, strat_II, q)
     payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
-               "qo": q.name, "solved_winner": res.winner,
+               "qo": args.qo, "solved_winner": res.winner,
                "play_winner": t.winner,
                "rounds": [[hset_to_sexpr(a, fmt), hset_to_sexpr(b, fmt)]
                           for a, b in t.rounds],
@@ -624,7 +624,7 @@ def _cmd_game_supp(args):
     except (ValueError, TypeError) as exc:
         raise CliUsageError(f"cannot parse s-expression: {exc}") from exc
     atoms = sorted(supp(x), key=repr)
-    payload = {"x": hset_to_sexpr(x, fmt), "qo": q.name, "depth": depth(x),
+    payload = {"x": hset_to_sexpr(x, fmt), "qo": args.qo, "depth": depth(x),
                "support": [fmt(v) for v in atoms]}
     return payload, [f"depth: {depth(x)}",
                      f"support: {', '.join(fmt(v) for v in atoms)}"]

@@ -9,6 +9,7 @@ windowed report names its entry bound.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
@@ -28,7 +29,7 @@ __all__ = [
     "Front", "StepResult", "trivial_front", "uniform_front",
     "schreier_front", "seq_front", "front_member", "front_step", "ray",
     "restrict", "rank", "members_within", "residual_front", "tree_of_front",
-    "front_verify", "shift_rel", "shift_pairs_within",
+    "front_verify", "shift_rel", "ShiftPairs", "shift_pairs_within",
     "front_from_dict", "front_to_dict", "check_front_element",
 ]
 
@@ -475,40 +476,99 @@ def shift_rel(s, t) -> bool:
     return False
 
 
-def shift_pairs_within(members: Iterable) -> list:
-    """All shift-related ordered pairs among the given front members.
+class ShiftPairs:
+    """The shift-related ordered pairs (s, t) among a set of front members,
+    walked in witness order and counted without being built.
 
-    Index-based scan: partners of s are (a) members that are initial
-    segments of s2 = s minus min, and (b) members extending s2 with all new
-    entries above max s. Cost is proportional to the number of related
-    pairs, not to the square of the member count.
+    Witness order sorts pairs by (largest entry of s + t, s, t), the pair
+    ((), ()) first. Partners of s come in two kinds (see shift_rel): members
+    that are initial segments of s minus its least entry, whose pairs top
+    out at s[-1], and members t extending that tail by entries above s[-1],
+    whose pairs top out at t[-1]. So iteration builds and sorts one
+    largest-entry bucket at a time from the by_last and by_tail indexes, and
+    a caller that stops at a witness never holds the full pair list. len()
+    counts every pair without listing the second kind: each s with a
+    nonempty tail s[1:] pairs with every member properly extending that
+    tail, a run of the sorted members found by bisection, and a singleton
+    (a,) pairs with every member t with t[0] > a.
+
+    Members are front elements: strictly increasing tuples of naturals.
+    Indexes hold members by their rank in lexicographic order.
     """
-    members = [tuple(m) for m in members]
-    member_set = set(members)
-    by_prefix: dict = {}
-    for t in members:
-        for cut in range(len(t) + 1):
-            by_prefix.setdefault(t[:cut], []).append(t)
-    pairs = []
-    for s in members:
-        if not s:
-            if () in member_set:
-                pairs.append(((), ()))
-            continue
-        s2 = s[1:]
-        seen = set()
-        for cut in range(len(s2) + 1):
-            t = s2[:cut]
-            if t in member_set and t not in seen:
-                seen.add(t)
-                pairs.append((s, t))
-        for t in by_prefix.get(s2, ()):
-            if t in seen:
-                continue
-            if all(v > s[-1] for v in t[len(s2):]):
-                seen.add(t)
-                pairs.append((s, t))
-    return pairs
+
+    def __init__(self, members: Iterable):
+        self.members = members = sorted({tuple(m) for m in members})
+        self.rank = {m: i for i, m in enumerate(members)}
+        self.lengths = sorted({len(m) for m in members})
+        self.by_last: dict = {}   # t[-1] -> ranks of the members t
+        self.by_tail: dict = {}   # s[1:] -> ranks of the members s
+        for i, t in enumerate(members):
+            if t:
+                self.by_last.setdefault(t[-1], []).append(i)
+                self.by_tail.setdefault(t[1:], []).append(i)
+        # singletons leave by_tail: (a, rank) of each member (a,), ascending
+        self.singles = [(members[i][0], i) for i in self.by_tail.pop((), [])]
+
+    def _segment_partners(self, s: tuple) -> list:
+        """Ranks of the members that are initial segments of s minus its
+        least entry."""
+        tail, rank = s[1:], self.rank
+        return [rank[tail[:n]] for n in self.lengths
+                if n < len(s) and tail[:n] in rank]
+
+    def bucket(self, top: int) -> list:
+        """The pairs whose largest entry is top, sorted by (s, t), as rank
+        pairs (i, j) for (members[i], members[j])."""
+        members, by_tail, singles = self.members, self.by_tail, self.singles
+        n = len(members)
+        tops = self.by_last.get(top, ())
+        # the rank pair (i, j) is coded i * n + j: int order is (s, t) order
+        codes = [i * n + j for i in tops
+                 for j in self._segment_partners(members[i])]
+        for j in tops:
+            t = members[j]
+            below = bisect.bisect_left(singles, (t[0],))
+            codes.extend(i * n + j for _, i in singles[:below])
+            for cut in range(1, len(t)):
+                codes.extend(i * n + j for i in by_tail.get(t[:cut], ()))
+        codes.sort()
+        return list(map(divmod, codes, itertools.repeat(n)))
+
+    def ranked(self):
+        """The pairs in witness order, as rank pairs (see bucket)."""
+        if () in self.rank:
+            yield 0, 0   # () sorts first
+        for top in sorted(self.by_last):
+            yield from self.bucket(top)
+
+    def __iter__(self):
+        members = self.members
+        for i, j in self.ranked():
+            yield members[i], members[j]
+
+    def __len__(self) -> int:
+        members = self.members
+        count = int(() in self.rank)
+        count += sum(len(self._segment_partners(m)) for m in members
+                     if len(m) > self.lengths[0])
+        count += sum(len(members) - bisect.bisect_left(members, (a + 1,))
+                     for a, _ in self.singles)
+        for tail, ranks in self.by_tail.items():
+            # the members properly extending tail are a run of members
+            lo = bisect.bisect_right(members, tail)
+            hi = bisect.bisect_left(members, tail[:-1] + (tail[-1] + 1,))
+            count += len(ranks) * (hi - lo)
+        return count
+
+
+def shift_pairs_within(members: Iterable) -> list:
+    """All shift-related ordered pairs among the given front members, in
+    witness order: by largest entry, then s, then t (see ShiftPairs).
+
+    Cost grows with the number of related pairs, not with the square of
+    the member count.
+    """
+    return list(ShiftPairs(members))
 
 
 # --- serialization --------------------------------------------------------

@@ -16,6 +16,7 @@ from .errors import DifferentBase
 from .fronts import (
     Front,
     SeqSchema,
+    ShiftPairs,
     TrivialSchema,
     UniformSchema,
     _is_trivial,
@@ -24,7 +25,6 @@ from .fronts import (
     ray,
     rank,
     residual_front,
-    shift_pairs_within,
     trivial_front,
 )
 from .ordinal import OrdinalCNF
@@ -271,14 +271,44 @@ def sparsify(f: SuperSeq, bound: int) -> SuperSeq:
 
 # --- shift diagnostics ----------------------------------------------------
 
-def _pair_key(pair):
-    s, t = pair
-    both = s + t
-    return (max(both) if both else -1, s, t)
+_UNREAD = object()
+
+
+def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
+                check: Optional[Callable[[Any], Any]] = None):
+    """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
+    or None, and the number of shift pairs in the window.
+
+    Pairs are generated lazily and the scan stops at the first hit. Each
+    member's value is read once, and passed through check (when given) the
+    first time it is read; values read at the same pair are read s then t
+    and then checked s then t, as evaluating a checked leq(f(s), f(t))
+    would, so the first error raised is the same.
+    """
+    pairs = ShiftPairs(members_within(f.front, bound))
+    members = pairs.members
+    read = [_UNREAD] * len(members)   # values by member rank
+    for i, j in pairs.ranked():
+        vs, vt = read[i], read[j]
+        if vs is _UNREAD or vt is _UNREAD:
+            fresh = [r for r in dict.fromkeys((i, j)) if read[r] is _UNREAD]
+            values = [f.value(members[r]) for r in fresh]
+            for r, v in zip(fresh, values):
+                if check is not None:
+                    check(v)
+                read[r] = v
+            vs, vt = read[i], read[j]
+        if hit(vs, vt):
+            return (members[i], members[j]), len(pairs)
+    return None, len(pairs)
 
 
 @dataclass(frozen=True)
 class BadnessReport:
+    """good_witness is the least good pair in witness order, where the scan
+    stopped; pairs_scanned counts the window's shift pairs, not the
+    comparisons made before the stop."""
+
     window: int
     good_witness: Optional[tuple]
     bad_on_window: bool
@@ -286,25 +316,35 @@ class BadnessReport:
 
 
 def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
-    """Scan every shift-related member pair within the window for a good
-    pair f(s) <= f(t); their absence is badness on the window. The witness
-    is the least pair in (max entry, lexicographic) order."""
-    if f.codomain is None:
+    """Look for a good pair f(s) <= f(t) among the shift-related member
+    pairs within the window; its absence is badness on the window.
+
+    Pairs are scanned in witness order (largest entry, then s, then t) and
+    the scan stops at the first good pair, the reported witness.
+    pairs_scanned is the number of shift pairs in the window either way.
+    A codomain with check and raw_leq (see CodedQO) has each value checked
+    once and then compared raw; an invalid value raises the error its leq
+    would raise, at the same pair.
+    """
+    codomain = f.codomain
+    if codomain is None:
         raise ValueError("badness needs a quasi-order codomain")
-    members = members_within(f.front, bound)
-    pairs = sorted(shift_pairs_within(members), key=_pair_key)
-    witness = None
-    for s, t in pairs:
-        if f.codomain.leq(f.value(s), f.value(t)):
-            witness = (s, t)
-            break
+    raw_leq = getattr(codomain, "raw_leq", None)
+    if raw_leq is not None:
+        witness, count = _first_pair(f, bound, raw_leq, codomain.check)
+    else:
+        witness, count = _first_pair(f, bound, codomain.leq)
     return BadnessReport(
         window=bound, good_witness=witness,
-        bad_on_window=witness is None, pairs_scanned=len(pairs))
+        bad_on_window=witness is None, pairs_scanned=count)
 
 
 @dataclass(frozen=True)
 class PerfectReport:
+    """violation is the least violating pair in witness order, where the
+    scan stopped; pairs_scanned counts the window's shift pairs, not the
+    pairs tested before the stop."""
+
     window: int
     holds: bool
     violation: Optional[tuple]
@@ -317,15 +357,12 @@ class PerfectReport:
 def perfect_check(f: SuperSeq, R: Callable[[Any, Any], bool],
                   bound: int) -> PerfectReport:
     """True when every shift-related member pair within the window satisfies
-    R between its values."""
-    members = members_within(f.front, bound)
-    pairs = sorted(shift_pairs_within(members), key=_pair_key)
-    for s, t in pairs:
-        if not R(f.value(s), f.value(t)):
-            return PerfectReport(window=bound, holds=False,
-                                 violation=(s, t), pairs_scanned=len(pairs))
-    return PerfectReport(window=bound, holds=True, violation=None,
-                         pairs_scanned=len(pairs))
+    R between its values. Pairs are scanned in witness order (largest entry,
+    then s, then t) and the scan stops at the first violation;
+    pairs_scanned is the number of shift pairs in the window either way."""
+    violation, count = _first_pair(f, bound, lambda a, b: not R(a, b))
+    return PerfectReport(window=bound, holds=violation is None,
+                         violation=violation, pairs_scanned=count)
 
 
 # --- named valuations and files -------------------------------------------

@@ -403,6 +403,20 @@ class TestGameCommands:
         assert data["depth"] == 2
         assert data["support"] == ["1", "2", "5"]
 
+    @pytest.mark.parametrize("qo", ["chain:3", "antichain:2"])
+    @pytest.mark.parametrize("argv", [
+        ["game", "solve", '(set (atom "0") (atom "1"))', '(set (atom "1"))'],
+        ["game", "play", '(set (atom "0") (atom "1"))', '(set (atom "1"))'],
+        ["game", "supp", '(set (atom "1") (set (atom "0")))'],
+    ])
+    def test_finite_base_order_echoes_descriptor(self, argv, qo):
+        # finite orders carry no name; the payload echoes the --qo text
+        code, out, err = run_cli(argv + ["--qo", qo, "--format", "json"])
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["qo"] == qo
+        assert data["command"] == " ".join(argv[:2])
+
     def test_string_consumes_prefix_of_indices(self):
         data = run_json(["game", "string", "--window", "10",
                          "--at", "0,1,2,3"])

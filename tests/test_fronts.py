@@ -15,6 +15,7 @@ from bqo.errors import (
 from bqo.fronts import (
     Front,
     SeqSchema,
+    ShiftPairs,
     UniformSchema,
     front_from_dict,
     front_member,
@@ -37,7 +38,12 @@ from bqo.fronts import (
 from bqo.ordinal import OMEGA_ORD, OrdinalCNF
 from bqo.streams import InfSet, arithmetic, evens, omega, parse_base
 
-from _helpers import shift_witness_oracle
+from _helpers import (
+    SHIFT_PAIR_FRONTS,
+    shift_pairs_reference,
+    shift_witness_oracle,
+    witness_key,
+)
 
 
 def pow2() -> InfSet:
@@ -370,6 +376,38 @@ class TestShiftPairs:
         fast = set(shift_pairs_within(members))
         slow = {(s, t) for s in members for t in members if shift_rel(s, t)}
         assert fast == slow
+
+    @pytest.mark.parametrize("name", SHIFT_PAIR_FRONTS)
+    def test_lazy_order_is_sorted_reference(self, name):
+        F, bound = SHIFT_PAIR_FRONTS[name]
+        members = members_within(F, bound)
+        ref = sorted(shift_pairs_reference(members), key=witness_key)
+        assert set(ref) == {(s, t) for s in members for t in members
+                            if shift_rel(s, t)}
+        assert list(ShiftPairs(members)) == ref
+        assert shift_pairs_within(members) == ref
+
+    @pytest.mark.parametrize("name", SHIFT_PAIR_FRONTS)
+    def test_count_is_reference_length(self, name):
+        F, bound = SHIFT_PAIR_FRONTS[name]
+        members = members_within(F, bound)
+        assert len(ShiftPairs(members)) == len(shift_pairs_reference(members))
+
+    def test_segment_partners_covered(self):
+        # the sequence front has pairs whose t is an initial segment of s
+        # minus its least entry, the kind uniform fronts never produce
+        F, bound = SHIFT_PAIR_FRONTS["seq"]
+        assert any(t == s[1:1 + len(t)]
+                   for s, t in ShiftPairs(members_within(F, bound)))
+
+    def test_buckets_are_built_as_the_scan_reaches_them(self, monkeypatch):
+        pairs = ShiftPairs(members_within(uniform_front(2), 40))
+        built = []
+        bucket = pairs.bucket
+        monkeypatch.setattr(pairs, "bucket",
+                            lambda top: built.append(top) or bucket(top))
+        assert next(iter(pairs)) == ((0, 1), (1, 2))
+        assert built == [1, 2]
 
 
 class TestSerialization:

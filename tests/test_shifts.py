@@ -41,13 +41,26 @@ def random_inj(rng: random.Random, allow_identity: bool = True) -> IncInj:
             a, b = rng.randint(1, 3), rng.randint(0, 5)
             if allow_identity or (a, b) != (1, 0):
                 return affine(a, b)
-    length = rng.randint(1, 4)
-    vals = sorted(rng.sample(range(12), length))
-    a = rng.randint(1, 2)
-    b = rng.randint(0, 4)
-    while a * length + b <= vals[-1]:
-        b += 1
-    return table_then_affine(vals, a, b)
+    while True:
+        length = rng.randint(1, 4)
+        vals = sorted(rng.sample(range(12), length))
+        a = rng.randint(1, 2)
+        b = rng.randint(0, 4)
+        while a * length + b <= vals[-1]:
+            b += 1
+        # the table 0..length-1 with tail n -> n is the identity
+        if allow_identity or (vals, a, b) != (list(range(length)), 1, 0):
+            return table_then_affine(vals, a, b)
+
+
+@pytest.mark.parametrize("seeds", [[29086], range(3000)])
+def test_random_inj_without_identity_never_returns_identity(seeds):
+    # drawn as the randomised transport tests draw g: after an f
+    for seed in seeds:
+        rng = random.Random(seed)
+        random_inj(rng)
+        g = random_inj(rng, allow_identity=False)
+        assert not agrees_upto(g, identity_inj(), 16), (seed, g.name)
 
 
 class TestIncInj:

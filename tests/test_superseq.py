@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqo.errors import DifferentBase
+from bqo.errors import DifferentBase, NotAPair
 from bqo.fronts import (
     Front,
     TrivialSchema,
@@ -14,10 +16,11 @@ from bqo.fronts import (
     front_member,
     members_within,
     schreier_front,
+    shift_rel,
     trivial_front,
     uniform_front,
 )
-from bqo.qo import OMEGA, RADO, chain
+from bqo.qo import OMEGA, RADO, chain, rado_leq
 from bqo.streams import InfSet, arithmetic, evens, omega
 from bqo.superseq import (
     SuperSeq,
@@ -30,6 +33,8 @@ from bqo.superseq import (
     sparsify,
     superseq_from_dict,
 )
+
+from _helpers import SHIFT_PAIR_FRONTS, shift_pairs_reference, witness_key
 
 
 def identity_u2(bound_qo=RADO) -> SuperSeq:
@@ -233,6 +238,101 @@ class TestPerfect:
                 f, lambda a, b, q=f.codomain: not q.leq(a, b), 7)
             assert rep.pairs_scanned == comp.pairs_scanned > 0
             assert rep.bad_on_window == comp.holds
+
+
+@functools.lru_cache(maxsize=None)
+def brute_force_pairs(front: str) -> list:
+    """Every shift_rel-related member pair, in witness order."""
+    F, bound = SHIFT_PAIR_FRONTS[front]
+    members = members_within(F, bound)
+    return sorted(((s, t) for s in members for t in members
+                   if shift_rel(s, t)), key=witness_key)
+
+
+def _seeded_rado(s) -> tuple:
+    r = random.Random(repr(s))
+    m = r.randrange(6)
+    return (m, m + 1 + r.randrange(3))
+
+
+# codomain and valuation by name: the rado ones take the checked-once raw
+# path, chain:3 (a finite order) compares through its leq on every pair
+SCAN_VALUATIONS = {
+    "rado-seeded": (RADO, _seeded_rado),
+    "rado-ends": (RADO, lambda s: (s[0], s[-1]) if len(s) > 1
+                  else (0, 1 + sum(s))),
+    "chain3-seeded": (chain(3), lambda s: random.Random(repr(s)).randrange(3)),
+    "omega-falling": (OMEGA, lambda s: 100 - sum(s)),
+}
+
+
+@pytest.mark.parametrize("valuation", SCAN_VALUATIONS)
+@pytest.mark.parametrize("front", SHIFT_PAIR_FRONTS)
+class TestScansMatchBruteForce:
+    def superseq(self, front, valuation) -> SuperSeq:
+        qo, v = SCAN_VALUATIONS[valuation]
+        return SuperSeq(SHIFT_PAIR_FRONTS[front][0], v, qo, valuation)
+
+    def test_badness(self, front, valuation):
+        f = self.superseq(front, valuation)
+        bound = SHIFT_PAIR_FRONTS[front][1]
+        pairs = brute_force_pairs(front)
+        good = [p for p in pairs if f.codomain.leq(f.value(p[0]),
+                                                   f.value(p[1]))]
+        rep = badness_check(f, bound)
+        assert rep.good_witness == (good[0] if good else None)
+        assert rep.bad_on_window == (not good)
+        assert rep.pairs_scanned == len(pairs)
+        assert rep.window == bound
+
+    @pytest.mark.parametrize("relation", ["leq", "eq"])
+    def test_perfect(self, front, valuation, relation):
+        f = self.superseq(front, valuation)
+        bound = SHIFT_PAIR_FRONTS[front][1]
+        R = f.codomain.leq if relation == "leq" else (lambda a, b: a == b)
+        pairs = brute_force_pairs(front)
+        bad = [p for p in pairs if not R(f.value(p[0]), f.value(p[1]))]
+        rep = perfect_check(f, R, bound)
+        assert rep.violation == (bad[0] if bad else None)
+        assert rep.holds == (not bad)
+        assert rep.pairs_scanned == len(pairs)
+
+
+class TestScanErrors:
+    """A malformed rado value raises where a checked comparison of every
+    pair in witness order would, and only if the scan gets there."""
+
+    @staticmethod
+    def identity_except(table: dict, log: list) -> SuperSeq:
+        def v(s):
+            log.append(s)
+            return table.get(s, s)
+        return SuperSeq(uniform_front(2), v, RADO, "identity")
+
+    # (2, 5) is first met as t; (0, 5) as s, next to an unread t
+    @pytest.mark.parametrize("member", [(2, 5), (0, 5)])
+    def test_malformed_value_raises_at_its_first_pair(self, member):
+        table = {member: (5, 3)}
+        ref_log = []
+        ref = self.identity_except(table, ref_log)
+        pairs = sorted(shift_pairs_reference(
+            members_within(uniform_front(2), 8)), key=witness_key)
+        with pytest.raises(NotAPair) as ref_err:
+            for s, t in pairs:
+                rado_leq(ref.value(s), ref.value(t))
+        log = []
+        with pytest.raises(NotAPair) as err:
+            badness_check(self.identity_except(table, log), 8)
+        assert str(err.value) == str(ref_err.value) == (
+            "(5, 3) is not an increasing pair of naturals")
+        assert log == ref_log and member in log
+
+    def test_good_pair_before_malformed_value(self):
+        # f(1, 2) = f(0, 1) makes the first pair good; (5, 7) tops out at 7
+        table = {(1, 2): (0, 1), (5, 7): (5, 3)}
+        rep = badness_check(self.identity_except(table, []), 8)
+        assert rep.good_witness == ((0, 1), (1, 2))
+        assert rep.pairs_scanned == 56
 
 
 class TestFiles:
