@@ -665,11 +665,10 @@ def _cmd_game_tilde(args):
 
 def _cmd_extract_ramsey(args):
     try:
-        color = named_coloring(args.rule)
+        rep = finite_ramsey(args.n, args.k, args.r, named_coloring(args.rule),
+                            target=args.target, budget=args.budget)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    rep = finite_ramsey(args.n, args.k, args.r, color, target=args.target,
-                        exhaustive=args.exhaustive, budget=args.budget)
     payload = {"ground": rep.window, "k": rep.k, "colors": rep.r,
                "rule": args.rule, "target": rep.target,
                "homogeneous_set": list(rep.Z), "color": rep.color,
@@ -684,7 +683,10 @@ def _cmd_extract_ramsey(args):
 
 def _cmd_extract_nw(args):
     col = _coloring_from_args(args)
-    rep = nw_extract(col, args.window, args.target)
+    try:
+        rep = nw_extract(col, args.window, args.target)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     payload = {"coloring": col.name, "target": rep.target,
                "homogeneous_set": list(rep.Z), "side": rep.side,
                "members_checked": rep.members_checked,
@@ -876,8 +878,6 @@ def build_parser() -> _Parser:
                         help="seed echoed into reports (default 0)")
     common.add_argument("--format", choices=["text", "json"], default="text",
                         help="output format (default text)")
-    common.add_argument("--exhaustive", action="store_true",
-                        help="insist on exhaustive search where supported")
 
     parser = _Parser(prog="bqo", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -11,6 +11,11 @@ class DomainError(Exception):
     """Base class for checked domain failures."""
 
 
+class InvariantViolated(DomainError):
+    """A proved invariant failed its runtime check: some input (a relation,
+    an evaluator) did not behave as the construction requires."""
+
+
 # quasi-order validation
 
 class MissingReflexive(DomainError):

@@ -1,17 +1,27 @@
 """Finite Ramsey search and windowed partition extraction.
 
+Every search here is one kernel, Homogeneous: an ascending depth-first
+search for a set Z of points on which every completed constraint has one
+colour, the finite shadow of the Nash-Williams / Galvin-Prikry partition
+argument.  Z grows in ascending order, so a constraint is completed exactly
+when its largest point is added; the kernel asks only for the colours of
+the constraints the newest point completes.  For k-subsets these are
+generated lazily; for a family of members they come from an index keyed by
+each member's largest point.  Points are tried in ascending order, so the
+first set of any size found is the lexicographically least of that size.
+
 finite_ramsey finds a largest (or target-sized) subset of [0, N) all of
 whose k-subsets share one color.  nw_extract specializes to 2-colorings of
-a front's members: it returns a subset Z of base points such that every
-member realized inside Z has one color side, mirroring the classical
-partition proof as a lexicographic depth-first search with
-member-completion pruning (side 0 tried before side 1, so the answer is
-simultaneously exhaustive on the window and lexicographically least).
+a front's members: it returns the lexicographically least Z of a given size
+such that every member realized inside Z has one color side (side 0 tried
+before side 1).
 
-dichotomy_extract derives, from a valuation and a decidable relation R,
-the 2-coloring "does R hold between the value here and the value one shift
-later", extracts a homogeneous Z, and reports whether the valuation is a
-homomorphism into R or into its complement on Z.
+join_nodes lists the minimal prefixes that determine a member and its
+shift member, for the plain shift or any generalized shift g.
+dichotomy_extract colors each join node by whether a decidable relation R
+holds between the value at the member and at its shift member, extracts a
+largest one-sided Z, and reports whether the valuation is a homomorphism
+into R or into its complement on Z.
 
 laver_embed runs the two-stage Ramsey filtering that turns a bad
 pair-indexed sequence into an order embedding of the two-clause pair order
@@ -23,17 +33,119 @@ choosing least witnesses so every construction is reproducible.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import (EmbeddingCheckFailed, NotBadOnWindow, NotBadPowersetSeq,
-                     RamseyStageFailed, WindowExhausted)
+from .errors import (EmbeddingCheckFailed, InvariantViolated, NotBadOnWindow,
+                     NotBadPowersetSeq, RamseyStageFailed, WindowExhausted)
 from .fronts import (Front, UniformSchema, front_member, members_within,
                      uniform_front)
-from .qo import rado_leq
+from .qo import RADO
 from .streams import omega
 from .superseq import SuperSeq, badness_check
+
+
+# --- the homogeneous-set search ---------------------------------------------
+
+class Homogeneous:
+    """Ascending depth-first search for one-sided sets of points.
+
+    points is an ascending sequence.  colours(cur) yields the colours of the
+    constraints completed by cur[-1] inside the ascending list cur.  A set
+    is one-sided when every constraint it completes has colour side; with
+    side None the first completed constraint fixes it.
+
+    With a size, iterating yields every one-sided set of that size in
+    lexicographic order.  Without one, it yields each set larger than all
+    sets before it: the lexicographically least one-sided set of each size
+    from 1 up to the largest.  Branches that cannot reach the size, or
+    without one cannot beat the best set so far, are pruned.  best and
+    best_side are the largest set entered and its side, explored counts
+    the nodes entered, and complete turns False once explored reaches the
+    budget.
+    """
+
+    def __init__(self, points: Sequence[int],
+                 colours: Callable[[list], Iterator[int]],
+                 side: Optional[int] = None, size: Optional[int] = None,
+                 budget: float = math.inf):
+        self.points = tuple(points)
+        self.colours = colours
+        self.side = side
+        self.size = size
+        self.budget = budget
+        self.best: tuple = ()
+        self.best_side = side
+        self.explored = 0
+        self.complete = True
+
+    def __iter__(self) -> Iterator[tuple]:
+        points, colours, size = self.points, self.colours, self.size
+        n = len(points)
+        cur: list = []
+
+        def grow(start: int, fixed: Optional[int]):
+            if len(cur) > len(self.best):
+                self.best, self.best_side = tuple(cur), fixed
+                if size is None:
+                    yield self.best
+            if len(cur) == size:
+                yield tuple(cur)
+                return
+            for i in range(start, n):
+                if self.explored >= self.budget:
+                    self.complete = False
+                    return
+                if size is None:
+                    if len(cur) + (n - i) <= len(self.best):
+                        break
+                elif len(cur) + (n - i) < size:
+                    break
+                self.explored += 1
+                cur.append(points[i])
+                side = fixed
+                for c in colours(cur):
+                    if side is None:
+                        side = c
+                    elif c != side:
+                        break
+                else:
+                    yield from grow(i + 1, side)
+                cur.pop()
+
+        return grow(0, self.side)
+
+
+def _subset_colours(k: int, color: Callable[[tuple], int]):
+    """Colours of the k-subsets of cur that end at cur[-1]."""
+    def colours(cur: list):
+        last = (cur[-1],)
+        for rest in itertools.combinations(cur[:-1], k - 1):
+            yield color(rest + last)
+    return colours
+
+
+def member_colours(colour_of: dict):
+    """Colours of the members inside cur whose largest point is cur[-1]."""
+    by_max: dict = {}
+    for s, c in colour_of.items():
+        if s:
+            by_max.setdefault(max(s), []).append((frozenset(s), c))
+
+    def colours(cur: list):
+        inside = set(cur)
+        for fs, c in by_max.get(cur[-1], ()):
+            if fs <= inside:
+                yield c
+    return colours
+
+
+def largest(points: Sequence[int], colours, side: int) -> tuple:
+    """The lexicographically least of the largest sets one-sided for side."""
+    return max(Homogeneous(points, colours, side), key=len, default=())
 
 
 # --- finite Ramsey search ---------------------------------------------------
@@ -52,64 +164,8 @@ class RamseyReport:
     explored: int
 
 
-def _homogeneous_search(n: int, k: int, color: Callable[[tuple], int],
-                        target: Optional[int], required_side: Optional[int],
-                        budget: int):
-    """Branch-and-bound for a maximum set whose k-subsets are one color.
-
-    DFS in ascending lexicographic order, so the first set of any size
-    found is the lexicographically least of that size.  With a target the
-    search stops at the first set reaching it; otherwise it proves
-    maximality (subject to the node budget; exceeding it clears the
-    exhaustive flag).
-    """
-    best: list = []
-    best_color: Optional[int] = None
-    explored = 0
-    complete = True
-    cap = n if target is None else min(n, target)
-    cur: list = []
-
-    def rec(start: int, fixed: Optional[int]) -> bool:
-        nonlocal best, best_color, explored, complete
-        if len(cur) > len(best):
-            best = list(cur)
-            best_color = fixed
-        if len(cur) == cap:
-            return target is not None
-        for i in range(start, n):
-            if explored >= budget:
-                complete = False
-                return False
-            if target is None:
-                if len(cur) + (n - i) <= len(best):
-                    break
-            elif len(cur) + (n - i) < cap:
-                break
-            explored += 1
-            cur.append(i)
-            new_fixed = fixed
-            ok = True
-            if len(cur) >= k:
-                for rest in itertools.combinations(cur[:-1], k - 1):
-                    c = color(tuple(sorted(rest + (i,))))
-                    if new_fixed is None:
-                        new_fixed = c
-                    elif c != new_fixed:
-                        ok = False
-                        break
-            if ok and rec(i + 1, new_fixed):
-                return True
-            cur.pop()
-        return False
-
-    rec(0, required_side)
-    return tuple(best), best_color, explored, complete
-
-
 def finite_ramsey(N: int, k: int, r: int, coloring: Callable[[tuple], int],
                   target: Optional[int] = None,
-                  exhaustive: Optional[bool] = None,
                   budget: int = 500_000) -> RamseyReport:
     """Search [0, N) for a set all of whose k-subsets share one color.
 
@@ -117,36 +173,26 @@ def finite_ramsey(N: int, k: int, r: int, coloring: Callable[[tuple], int],
     below r.  Without a target the largest homogeneous set found is
     returned (lexicographically least among those of maximal size); with a
     target the search stops at the first, lexicographically least, set of
-    size min(N, target).  Never raises: the report carries the best found
-    and an exhaustiveness flag.
+    size min(N, target).  The search itself never fails: the report
+    carries the best set found and an exhaustiveness flag, cleared when the
+    node budget runs out.
     """
-    if N < 0 or k < 1 or r < 1:
-        raise ValueError("need N >= 0, k >= 1, r >= 1")
+    if N < 0 or k < 1 or r < 1 or (target is not None and target < 0):
+        raise ValueError("need N >= 0, k >= 1, r >= 1 and target >= 0")
     if r == 1:
         size = N if target is None else min(N, target)
         return RamseyReport(tuple(range(size)), 0 if size >= k else None,
                             N, k, r, target, True, 0)
-    del exhaustive  # the search is complete unless the budget trips
-    Z, col, explored, complete = _homogeneous_search(
-        N, k, coloring, target, None, budget)
-    if len(Z) < k:
-        col = None
-    return RamseyReport(Z, col, N, k, r, target, complete, explored)
-
-
-def _ramsey_on(points: Sequence[int], k: int,
-               color_on_points: Callable[[tuple], int],
-               required_side: Optional[int] = None,
-               budget: int = 500_000):
-    """Homogeneous search over an arbitrary ascending ground set."""
-    points = tuple(points)
-
-    def color(ix: tuple) -> int:
-        return color_on_points(tuple(points[i] for i in ix))
-
-    Z, col, explored, complete = _homogeneous_search(
-        len(points), k, color, None, required_side, budget)
-    return tuple(points[i] for i in Z), col, explored, complete
+    search = Homogeneous(range(N), _subset_colours(k, coloring),
+                         size=None if target is None else min(N, target),
+                         budget=budget)
+    for _ in search:
+        if target is not None:
+            break
+    Z = search.best
+    col = search.best_side if len(Z) >= k else None
+    return RamseyReport(Z, col, N, k, r, target, search.complete,
+                        search.explored)
 
 
 # --- colorings of front members --------------------------------------------
@@ -212,6 +258,8 @@ def _points_and_members(front, window: int):
     return points, members
 
 
+
+
 @dataclass(frozen=True)
 class ExtractReport:
     """Homogeneous window extraction: every member of the family realized
@@ -230,13 +278,14 @@ def nw_extract(col: Coloring, window: int, target: int) -> ExtractReport:
     """Find the lexicographically least Z of the target size on which the
     2-coloring is one-sided; side 0 is preferred over side 1.
 
-    Depth-first search over ascending subsets of the base points with
-    member-completion pruning: a partial set already containing a member of
-    the wrong color is abandoned.  Raises WindowExhausted when neither side
-    admits a qualifying set within the window.
+    A partial set is abandoned as soon as it contains a member of the
+    wrong color.  Raises WindowExhausted when neither side admits a
+    qualifying set within the window.
     """
     if col.r != 2:
         raise ValueError("extraction needs a 2-coloring")
+    if target < 0:
+        raise ValueError("extraction needs a target size >= 0")
     points, members = _points_and_members(col.front, window)
     colors = {}
     for s in members:
@@ -244,34 +293,9 @@ def nw_extract(col: Coloring, window: int, target: int) -> ExtractReport:
         if not 0 <= c < 2:
             raise ValueError(f"color {c} of member {s} out of range")
         colors[s] = c
-    member_sets = [(frozenset(s), s) for s in members]
-
-    def qualifying_Z(side: int) -> Optional[tuple]:
-        cur: list = []
-        cur_set: set = set()
-
-        def rec(start: int) -> bool:
-            if len(cur) == target:
-                return True
-            for i in range(start, len(points)):
-                if len(cur) + (len(points) - i) < target:
-                    return False
-                v = points[i]
-                cur.append(v)
-                cur_set.add(v)
-                ok = all(colors[s] == side
-                         for fs, s in member_sets
-                         if v in fs and fs <= cur_set)
-                if ok and rec(i + 1):
-                    return True
-                cur.pop()
-                cur_set.discard(v)
-            return False
-
-        return tuple(cur) if rec(0) else None
-
+    colours = member_colours(colors)
     for side in (0, 1):
-        Z = qualifying_Z(side)
+        Z = next(iter(Homogeneous(points, colours, side, target)), None)
         if Z is not None:
             inside = frozenset(Z)
             witnesses = tuple((s, colors[s]) for s in members
@@ -282,16 +306,27 @@ def nw_extract(col: Coloring, window: int, target: int) -> ExtractReport:
         f"no one-sided set of size {target} below {window}")
 
 
-# --- the relation dichotomy -------------------------------------------------
+# --- join nodes and the relation dichotomy ----------------------------------
 
-def join_nodes(front: Front, window: int) -> list:
-    """Minimal witness prefixes determining a member and its shift member.
+def _successor(i: int) -> int:
+    return i + 1
+
+
+def join_nodes(front: Front, window: int,
+               g: Callable[[int], int] = _successor) -> list:
+    """Minimal witness prefixes determining a member and its g-shift member.
 
     Each returned triple (u, s, t) has s the unique member beginning u and
-    t the unique member beginning u minus its least entry; u is exactly
-    their union, of length max(|s|, |t| + 1).
+    t the unique member beginning the g-subsequence (u[g(0)], u[g(1)], ...)
+    of u; both prefixes are unique, so stopping at the first resolution
+    yields the minimal determining nodes.  For the successor (the plain
+    shift), t begins u minus its least entry and u is exactly the union of
+    s and t, of length max(|s|, |t| + 1).
     """
     points = list(front.base.upto(window))
+    picks: list = []            # g(0) < g(1) < ... below len(points)
+    while (j := g(len(picks))) < len(points):
+        picks.append(j)
     out: list = []
 
     def member_prefix(u: tuple) -> Optional[tuple]:
@@ -300,10 +335,14 @@ def join_nodes(front: Front, window: int) -> list:
                 return u[:i]
         return None
 
+    def g_sub(u: tuple) -> tuple:
+        return tuple(map(u.__getitem__,
+                         picks[:bisect.bisect_left(picks, len(u))]))
+
     def rec(u: tuple, start: int) -> None:
         if u:
             s = member_prefix(u)
-            t = member_prefix(u[1:])
+            t = member_prefix(g_sub(u))
             if s is not None and t is not None:
                 out.append((u, s, t))
                 return
@@ -331,32 +370,37 @@ class DichotomyReport:
 def dichotomy_extract(phi: SuperSeq, R: Callable, window: int,
                       relation_name: str = "R") -> DichotomyReport:
     """Split the window by whether R holds one shift ahead, and return the
-    largest Z on which one side is uniform (side preference: complement
-    first at equal size, matching the underlying extraction order)."""
+    largest Z on which one side is uniform: the lexicographically least
+    such set, on the complement side (index 0) when both sides reach the
+    largest size.
+
+    One search finds the largest complement-side set and a second must
+    beat its size on the relation side.  Every join node inside Z is then
+    compared again; a relation that answers differently the second time
+    raises InvariantViolated.
+    """
     joins = join_nodes(phi.front, window)
     if not joins:
         raise WindowExhausted("no shift pair is determined within the window")
     cmap = {u: (1 if R(phi.value(s), phi.value(t)) else 0)
             for (u, s, t) in joins}
-    col = Coloring(front=tuple(cmap), color=lambda u: cmap[u],
-                   name="shift-compare")
     points = sorted({x for u in cmap for x in u})
-    for size in range(len(points), 0, -1):
-        try:
-            rep = nw_extract(col, window, size)
-        except WindowExhausted:
-            continue
-        inside = frozenset(rep.Z)
-        verified = 0
-        for (u, s, t) in joins:
-            if frozenset(u) <= inside:
-                assert (1 if R(phi.value(s), phi.value(t)) else 0) == rep.side
-                verified += 1
-        side = relation_name if rep.side == 1 else f"{relation_name}-complement"
-        return DichotomyReport(rep.Z, side, rep.side, window, len(joins),
-                               verified, rep.exhaustive)
-    raise WindowExhausted(
-        f"no nonempty one-sided set below {window}")
+    colours = member_colours(cmap)
+    Z, side_index = largest(points, colours, 0), 0
+    Z1 = largest(points, colours, 1)
+    if len(Z1) > len(Z):
+        Z, side_index = Z1, 1
+    side = relation_name if side_index == 1 else f"{relation_name}-complement"
+    inside = frozenset(Z)
+    verified = 0
+    for (u, s, t) in joins:
+        if inside.issuperset(u):
+            if (1 if R(phi.value(s), phi.value(t)) else 0) != side_index:
+                raise InvariantViolated(
+                    f"join node {u} is off side {side!r} when compared again")
+            verified += 1
+    return DichotomyReport(Z, side, side_index, window, len(joins), verified,
+                           True)
 
 
 # --- the pair-order embedding extraction ------------------------------------
@@ -392,6 +436,8 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     evidence of a bad sequence in the codomain and raises
     RamseyStageFailed).  The minimum of the surviving set is dropped and
     both directions of the embedding are verified on every pair over X.
+    Each value is read once; a codomain with check and raw_leq (see
+    CodedQO) has it checked then and compared raw.
     """
     schema = f.front.schema
     if not (isinstance(schema, UniformSchema) and schema.k == 2):
@@ -402,26 +448,45 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     if not rep.bad_on_window:
         raise NotBadOnWindow(
             f"good pair {rep.good_witness} within {window}")
-    leq = f.codomain.leq
-    points = list(f.front.base.upto(window))
+    raw_leq = getattr(f.codomain, "raw_leq", None)
+    check = f.codomain.check if raw_leq is not None else None
+    leq = raw_leq or f.codomain.leq
+    values: dict = {}
+
+    def value(p: tuple):
+        if p not in values:
+            v = f.value(p)
+            if check is not None:
+                check(v)
+            values[p] = v
+        return values[p]
 
     def c3(tr: tuple) -> int:
         i, j, k = tr
-        return 1 if leq(f.value((i, j)), f.value((i, k))) else 0
+        return 1 if leq(value((i, j)), value((i, k))) else 0
 
     def c4(qd: tuple) -> int:
         i, j, k, l = qd
-        return 1 if leq(f.value((i, j)), f.value((k, l))) else 0
+        return 1 if leq(value((i, j)), value((k, l))) else 0
+
+    def stage(ground: tuple, k: int, color) -> StageReport:
+        search = Homogeneous(ground, _subset_colours(k, color), side=1,
+                             budget=500_000)
+        for _ in search:
+            pass
+        N = search.best
+        return StageReport(ground, N, 1 if len(N) >= k else None,
+                           search.explored)
 
     need = min_size + 1
-    N1, side1, ex1, _ = _ramsey_on(points, 3, c3, required_side=1)
-    stage1 = StageReport(tuple(points), N1, 1 if len(N1) >= 3 else None, ex1)
+    stage1 = stage(tuple(f.front.base.upto(window)), 3, c3)
+    N1 = stage1.homogeneous
     if len(N1) < need:
         raise RamseyStageFailed(
             f"triple stage keeps only {len(N1)} points below {window}; "
             f"need {need} (comparisons refuse to hold along a large set)")
-    N2, side2, ex2, _ = _ramsey_on(N1, 4, c4, required_side=1)
-    stage2 = StageReport(tuple(N1), N2, 1 if len(N2) >= 4 else None, ex2)
+    stage2 = stage(N1, 4, c4)
+    N2 = stage2.homogeneous
     if len(N2) < need:
         raise RamseyStageFailed(
             f"quadruple stage keeps only {len(N2)} points below {window}; "
@@ -431,8 +496,8 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     pairs = list(itertools.combinations(X, 2))
     for p in pairs:
         for q in pairs:
-            left = rado_leq(p, q)
-            right = leq(f.value(p), f.value(q))
+            left = RADO.raw_leq(p, q)
+            right = leq(value(p), value(q))
             if left != right:
                 violations.append((p, q, left, right))
     if violations:

@@ -9,23 +9,27 @@ with an arbitrary right-composition shift:
     rho(f o g) = rho(f) o successor        (rho(f) = f o orbit(g))
     sigma(f o successor) = sigma(f) o g    (piecewise orbit exponents)
 
-sigma's strict monotonicity is runtime-asserted across every piece
-boundary it evaluates, reproducing the two inequality chains that prove
-it.  g_perfect_extract searches a window for a restriction h making a
-valuation monotone along every requested shift simultaneously, verifying
-each candidate against a deterministic battery of sampled injections
-before accepting it.
+sigma's strict monotonicity is checked at run time across every piece
+boundary it evaluates, by replaying the two inequality chains that prove
+it; a failed link raises InvariantViolated.  g_perfect_extract searches a
+window for a restriction h making a valuation monotone along every
+requested shift simultaneously.  Its join nodes and candidate sets come
+from bqo.ramsey (join_nodes and the one homogeneous-set search), and each
+candidate is verified against a deterministic battery of sampled
+injections before it is accepted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from .errors import LooksLikeIdentity, NotBQOEvidence, WindowExhausted
-from .fronts import Front, front_member
-from .streams import InfSet, from_enumeration, parse_base, prefix_then_arithmetic
+from .errors import (InvariantViolated, LooksLikeIdentity, NotBQOEvidence,
+                     WindowExhausted)
+from .fronts import front_member
+from .ramsey import Homogeneous, join_nodes, largest, member_colours
+from .streams import InfSet, parse_base, prefix_then_arithmetic
 from .superseq import SuperSeq
 
 
@@ -182,14 +186,19 @@ def rho(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     return IncInj(out.evaluator, tag="rho", name=f"rho({f.name};{g.name})")
 
 
+def _require(holds: bool, what: str) -> None:
+    if not holds:
+        raise InvariantViolated(f"sigma: {what} fails")
+
+
 def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     """Piecewise transport turning the successor shift into the g shift.
 
     sigma(f)(l) = l below the orbit, and the (f(n) - n)-th iterate of g on
     the n-th orbit gap.  Strict monotonicity across each evaluated piece
-    boundary is asserted by replaying the two inequality chains that
-    establish it; the exponent is asserted non-negative (any increasing
-    injection satisfies f(n) >= n).
+    boundary is checked by replaying the two inequality chains that
+    establish it, and the exponent is checked non-negative (any increasing
+    injection satisfies f(n) >= n); a failed link raises InvariantViolated.
     """
     G = orbit_map(g, probe)
     kg = G(0)
@@ -199,23 +208,24 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
             x = g(x)
         return x
 
-    asserted = set()
+    checked = set()
 
-    def assert_boundary(n: int) -> None:
+    def check_boundary(n: int) -> None:
         if n == 0:
             # entry chain: every l < G(0) sits below the first piece value
-            assert G(0) <= gpow(f(0), G(0))
-            assert gpow(f(0), G(0)) == G(f(0))
+            _require(G(0) <= gpow(f(0), G(0)), "entry chain: G(0) <= base")
+            _require(gpow(f(0), G(0)) == G(f(0)), "entry chain: base on orbit")
         # exit chain at the top of piece n
         e = f(n) - n
         top = gpow(e, G(n + 1) - 1)
         at_next = gpow(e, G(n + 1))
-        assert top < at_next
-        assert at_next == gpow(f(n) + 1, kg)
+        _require(top < at_next, f"exit chain {n}: top < next")
+        _require(at_next == gpow(f(n) + 1, kg), f"exit chain {n}: next")
         nxt_base = gpow(f(n + 1), kg)
-        assert at_next <= nxt_base
-        assert nxt_base == G(f(n + 1))
-        assert nxt_base == gpow(f(n + 1) - (n + 1), G(n + 1))
+        _require(at_next <= nxt_base, f"exit chain {n}: next <= base")
+        _require(nxt_base == G(f(n + 1)), f"exit chain {n}: base on orbit")
+        _require(nxt_base == gpow(f(n + 1) - (n + 1), G(n + 1)),
+                 f"exit chain {n}: base in piece {n + 1}")
 
     def ev(l: int) -> int:
         if l < G(0):
@@ -224,10 +234,10 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
         while not (G(n) <= l < G(n + 1)):
             n += 1
         e = f(n) - n
-        assert e >= 0, "increasing injections satisfy f(n) >= n"
-        if n not in asserted:
-            asserted.add(n)
-            assert_boundary(n)
+        _require(e >= 0, f"f({n}) >= {n}")
+        if n not in checked:
+            checked.add(n)
+            check_boundary(n)
         return gpow(e, l)
 
     return IncInj(ev, tag="sigma", name=f"sigma({f.name};{g.name})")
@@ -266,46 +276,6 @@ def factor_enumeration(X: InfSet, Y: InfSet, window: int) -> Optional[IncInj]:
 
 
 # --- windowed perfection along several shifts -------------------------------
-
-def g_join_nodes(front: Front, points: Sequence[int], g: IncInj) -> list:
-    """Minimal prefixes determining a member and its g-subsequence member.
-
-    A prefix u resolves when a member s begins u and a member t begins the
-    subsequence (u[g(0)], u[g(1)], ...); both prefixes are unique, so
-    stopping at first resolution yields the minimal determining nodes.
-    """
-    points = list(points)
-    out = []
-
-    def member_prefix(u: tuple) -> Optional[tuple]:
-        for i in range(len(u) + 1):
-            if front_member(front, u[:i]):
-                return u[:i]
-        return None
-
-    def g_sub(u: tuple) -> tuple:
-        vals = []
-        i = 0
-        while True:
-            gi = g(i)
-            if gi >= len(u):
-                return tuple(vals)
-            vals.append(u[gi])
-            i += 1
-
-    def rec(u: tuple, start: int) -> None:
-        if u:
-            s = member_prefix(u)
-            t = member_prefix(g_sub(u))
-            if s is not None and t is not None:
-                out.append((u, s, t))
-                return
-        for i in range(start, len(points)):
-            rec(u + (points[i],), i + 1)
-
-    rec((), 0)
-    return out
-
 
 def _sample_battery(window: int) -> List[IncInj]:
     """Deterministic injections used to verify candidate restrictions."""
@@ -376,34 +346,10 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
     points = list(phi.front.base.upto(window))
     joins = []
     for g in gs:
-        joins.extend(g_join_nodes(phi.front, points, g))
+        joins.extend(join_nodes(phi.front, window, g))
     colors = {u: (1 if leq(phi.value(s), phi.value(t)) else 0)
               for (u, s, t) in joins}
-    join_sets = [(frozenset(u), u) for u in colors]
-
-    def candidates(side: int, size: int):
-        cur: List[int] = []
-        cur_set: set = set()
-
-        def rec(start: int):
-            if len(cur) == size:
-                yield tuple(cur)
-                return
-            for i in range(start, len(points)):
-                if len(cur) + (len(points) - i) < size:
-                    return
-                v = points[i]
-                cur.append(v)
-                cur_set.add(v)
-                if all(colors[u] == side
-                       for fs, u in join_sets
-                       if v in fs and fs <= cur_set):
-                    yield from rec(i + 1)
-                cur.pop()
-                cur_set.discard(v)
-
-        yield from rec(0)
-
+    colours = member_colours(colors)
     battery = _sample_battery(window)
 
     def verify(h: IncInj) -> int:
@@ -421,8 +367,9 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
         return checks
 
     tried = 0
-    for size in range(len(points), 0, -1):
-        for Z in itertools.islice(candidates(1, size), max_candidates):
+    for size in range(len(largest(points, colours, 1)), 0, -1):
+        for Z in itertools.islice(Homogeneous(points, colours, 1, size),
+                                  max_candidates):
             tried += 1
             h_set = _extend_listing(Z)
             h = enum_of_set(h_set)
@@ -430,13 +377,12 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
             if checks:
                 return GPerfectReport(h, h_set, Z, window, len(colors),
                                       checks, tried)
-    for size in range(len(points), 0, -1):
-        for Z in itertools.islice(candidates(0, size), 1):
-            realized = [u for fs, u in join_sets if fs <= frozenset(Z)]
-            if realized:
-                raise NotBQOEvidence(
-                    f"comparison fails homogeneously on {Z} "
-                    f"({len(realized)} witnesses); the codomain restricted "
-                    f"to this valuation is not well-behaved")
+    for Z in reversed(list(Homogeneous(points, colours, 0))):
+        realized = [u for u in colors if frozenset(Z).issuperset(u)]
+        if realized:
+            raise NotBQOEvidence(
+                f"comparison fails homogeneously on {Z} "
+                f"({len(realized)} witnesses); the codomain restricted "
+                f"to this valuation is not well-behaved")
     raise WindowExhausted(
         f"no verifiable restriction below {window} for {len(gs)} shifts")

@@ -2,8 +2,7 @@
 
 An InfSet is a strictly increasing enumeration n -> x_n with a materialised
 prefix cache, never a bare membership predicate: that way density arguments
-terminate with explicit moduli. The cache fill is idempotent (each index
-computes to the same value), so concurrent reads are safe.
+terminate with explicit moduli.
 """
 from __future__ import annotations
 

@@ -492,6 +492,23 @@ class TestExtractCommands:
         assert code == 1
         assert "NotBadOnWindow" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "ramsey", "6", "--exhaustive"],
+        ["extract", "ramsey", "5", "--k", "0"],
+        ["extract", "ramsey", "5", "--r", "0"],
+        ["extract", "ramsey", "-1"],
+        ["extract", "ramsey", "6", "--target", "-1"],
+        ["extract", "nw", "--schema", "uniform", "--k", "2", "--target", "-1",
+         "--window", "8"],
+    ])
+    def test_bad_extract_arguments_are_one_line_usage_errors(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.splitlines()[0]]
+
 
 # --- shift group ------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from bqo.errors import (
     EmbeddingCheckFailed,
+    InvariantViolated,
+    NotAPair,
     NotBadOnWindow,
     NotBadPowersetSeq,
     RamseyStageFailed,
@@ -23,12 +27,14 @@ from bqo.fronts import (
 from bqo.qo import OMEGA, RADO, CodedQO, antichain, rado_leq
 from bqo.ramsey import (
     Coloring,
+    Homogeneous,
     coloring_from_dict,
     dichotomy_extract,
     f2_to_powerset_badseq,
     finite_ramsey,
     join_nodes,
     laver_embed,
+    member_colours,
     named_coloring,
     nw_extract,
     powerset_badseq_to_f2,
@@ -260,6 +266,49 @@ class TestNWExtract:
                 assert table[s] == rep.side
 
 
+def one_sided(Z, family: dict, side: int) -> bool:
+    """Every member of the family inside Z has colour side."""
+    return all(c == side for s, c in family.items() if set(s) <= set(Z))
+
+
+def random_family(seed: int):
+    """Seven ascending points below 12 and a random 2-colouring of a random
+    family of their 1-, 2- and 3-subsets."""
+    rng = random.Random(seed)
+    points = tuple(sorted(rng.sample(range(12), 7)))
+    family = {s: rng.randrange(2) for k in (1, 2, 3)
+              for s in itertools.combinations(points, k) if rng.random() < 0.5}
+    return points, family
+
+
+class TestHomogeneous:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_size_is_filtered_combinations_in_order(self, seed):
+        points, family = random_family(seed)
+        colours = member_colours(family)
+        for side in (0, 1):
+            for size in range(len(points) + 2):
+                want = [Z for Z in itertools.combinations(points, size)
+                        if one_sided(Z, family, side)]
+                assert list(Homogeneous(points, colours, side, size)) == want
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_max_search_yields_least_set_of_each_size(self, seed):
+        points, family = random_family(seed)
+        colours = member_colours(family)
+        for side in (0, 1):
+            want = []
+            for size in range(1, len(points) + 1):
+                least = next((Z for Z in itertools.combinations(points, size)
+                              if one_sided(Z, family, side)), None)
+                if least is None:
+                    break
+                want.append(least)
+            assert list(Homogeneous(points, colours, side)) == want
+
+
 class TestJoinNodes:
     def test_pair_front_joins_are_triples(self):
         joins = join_nodes(uniform_front(2), 5)
@@ -362,6 +411,43 @@ class TestDichotomy:
                 assert (len(s) <= len(t)) == (rep.side_index == 1)
 
 
+    def test_relation_answering_differently_again_is_caught(self):
+        answers = iter([True] * len(join_nodes(uniform_front(2), 6)))
+        phi = SuperSeq(front=uniform_front(2), valuation=named_valuation("min"),
+                       name="min")
+        with pytest.raises(InvariantViolated):
+            dichotomy_extract(phi, lambda a, b: next(answers, False), 6)
+
+    @pytest.mark.parametrize("window", [6, 7, 8, 9])
+    @pytest.mark.parametrize("relation", ["leq", "eq"])
+    @pytest.mark.parametrize("fixture", ["span@u3", "min@schreier"])
+    def test_agrees_with_all_subsets_brute_force(self, fixture, relation,
+                                                 window):
+        rule, front = fixture.split("@")
+        front = uniform_front(3) if front == "u3" else schreier_front()
+        phi = SuperSeq(front=front, valuation=named_valuation(rule),
+                       codomain=OMEGA, name=fixture)
+        R = OMEGA.leq if relation == "leq" else (lambda a, b: a == b)
+        rep = dichotomy_extract(phi, R, window)
+        assert (rep.Z, rep.side_index, rep.pairs_verified) == \
+            brute_dichotomy(phi, R, window)
+
+
+def brute_dichotomy(phi, R, window: int):
+    """Largest one-sided set over all subsets of the join nodes' points:
+    side 0 on ties, lexicographically least; with its side and the number
+    of join nodes inside it."""
+    joins = {u: 1 if R(phi.value(s), phi.value(t)) else 0
+             for u, s, t in join_nodes(phi.front, window)}
+    points = sorted({x for u in joins for x in u})
+    for size in range(len(points), 0, -1):
+        for side in (0, 1):
+            for Z in itertools.combinations(points, size):
+                if one_sided(Z, joins, side):
+                    return Z, side, sum(1 for u in joins if set(u) <= set(Z))
+    raise AssertionError("no one-sided point")
+
+
 class TestLaverEmbed:
     def test_identity_embeds_at_twelve(self):
         rep = laver_embed(identity_u2(), 12)
@@ -428,6 +514,47 @@ class TestLaverEmbed:
         assert rado_leq(p, q) == left
         assert loose.leq(tuple(p), tuple(q)) == right
         assert left != right
+
+    def test_each_value_is_checked_once(self):
+        checked = []
+
+        def check(v):
+            checked.append(v)
+            return RADO.check(v)
+
+        def leq(a, b):
+            check(a)
+            check(b)
+            return RADO.raw_leq(a, b)
+
+        counted = CodedQO(name="rado-counted", contains=RADO.contains,
+                          leq=leq, key=RADO.key, fmt=RADO.fmt,
+                          check=check, raw_leq=RADO.raw_leq)
+
+        def seq():
+            return SuperSeq(front=uniform_front(2),
+                            valuation=named_valuation("identity"),
+                            codomain=counted, name="identity")
+
+        badness_check(seq(), 12)
+        scanned = list(checked)
+        checked.clear()
+        rep = laver_embed(seq(), 12)
+        assert rep.X == tuple(range(1, 12))
+        assert checked[:len(scanned)] == scanned
+        after_scan = checked[len(scanned):]
+        assert after_scan
+        assert len(after_scan) == len(set(after_scan))
+
+    def test_malformed_value_raises_the_carrier_error(self):
+        # (0, 7) is in no shift pair below 8, so the badness scan never
+        # reads it and the first stage is the first to compare it
+        f = SuperSeq(front=uniform_front(2),
+                     valuation=lambda s: (5, 3) if s == (0, 7) else tuple(s),
+                     codomain=RADO, name="one-malformed")
+        with pytest.raises(NotAPair, match=re.escape(
+                "(5, 3) is not an increasing pair of naturals")):
+            laver_embed(f, 8)
 
     def test_requires_pair_front_and_codomain(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bqo.errors import LooksLikeIdentity, NotBQOEvidence, WindowExhausted
+import bqo
+from bqo.errors import (InvariantViolated, LooksLikeIdentity, NotBQOEvidence,
+                        WindowExhausted)
 from bqo.fronts import schreier_front, uniform_front
 from bqo.qo import OMEGA, RADO, antichain
 from bqo.ramsey import join_nodes
@@ -18,7 +22,6 @@ from bqo.shifts import (
     critical_point,
     enum_of_set,
     factor_enumeration,
-    g_join_nodes,
     g_perfect_extract,
     identity_inj,
     orbit_map,
@@ -231,6 +234,23 @@ class TestSigma:
         vals = lhs.values(48)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_injection_below_the_identity_is_an_invariant_violation(self):
+        # f(1) = 0 < 1 goes unnoticed by IncInj while f(0) and f(2) are
+        # unevaluated, so sigma's own f(n) >= n check is what catches it
+        dip = IncInj(lambda n: 0 if n == 1 else n, name="dip")
+        with pytest.raises(InvariantViolated):
+            sigma(dip, successor())(1)
+
+
+def test_library_has_no_assert_statements():
+    # invariants must be checks that survive python -O
+    src = Path(bqo.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
 
 class TestFactorEnumeration:
     def test_evens_inside_omega(self):
@@ -267,19 +287,19 @@ class TestGJoinNodes:
     def test_successor_reduces_to_plain_joins(self):
         front = uniform_front(2)
         plain = join_nodes(front, 6)
-        viag = g_join_nodes(front, range(6), successor())
+        viag = join_nodes(front, 6, successor())
         assert viag == plain
 
     def test_stride_two_needs_four_points(self):
         front = uniform_front(2)
-        joins = g_join_nodes(front, range(6), affine(1, 2))
+        joins = join_nodes(front, 6, affine(1, 2))
         for u, s, t in joins:
             a, b, c, d = u
             assert s == (a, b) and t == (c, d)
         assert len(joins) == 15
 
     def test_variable_front_resolution(self):
-        joins = g_join_nodes(schreier_front(), range(6), affine(1, 2))
+        joins = join_nodes(schreier_front(), 6, affine(1, 2))
         for u, s, t in joins:
             assert s == u[:len(s)]
             gsub = tuple(u[2 + i] for i in range(len(u) - 2))
