@@ -179,7 +179,10 @@ def _front_from_args(args) -> Front:
         k = getattr(args, "k", None)
         if k is None:
             raise CliUsageError("--schema uniform needs --k")
-        return uniform_front(k, base)
+        try:
+            return uniform_front(k, base)
+        except ValueError as exc:
+            raise CliUsageError(f"bad --k {k}: {exc}") from exc
     raise CliUsageError(
         f"unknown schema {schema!r}: expected trivial, uniform, or schreier")
 
@@ -419,7 +422,10 @@ def _front_payload(F: Front) -> dict:
 def _cmd_front_member(args):
     F = _front_from_args(args)
     s = _parse_prefix(args.entries)
-    ok = front_member(F, s)
+    try:
+        ok = front_member(F, s)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     payload = {"front": _front_payload(F), "entries": list(s), "member": ok}
     return payload, [f"member: {_text_value(ok)}"]
 

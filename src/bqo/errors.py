@@ -111,6 +111,13 @@ class WindowExhausted(DomainError):
     pass
 
 
+class MissingColor(DomainError, KeyError):
+    """A table coloring without a default has no color for a member.  Also
+    a KeyError, as a table lookup miss; the message is printed unquoted."""
+
+    __str__ = DomainError.__str__
+
+
 class NotBadOnWindow(DomainError):
     pass
 

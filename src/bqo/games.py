@@ -33,13 +33,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (BadIndices, EmptyTruncation, IllegalMove,
-                     InsufficientPrefix, MixedBaseQO, NotBad)
+                     InsufficientPrefix, InvariantViolated, MixedBaseQO,
+                     NotBad)
 from .fronts import front_member, residual_front
 from .hset import Atom, HSet, Node, iter_atoms, node
 
 
 def _check_base(h: HSet, qo) -> None:
-    for a in iter_atoms(h):
+    for a in dict.fromkeys(iter_atoms(h)):
         if not qo.contains(a.value):
             raise MixedBaseQO(
                 f"atom {a.value!r} is not in the carrier of the base order")
@@ -68,68 +69,72 @@ class GameResult:
         return self.winner == "II"
 
 
-def _ii_wins(x: HSet, y: HSet, qo, memo: dict) -> bool:
+def _ii_wins(x: HSet, y: HSet, leq, memo: dict) -> bool:
     key = (x, y)
     hit = memo.get(key)
     if hit is not None:
         return hit
     if isinstance(x, Atom) and isinstance(y, Atom):
-        res = bool(qo.leq(x.value, y.value))
+        res = bool(leq(x.value, y.value))
     elif isinstance(x, Atom):
-        res = any(_ii_wins(x, yc, qo, memo) for yc in y.children)
+        res = any(_ii_wins(x, yc, leq, memo) for yc in y.children)
     elif isinstance(y, Atom):
-        res = all(_ii_wins(xc, y, qo, memo) for xc in x.children)
+        res = all(_ii_wins(xc, y, leq, memo) for xc in x.children)
     else:
-        res = all(any(_ii_wins(xc, yc, qo, memo) for yc in y.children)
+        res = all(any(_ii_wins(xc, yc, leq, memo) for yc in y.children)
                   for xc in x.children)
     memo[key] = res
     return res
 
 
-def _build_ii_strategy(x: HSet, y: HSet, qo, memo, strat, visited) -> None:
+def _build_ii_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
     if (x, y) in visited:
         return
     visited.add((x, y))
     for xm in _moves(x):
         if isinstance(y, Node):
-            ym = next(yc for yc in y.children if _ii_wins(xm, yc, qo, memo))
+            ym = next(yc for yc in y.children if _ii_wins(xm, yc, leq, memo))
             strat[(xm, y)] = ym
         else:
             ym = y
         if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
-            _build_ii_strategy(xm, ym, qo, memo, strat, visited)
+            _build_ii_strategy(xm, ym, leq, memo, strat, visited)
 
 
-def _build_i_strategy(x: HSet, y: HSet, qo, memo, strat, visited) -> None:
+def _build_i_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
     if (x, y) in visited:
         return
     visited.add((x, y))
     replies = _moves(y)
     xm = next(xc for xc in _moves(x)
-              if all(not _ii_wins(xc, ym, qo, memo) for ym in replies))
+              if all(not _ii_wins(xc, ym, leq, memo) for ym in replies))
     if isinstance(x, Node):
         strat[(x, y)] = xm
     for ym in replies:
         if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
-            _build_i_strategy(xm, ym, qo, memo, strat, visited)
+            _build_i_strategy(xm, ym, leq, memo, strat, visited)
 
 
 def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
     """Solve the position (x, y) over the base order qo.
 
     Winner II means x <= y in the lifted order.  The optional memo dict may
-    be shared across calls that use the same base order.
+    be shared across calls that use the same base order.  Each distinct
+    atom is checked against the carrier once, up front, so a base order
+    with check and raw_leq (as RADO has) is then compared raw.
     """
     _check_base(x, qo)
     _check_base(y, qo)
     if memo is None:
         memo = {}
+    raw = getattr(qo, "raw_leq", None)
+    leq = raw if raw is not None and getattr(qo, "check", None) else qo.leq
     strat: dict = {}
     visited: set = set()
-    if _ii_wins(x, y, qo, memo):
-        _build_ii_strategy(x, y, qo, memo, strat, visited)
+    if _ii_wins(x, y, leq, memo):
+        _build_ii_strategy(x, y, leq, memo, strat, visited)
         return GameResult("II", strat)
-    _build_i_strategy(x, y, qo, memo, strat, visited)
+    _build_i_strategy(x, y, leq, memo, strat, visited)
     return GameResult("I", strat)
 
 
@@ -280,7 +285,7 @@ class StrungMultiSeq:
                 b = next(child)
             if isinstance(a, Atom) and isinstance(b, Atom):
                 if self.qo.leq(a.value, b.value):
-                    raise AssertionError(
+                    raise InvariantViolated(
                         "a winning strategy for I reached a comparison "
                         "favorable to II")
                 return a.value, consumed

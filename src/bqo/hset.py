@@ -6,26 +6,47 @@ are leaves: they contain no elements yet are distinct from the empty set,
 which is excluded altogether.  Canonical child ordering (a structural sort
 key) makes equality, hashing, and memo keys deterministic.
 
+Each HSet computes its hash once, at construction, from its value or its
+children's cached hashes, so hashing (and a memo lookup keyed by HSets) is
+O(1); equality stays structural.  The sort key ``canon_key`` is cached in a
+bounded LRU cache of ``CANON_KEY_CACHE_SIZE`` entries; an evicted key is
+recomputed from its children's keys, so the order never depends on the
+cache.
+
 The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
-parsing is the identity on canonical trees.
+parsing is the identity on canonical trees.  One parse tokenizes with one
+regular expression, builds the tree with an explicit stack, and shares one
+Atom per distinct label, so ``parse_atom`` runs once per label.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Leaf wrapping one element of the base carrier."""
 
     value: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return Atom, (self.value,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """Nonempty finite set of distinct HSets, children canonically ordered.
 
@@ -35,12 +56,20 @@ class Node:
     """
 
     children: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = _canonical_children(self.children)
         if not ordered:
             raise ValueError("Node requires at least one child")
         object.__setattr__(self, "children", ordered)
+        object.__setattr__(self, "_hash", hash((ordered,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Node, (self.children,)
 
 
 HSet = Union[Atom, Node]
@@ -55,20 +84,24 @@ def node(children: Iterable) -> Node:
 
 
 def _canonical_children(children) -> tuple:
-    seen = []
+    seen = {}   # deduplicates by hash, keeping first occurrences
     for c in children:
         if not isinstance(c, (Atom, Node)):
             raise TypeError(f"HSet child expected, got {c!r}")
-        if c not in seen:
-            seen.append(c)
+        seen[c] = None
     return tuple(sorted(seen, key=canon_key))
+
+
+# Bound on the canon_key cache: 4,000 random games on sets of depth at most
+# 3 key about 11.7k distinct sets.
+CANON_KEY_CACHE_SIZE = 1 << 16
 
 
 def _atom_key(value) -> str:
     return f"{type(value).__name__}:{value!r}"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CANON_KEY_CACHE_SIZE)
 def canon_key(h: HSet):
     """Total deterministic structural sort key: atoms first, then nodes."""
     if isinstance(h, Atom):
@@ -112,37 +145,20 @@ def hset_to_sexpr(h: HSet, fmt: Callable[[object], str] = str) -> str:
     return "(set " + " ".join(hset_to_sexpr(c, fmt) for c in h.children) + ")"
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ValueError("unterminated string literal")
-            tokens.append(('str', "".join(buf)))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(('sym', text[i:j]))
-            i = j
-    return tokens
+# One token per match; only whitespace is left between matches.  A quote
+# that opens no terminated string literal swallows the rest of the text, so
+# an unterminated literal is always the last token.
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_TOKEN = re.compile(rf'[()]|{_STRING.pattern}|".*|[^\s()"]+', re.DOTALL)
+_ESCAPE = re.compile(r'\\(.)', re.DOTALL)
+
+
+def _word(token: str) -> str:
+    """The text of a symbol, or the unescaped body of a string literal."""
+    if token[0] != '"':
+        return token
+    body = token[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 def parse_sexpr(text: str,
@@ -150,47 +166,65 @@ def parse_sexpr(text: str,
     """Parse the s-expression format back into an HSet.
 
     ``parse_atom`` decodes atom labels into carrier elements (default: keep
-    the label string).  The result is re-canonicalized.
+    the label string); it runs once per distinct label, and every occurrence
+    of a label shares one Atom.  The result is re-canonicalized.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def expect(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ValueError(f"expected {tok!r} at token {pos}")
-        pos += 1
-
-    def parse_one() -> HSet:
-        nonlocal pos
-        expect("(")
-        if pos >= len(tokens) or not isinstance(tokens[pos], tuple):
-            raise ValueError("expected 'atom' or 'set' head")
-        kind, word = tokens[pos]
-        if kind != 'sym' or word not in ("atom", "set"):
-            raise ValueError(f"expected 'atom' or 'set', got {word!r}")
-        pos += 1
-        if word == "atom":
-            if pos >= len(tokens) or not isinstance(tokens[pos], tuple):
-                raise ValueError("atom requires a label")
-            lkind, label = tokens[pos]
-            pos += 1
-            if lkind not in ('str', 'sym'):
-                raise ValueError("atom label must be a string or symbol")
-            expect(")")
-            return Atom(parse_atom(label))
-        children = []
-        while pos < len(tokens) and tokens[pos] == "(":
-            children.append(parse_one())
-        expect(")")
-        if not children:
-            raise ValueError("set requires at least one element")
-        return node(children)
-
-    out = parse_one()
+    tokens = _TOKEN.findall(text)
+    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
+        raise ValueError("unterminated string literal")
+    out, pos = _build(tokens, parse_atom)
     if pos != len(tokens):
         raise ValueError("trailing input after s-expression")
     return out
+
+
+def _build(tokens: list, parse_atom) -> tuple:
+    """Build the first s-expression of tokens with an explicit stack of the
+    open sets' children; returns it with the index of the next token."""
+    n = len(tokens)
+    if not n or tokens[0] != "(":
+        raise ValueError("expected '(' at token 0")
+    atoms: dict = {}
+    stack: list = []
+    pos = 0
+    while True:
+        # tokens[pos] opens an expression
+        pos += 1
+        if pos >= n or tokens[pos] in "()":
+            raise ValueError("expected 'atom' or 'set' head")
+        head = tokens[pos]
+        pos += 1
+        if head == "set":
+            stack.append([])
+        elif head == "atom":
+            if pos >= n or tokens[pos] in "()":
+                raise ValueError("atom requires a label")
+            label = _word(tokens[pos])
+            pos += 1
+            if pos >= n or tokens[pos] != ")":
+                raise ValueError(f"expected ')' at token {pos}")
+            pos += 1
+            h = atoms.get(label)
+            if h is None:
+                h = atoms[label] = Atom(parse_atom(label))
+            if not stack:
+                return h, pos
+            stack[-1].append(h)
+        else:
+            raise ValueError(
+                f"expected 'atom' or 'set', got {_word(head)!r}")
+        # inside the innermost open set: open a child or close sets
+        while pos >= n or tokens[pos] != "(":
+            if pos >= n or tokens[pos] != ")":
+                raise ValueError(f"expected ')' at token {pos}")
+            pos += 1
+            children = stack.pop()
+            if not children:
+                raise ValueError("set requires at least one element")
+            h = Node(tuple(children))
+            if not stack:
+                return h, pos
+            stack[-1].append(h)
 
 
 # --- enumeration and sampling ---------------------------------------------

@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     BadIndices,
+    InvariantViolated,
     MissingReflexive,
     MissingTransitive,
     MixedBaseQO,
@@ -617,7 +618,7 @@ def rado_antichain_witness(m: int, n: int) -> RadoWitnessReport:
     member = in_downset((m, n), m, bound)
     non_member = not in_downset((m, n), n, max(n, n) + 2)
     if not member or not non_member:
-        raise AssertionError("Rado separation failed; relation is broken")
+        raise InvariantViolated("Rado separation failed; relation is broken")
     return RadoWitnessReport(
         pair=(m, n),
         generator_witness=(m, n),

@@ -39,8 +39,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import (EmbeddingCheckFailed, InvariantViolated, NotBadOnWindow,
-                     NotBadPowersetSeq, RamseyStageFailed, WindowExhausted)
+from .errors import (EmbeddingCheckFailed, InvariantViolated, MissingColor,
+                     NotBadOnWindow, NotBadPowersetSeq, RamseyStageFailed,
+                     WindowExhausted)
 from .fronts import (Front, UniformSchema, front_member, members_within,
                      uniform_front)
 from .qo import RADO
@@ -243,7 +244,7 @@ def coloring_from_dict(data: dict) -> Coloring:
         if s in table:
             return table[s]
         if default is None:
-            raise KeyError(f"no color for member {s}")
+            raise MissingColor(f"no color for member {s}")
         return int(default)
 
     return Coloring(front, color, r, data.get("name", "table"))

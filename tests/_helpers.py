@@ -10,6 +10,7 @@ from bqo.fronts import (
     trivial_front,
     uniform_front,
 )
+from bqo.hset import Atom, node
 from bqo.ordinal import OrdinalCNF
 from bqo.qo import FiniteQO
 from bqo.streams import evens
@@ -112,3 +113,79 @@ SHIFT_PAIR_FRONTS = {
     "trivial": (trivial_front(), 4),
     "u2-evens": (uniform_front(2, evens()), 12),
 }
+
+
+def _tokenize_reference(text: str) -> list:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise ValueError("unterminated string literal")
+            tokens.append(('str', "".join(buf)))
+            i = j + 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in '()"':
+                j += 1
+            tokens.append(('sym', text[i:j]))
+            i = j
+    return tokens
+
+
+def parse_sexpr_reference(text: str, parse_atom=lambda s: s):
+    """The s-expression parser as a character-by-character tokenizer and a
+    recursive descent, kept as the reference for parse_sexpr: same trees,
+    same ValueError messages."""
+    tokens = _tokenize_reference(text)
+    pos = 0
+
+    def expect(tok):
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != tok:
+            raise ValueError(f"expected {tok!r} at token {pos}")
+        pos += 1
+
+    def parse_one():
+        nonlocal pos
+        expect("(")
+        if pos >= len(tokens) or not isinstance(tokens[pos], tuple):
+            raise ValueError("expected 'atom' or 'set' head")
+        kind, word = tokens[pos]
+        if kind != 'sym' or word not in ("atom", "set"):
+            raise ValueError(f"expected 'atom' or 'set', got {word!r}")
+        pos += 1
+        if word == "atom":
+            if pos >= len(tokens) or not isinstance(tokens[pos], tuple):
+                raise ValueError("atom requires a label")
+            label = tokens[pos][1]
+            pos += 1
+            expect(")")
+            return Atom(parse_atom(label))
+        children = []
+        while pos < len(tokens) and tokens[pos] == "(":
+            children.append(parse_one())
+        expect(")")
+        if not children:
+            raise ValueError("set requires at least one element")
+        return node(children)
+
+    out = parse_one()
+    if pos != len(tokens):
+        raise ValueError("trailing input after s-expression")
+    return out

@@ -295,6 +295,22 @@ class TestFrontCommands:
         code, out, err = run_cli(["front", "rank", "--front-file", str(path)])
         assert code == 0 and out.strip() == "3"
 
+    def test_member_entries_not_increasing_is_a_usage_error(self):
+        code, out, err = run_cli(["front", "member", "--schema", "uniform",
+                                  "--k", "2", "1,1"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.splitlines()[0] == (
+            "error: front element not strictly increasing: (1, 1)")
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+    def test_negative_uniform_arity_is_a_usage_error(self):
+        code, out, err = run_cli(["front", "step", "--schema", "uniform",
+                                  "--k", "-1"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.splitlines()[0] == (
+            "error: bad --k -1: uniform schema needs k >= 0")
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
 
 # --- seq group --------------------------------------------------------------
 
@@ -508,6 +524,15 @@ class TestExtractCommands:
         assert "Traceback" not in err
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.splitlines()[0]]
+
+    def test_coloring_table_without_default_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps({"front": {"schema": "uniform", "k": 1},
+                                    "table": {"0": 1}}))
+        code, out, err = run_cli(["extract", "nw", "--coloring", str(path),
+                                  "--target", "2", "--window", "4"])
+        assert code == 1 and out == ""
+        assert err == "MissingColor: no color for member (1,)\n"
 
 
 # --- shift group ------------------------------------------------------------

@@ -1,26 +1,34 @@
 """Hereditarily finite sets, the lifted-order game, stringing, and folding."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqo.hset
 from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
-                        InsufficientPrefix, MixedBaseQO, NotBad)
+                        InsufficientPrefix, InvariantViolated, MixedBaseQO,
+                        NotBad)
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (Atom, Node, all_hsets, canon_key, depth, hset_to_sexpr,
-                      iter_atoms, node, parse_sexpr, random_hset, supp)
+from bqo.hset import (CANON_KEY_CACHE_SIZE, Atom, Node, all_hsets, canon_key,
+                      depth, hset_to_sexpr, iter_atoms, node, parse_sexpr,
+                      random_hset, supp)
 from bqo.qo import RADO, antichain, chain, domination_leq, rado_leq
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
-from _helpers import enumerate_preorders, subsets
+from _helpers import enumerate_preorders, parse_sexpr_reference, subsets
 
 AC2 = antichain(2)
 A0, A1 = AC2.elements
@@ -113,6 +121,251 @@ class TestSExpr:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
+
+
+def _outcome(parse, text, parse_atom=lambda s: s):
+    """The tree a parser returns, or the type and message it raises."""
+    try:
+        return parse(text, parse_atom)
+    except Exception as exc:  # compared by type and message
+        return type(exc).__name__, str(exc)
+
+
+MALFORMED = [
+    '(atom "a"', '(set)', '(atom "a") extra', '(pair "a")', '(atom "a',
+    '(set (atom a) x)', '(atom)', '(atom "a\\")', '(atom "a") "',
+    '(set) (atom "a', '(pair "a") "', '', '   ', ')', '(', 'x', '"',
+    '(set (atom "a")', '(atom "a" "b")', '("atom" "a")', '("set" (atom a))',
+    '(set (atom "a") ())', '(atom ()', '(atom ))', '(set (atom "a")) (',
+    '((atom "a"))', '(atom "a"))', '(set "a")', '(set (atom "a") (set))',
+    '(atom "x" (set', '(set (atom a) (atom', '(atom a\\', '(atom \\")',
+]
+
+# parses to a tree, with escapes, odd whitespace, symbol and empty labels
+WELL_FORMED = [
+    '(atom "a\\"b")', '(atom "a\\\\")', '(atom "")', '(atom a)',
+    '(atom atom)', '(atom set)', '(set (atom "x\\\ny") (atom x))',
+    '(set\n\t(atom "b")\r(atom b) (atom "a"))',
+    '(set (set (atom "a") (atom "a")) (set (atom a)))',
+    '(set\u00a0(atom\u2003"a")\u3000)', '(set (atom "a")\x0b)',
+]
+
+_PIECES = ['(', ')', '(', ')', 'set', 'atom', '"a"', '"b c"', '"', 'x',
+           ' ', ' ', '\\', '"\\""', '\n']
+
+
+class TestParserMatchesReference:
+    """parse_sexpr against the recursive-descent reference parser."""
+
+    def test_depth_two_round_trips(self):
+        for h in all_hsets(('a"b', "c\\ d)"), 2):
+            text = hset_to_sexpr(h)
+            got = parse_sexpr(text)
+            assert got == parse_sexpr_reference(text) == h
+            assert hset_to_sexpr(got) == text
+
+    def test_seeded_random_round_trips(self):
+        rng = random.Random(4)
+        pairs = [(m, n) for m in range(6) for n in range(m + 1, 6)]
+        for _ in range(300):
+            h = random_hset(rng, pairs, 4, branch=4)
+            text = hset_to_sexpr(h, RADO.fmt)
+            got = parse_sexpr(text, RADO.parse)
+            assert got == parse_sexpr_reference(text, RADO.parse) == h
+
+    @pytest.mark.parametrize("text", MALFORMED + WELL_FORMED)
+    def test_corpus(self, text):
+        assert _outcome(parse_sexpr, text) == _outcome(parse_sexpr_reference,
+                                                       text)
+
+    def test_malformed_corpus_raises(self):
+        for text in MALFORMED:
+            with pytest.raises(ValueError):
+                parse_sexpr(text)
+
+    def test_well_formed_corpus_parses(self):
+        for text in WELL_FORMED:
+            assert isinstance(parse_sexpr(text), (Atom, Node))
+
+    def test_unterminated_literal_wins_over_every_other_error(self):
+        for text in MALFORMED:
+            if text.count('"') % 2 == 0 and "\\" not in text:
+                assert _outcome(parse_sexpr, text + ' "') == (
+                    "ValueError", "unterminated string literal")
+
+    def test_seeded_token_soup(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            text = "".join(rng.choice(_PIECES)
+                           for _ in range(rng.randint(0, 14)))
+            assert _outcome(parse_sexpr, text) == _outcome(
+                parse_sexpr_reference, text), text
+
+    def test_atom_errors_come_in_token_order(self):
+        # parse_atom raises on "x"; a syntax error before it wins
+        for text in ['(set (atom "{0,1}") (atom "x"))',
+                     '(set (atom "x") (pair "a"))',
+                     '(set (pair "a") (atom "x"))',
+                     '(set (atom "x"',
+                     '(set (atom "{0,1}") (atom "{0,1}") (set (atom "x")))']:
+            assert _outcome(parse_sexpr, text, RADO.parse) == _outcome(
+                parse_sexpr_reference, text, RADO.parse)
+
+    def test_one_atom_and_one_parse_atom_call_per_label(self):
+        labels = []
+
+        def parse_atom(label):
+            labels.append(label)
+            return int(label)
+
+        h = parse_sexpr('(set (atom 1) (set (atom "1") (atom 2)) '
+                        '(set (set (atom 2))))', parse_atom)
+        assert labels == ["1", "2"]
+        atoms = list(iter_atoms(h))
+        assert len(atoms) == 4
+        assert len({id(a) for a in atoms}) == 2
+
+
+def _rebuilt(rng, h):
+    """An equal HSet built bottom-up from fresh objects, children shuffled."""
+    if isinstance(h, Atom):
+        return Atom(h.value)
+    kids = [_rebuilt(rng, c) for c in h.children]
+    kids += [_rebuilt(rng, c) for c in rng.sample(h.children,
+                                                   len(h.children) // 2)]
+    rng.shuffle(kids)
+    return node(kids)
+
+
+class TestCachedHash:
+    def test_equal_sets_in_any_child_order_hash_equal(self):
+        rng = random.Random(5)
+        hs = all_hsets(("a", "b"), 2)
+        for h in hs:
+            for _ in range(3):
+                other = _rebuilt(rng, h)
+                assert other == h and hash(other) == hash(h)
+                assert hset_to_sexpr(other) == hset_to_sexpr(h)
+        assert len({hash(h) for h in hs}) == len(hs)
+
+    def test_repr_and_equality_ignore_the_cached_hash(self):
+        assert repr(node([Atom(1), Atom(0)])) == (
+            "Node(children=(Atom(value=0), Atom(value=1)))")
+        assert Atom(3) != Atom(4) and node([Atom(3)]) != Atom(3)
+
+    def test_hsets_are_immutable(self):
+        h = node([Atom(0)])
+        with pytest.raises(AttributeError):
+            h.children = ()
+        with pytest.raises(AttributeError):
+            Atom(0).value = 1
+
+    def test_pickled_hsets_rehash_in_a_new_process(self):
+        make = "node([Atom('a'), node([Atom('b'), Atom(('c', 1))])])"
+        head = "import pickle, sys\nfrom bqo.hset import Atom, node\n"
+        dump = head + f"sys.stdout.buffer.write(pickle.dumps({make}))"
+        load = head + ("h = pickle.loads(sys.stdin.buffer.read())\n"
+                       f"f = {make}\n"
+                       "print(h == f, hash(h) == hash(f), h in {f})")
+        src = str(Path(bqo.hset.__file__).parents[1])
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            return subprocess.run([sys.executable, "-c", code], input=data,
+                                  env=env, capture_output=True,
+                                  check=True).stdout
+
+        assert run(load, "2", run(dump, "1")).split() == [b"True"] * 3
+
+
+class TestCanonKeyCache:
+    def test_cache_is_bounded(self):
+        info = canon_key.cache_info()
+        assert info.maxsize == CANON_KEY_CACHE_SIZE
+        assert 0 < info.maxsize < float("inf")
+
+    def test_order_after_eviction_matches_a_cold_cache(self):
+        canon_key.cache_clear()
+        hs = all_hsets(("a", "b", 0), 1)
+        cold = [node(reversed(h.children)).children for h in hs
+                if isinstance(h, Node)]
+        cold_keys = [canon_key(h) for h in hs]
+        for i in range(CANON_KEY_CACHE_SIZE + 100):
+            canon_key(Atom(i))
+        assert canon_key.cache_info().currsize == CANON_KEY_CACHE_SIZE
+        warm = [node(reversed(h.children)).children for h in hs
+                if isinstance(h, Node)]
+        assert warm == cold
+        assert [canon_key(h) for h in hs] == cold_keys
+
+
+def _rado_sets_sharing_atoms(rng):
+    """Two rado sets over few pairs, parsed together so that they share
+    Atom objects, and the second also shares whole children of the first."""
+    pairs = [(m, n) for m in range(4) for n in range(m + 1, 4)]
+    x = random_hset(rng, pairs, 3, branch=4)
+    y = random_hset(rng, pairs, 3, branch=4)
+    text = f"(set {hset_to_sexpr(x, RADO.fmt)} {hset_to_sexpr(y, RADO.fmt)})"
+    both = parse_sexpr(text, RADO.parse)
+    if isinstance(both, Atom) or len(both.children) < 2:
+        return both, both
+    x, y = both.children[:2]
+    if isinstance(x, Node) and isinstance(y, Node):
+        y = node(y.children + x.children[:1])
+    return x, y
+
+
+class TestCheckedOnceComparedRaw:
+    def test_rado_games_with_shared_atoms_agree_with_the_oracle(self):
+        rng = random.Random(9)
+        checked = dataclasses.replace(RADO, check=None, raw_leq=None)
+        for _ in range(300):
+            x, y = _rado_sets_sharing_atoms(rng)
+            for p, q in ((x, y), (y, x)):
+                res = game_leq(p, q, RADO)
+                assert res.winner == game_leq_oracle(p, q, RADO)
+                slow = game_leq(p, q, checked)
+                assert (slow.winner, slow.strategy) == (res.winner,
+                                                        res.strategy)
+
+    def test_each_distinct_atom_is_checked_once_and_compared_raw(self):
+        checks, compared = [], []
+        order = dataclasses.replace(
+            RADO,
+            contains=lambda v: checks.append(v) or RADO.contains(v),
+            leq=lambda a, b: pytest.fail("checked leq called"),
+            raw_leq=lambda a, b: compared.append(1) or RADO.raw_leq(a, b))
+        x = parse_sexpr('(set (atom "{0,1}") (set (atom "{0,1}") '
+                        '(atom "{2,3}")) (atom "{1,2}"))', RADO.parse)
+        game_leq(x, x, order)
+        # in canonical order, atoms before sets; each tree checked once
+        assert checks == [(0, 1), (1, 2), (2, 3)] * 2
+        assert compared
+
+    def test_order_without_check_and_raw_leq_is_compared_with_leq(self):
+        c3 = chain(3)
+        assert not hasattr(c3, "raw_leq")
+        assert game_leq(node([Atom(0), Atom(2)]), Atom(2), c3).winner == "II"
+        unchecked = dataclasses.replace(
+            RADO, check=None,
+            raw_leq=lambda a, b: pytest.fail("raw_leq without check"))
+        x = node([Atom((0, 1)), Atom((1, 3))])
+        assert game_leq(x, Atom((4, 5)), unchecked).winner == "II"
+
+    def test_non_carrier_atom_raises_before_any_comparison(self):
+        compared = []
+        order = dataclasses.replace(
+            RADO,
+            leq=lambda a, b: compared.append(1) or RADO.leq(a, b),
+            raw_leq=lambda a, b: compared.append(1) or RADO.raw_leq(a, b))
+        good = node([Atom((0, 1)), node([Atom((1, 2))])])
+        bad = node([Atom((0, 1)), node([Atom((1, 2)), Atom((3, 1)),
+                                        Atom((5, 4))])])
+        for x, y in ((good, bad), (bad, good), (bad, bad)):
+            with pytest.raises(MixedBaseQO) as info:
+                game_leq(x, y, order)
+            assert "(3, 1)" in str(info.value)
+        assert compared == []
 
 
 class TestGameLeq:
@@ -357,6 +610,14 @@ class TestStringStrategies:
             if shifted_value is not None:
                 assert not rado_leq(value, shifted_value)
             assert modulus <= len(prefix)
+
+    def test_base_order_changed_after_stringing_is_an_invariant_violation(
+            self):
+        xs = rado_powerset_sequence(4)
+        g = string_strategies(xs, RADO, 4)
+        g.qo = dataclasses.replace(RADO, leq=lambda a, b: True)
+        with pytest.raises(InvariantViolated):
+            g((0, 1, 2, 3))
 
     def test_local_constancy(self):
         window = 8

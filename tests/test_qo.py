@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqo.qo
 from bqo.errors import (
     BadIndices,
+    InvariantViolated,
     MissingReflexive,
     MissingTransitive,
     MixedBaseQO,
@@ -421,6 +423,11 @@ class TestRadoAntichainWitness:
             rado_antichain_witness(3, 3)
         with pytest.raises(BadIndices):
             rado_antichain_witness(5, 2)
+
+    def test_broken_relation_is_an_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(bqo.qo, "rado_leq", lambda s, t: True)
+        with pytest.raises(InvariantViolated):
+            rado_antichain_witness(0, 1)
 
     def test_separation_against_brute_downsets(self):
         # membership via explicit generator enumeration with a generous bound

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqo.errors import (
+    DomainError,
     EmbeddingCheckFailed,
     InvariantViolated,
+    MissingColor,
     NotAPair,
     NotBadOnWindow,
     NotBadPowersetSeq,
@@ -179,6 +181,14 @@ class TestColoring:
                                   "table": {"0": 1}})
         with pytest.raises(KeyError):
             col.color((5,))
+
+    def test_missing_table_color_is_a_domain_error_naming_the_member(self):
+        col = coloring_from_dict({"front": {"schema": "uniform", "k": 1},
+                                  "table": {"0": 1}})
+        with pytest.raises(MissingColor) as info:
+            nw_extract(col, 4, 2)
+        assert isinstance(info.value, DomainError)
+        assert str(info.value) == "no color for member (1,)"
 
 
 class TestNWExtract:
