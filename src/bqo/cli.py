@@ -9,6 +9,10 @@ the default) or a canonical JSON report (``--format json``).  JSON output
 is byte-identical across runs for the same invocation: keys are sorted and
 every report carries ``report_version``, the subcommand, and the window
 and seed it was produced under.
+
+An invocation that names a group and one of its commands builds only that
+command's parser; any other argv builds them all, so help, version and
+usage errors list every choice.
 """
 from __future__ import annotations
 
@@ -38,17 +42,6 @@ from .superseq import (SuperSeq, badness_check, eval_up, named_valuation,
                        superseq_from_dict)
 
 REPORT_VERSION = 1
-
-SUBCOMMANDS = {
-    "qo": ("validate", "relations", "product", "sum"),
-    "rado": ("witness", "demo"),
-    "front": ("member", "step", "ray", "restrict", "rank", "verify"),
-    "seq": ("eval", "spare", "sparsify", "bad", "perfect"),
-    "game": ("solve", "play", "supp", "string", "tilde"),
-    "extract": ("ramsey", "nw", "dichotomy", "laver"),
-    "shift": ("rho", "sigma", "critical", "orbit", "perfect"),
-}
-
 
 class CliUsageError(Exception):
     """Bad flags, unknown subcommands, unreadable or malformed inputs."""
@@ -235,6 +228,16 @@ def _superseq_from_args(args) -> SuperSeq:
                     name=fixture)
 
 
+def _ordered_superseq(args) -> SuperSeq:
+    """A super-sequence for a command that compares its values, which needs
+    a codomain order (a --file sequence has one only with --codomain)."""
+    f = _superseq_from_args(args)
+    if f.codomain is None:
+        raise CliUsageError(
+            f"{args.cmd} needs a codomain order; pass --codomain")
+    return f
+
+
 def _parse_prefix(text: str) -> tuple:
     text = text.strip()
     if text in ("", "-", "()"):
@@ -415,10 +418,6 @@ def _cmd_rado_demo(args):
 
 # --- front group ------------------------------------------------------------
 
-def _front_payload(F: Front) -> dict:
-    return front_to_dict(F)
-
-
 def _cmd_front_member(args):
     F = _front_from_args(args)
     s = _parse_prefix(args.entries)
@@ -426,7 +425,7 @@ def _cmd_front_member(args):
         ok = front_member(F, s)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    payload = {"front": _front_payload(F), "entries": list(s), "member": ok}
+    payload = {"front": front_to_dict(F), "entries": list(s), "member": ok}
     return payload, [f"member: {_text_value(ok)}"]
 
 
@@ -434,7 +433,7 @@ def _cmd_front_step(args):
     F = _front_from_args(args)
     Y = _parse_base_arg(args.at)
     res = front_step(F, Y)
-    payload = {"front": _front_payload(F), "at": args.at,
+    payload = {"front": front_to_dict(F), "at": args.at,
                "member": list(res.member), "modulus": res.modulus}
     return payload, [f"member: {list(res.member)}",
                      f"modulus: {res.modulus}"]
@@ -443,9 +442,9 @@ def _cmd_front_step(args):
 def _cmd_front_ray(args):
     F = _front_from_args(args)
     R = ray(F, args.n)
-    payload = {"front": _front_payload(F), "n": args.n,
-               "ray": _front_payload(R), "ray_rank": str(rank(R))}
-    return payload, [f"ray: {json.dumps(_front_payload(R), sort_keys=True)}",
+    payload = {"front": front_to_dict(F), "n": args.n,
+               "ray": front_to_dict(R), "ray_rank": str(rank(R))}
+    return payload, [f"ray: {json.dumps(front_to_dict(R), sort_keys=True)}",
                      f"ray_rank: {rank(R)}"]
 
 
@@ -453,16 +452,16 @@ def _cmd_front_restrict(args):
     F = _front_from_args(args)
     Z = _parse_base_arg(args.to)
     R = restrict(F, Z)
-    payload = {"front": _front_payload(F), "to": args.to,
-               "restricted": _front_payload(R)}
+    payload = {"front": front_to_dict(F), "to": args.to,
+               "restricted": front_to_dict(R)}
     return payload, [
-        f"restricted: {json.dumps(_front_payload(R), sort_keys=True)}"]
+        f"restricted: {json.dumps(front_to_dict(R), sort_keys=True)}"]
 
 
 def _cmd_front_rank(args):
     F = _front_from_args(args)
     r = rank(F)
-    payload = {"front": _front_payload(F), "rank": str(r)}
+    payload = {"front": front_to_dict(F), "rank": str(r)}
     return payload, [str(r)]
 
 
@@ -533,16 +532,16 @@ def _cmd_seq_sparsify(args):
     values = {",".join(map(str, s)): out.value(s)
               for s in members_within(out.front, args.window)}
     payload = {"sequence": f.name, "result": out.name,
-               "front": _front_payload(out.front), "values": values}
+               "front": front_to_dict(out.front), "values": values}
     lines = [f"result: {out.name}",
-             f"front: {json.dumps(_front_payload(out.front), sort_keys=True)}"]
+             f"front: {json.dumps(front_to_dict(out.front), sort_keys=True)}"]
     for k in sorted(values, key=lambda t: tuple(map(int, t.split(",")))):
         lines.append(f"  f({k}) = {_text_value(values[k])}")
     return payload, lines
 
 
 def _cmd_seq_bad(args):
-    f = _superseq_from_args(args)
+    f = _ordered_superseq(args)
     rep = badness_check(f, args.window)
     payload = {"sequence": f.name,
                "good_witness": [list(rep.good_witness[0]),
@@ -557,9 +556,7 @@ def _cmd_seq_bad(args):
 
 
 def _cmd_seq_perfect(args):
-    f = _superseq_from_args(args)
-    if f.codomain is None:
-        raise CliUsageError("perfect needs a codomain order; pass --codomain")
+    f = _ordered_superseq(args)
     if args.relation == "eq":
         R = lambda a, b: a == b  # noqa: E731
     else:
@@ -707,10 +704,7 @@ def _cmd_extract_nw(args):
 
 
 def _cmd_extract_dichotomy(args):
-    f = _superseq_from_args(args)
-    if f.codomain is None:
-        raise CliUsageError(
-            "dichotomy needs a codomain order; pass --codomain")
+    f = _ordered_superseq(args)
     if args.relation == "eq":
         R, name = (lambda a, b: a == b), "eq"
     else:
@@ -730,7 +724,7 @@ def _cmd_extract_dichotomy(args):
 
 
 def _cmd_extract_laver(args):
-    f = _superseq_from_args(args)
+    f = _ordered_superseq(args)
     rep = laver_embed(f, args.window, min_size=args.min_size)
     payload = {"sequence": f.name, "set": list(rep.X),
                "triples": {"ground": len(rep.triples.ground),
@@ -803,7 +797,7 @@ def _cmd_shift_orbit(args):
 
 
 def _cmd_shift_perfect(args):
-    f = _superseq_from_args(args)
+    f = _ordered_superseq(args)
     shift_descs = args.shift or ["succ"]
     gs = [_parse_inj_arg(d) for d in shift_descs]
     rep = g_perfect_extract(f, gs, args.window)
@@ -822,213 +816,239 @@ def _cmd_shift_perfect(args):
         f"{rep.checks_passed}, candidates tried: {rep.candidates_tried}"]
 
 
-# --- parser -----------------------------------------------------------------
+# --- command table ----------------------------------------------------------
 
-HANDLERS = {
-    ("qo", "validate"): _cmd_qo_validate,
-    ("qo", "relations"): _cmd_qo_relations,
-    ("qo", "product"): _cmd_qo_product,
-    ("qo", "sum"): _cmd_qo_sum,
-    ("rado", "witness"): _cmd_rado_witness,
-    ("rado", "demo"): _cmd_rado_demo,
-    ("front", "member"): _cmd_front_member,
-    ("front", "step"): _cmd_front_step,
-    ("front", "ray"): _cmd_front_ray,
-    ("front", "restrict"): _cmd_front_restrict,
-    ("front", "rank"): _cmd_front_rank,
-    ("front", "verify"): _cmd_front_verify,
-    ("seq", "eval"): _cmd_seq_eval,
-    ("seq", "spare"): _cmd_seq_spare,
-    ("seq", "sparsify"): _cmd_seq_sparsify,
-    ("seq", "bad"): _cmd_seq_bad,
-    ("seq", "perfect"): _cmd_seq_perfect,
-    ("game", "solve"): _cmd_game_solve,
-    ("game", "play"): _cmd_game_play,
-    ("game", "supp"): _cmd_game_supp,
-    ("game", "string"): _cmd_game_string,
-    ("game", "tilde"): _cmd_game_tilde,
-    ("extract", "ramsey"): _cmd_extract_ramsey,
-    ("extract", "nw"): _cmd_extract_nw,
-    ("extract", "dichotomy"): _cmd_extract_dichotomy,
-    ("extract", "laver"): _cmd_extract_laver,
-    ("shift", "rho"): _cmd_shift_rho,
-    ("shift", "sigma"): _cmd_shift_sigma,
-    ("shift", "critical"): _cmd_shift_critical,
-    ("shift", "orbit"): _cmd_shift_orbit,
-    ("shift", "perfect"): _cmd_shift_perfect,
+def _arg(*names, **kw) -> tuple:
+    """One ``add_argument`` call kept as data: (names, keywords)."""
+    return names, kw
+
+
+_COMMON_FLAGS = (
+    _arg("--window", type=int, default=16,
+         help="finite horizon for searches (default 16)"),
+    _arg("--seed", type=int, default=0,
+         help="seed echoed into reports (default 0)"),
+    _arg("--format", choices=("text", "json"), default="text",
+         help="output format (default text)"),
+)
+
+_FRONT_FLAGS = (
+    _arg("--schema", choices=("trivial", "uniform", "schreier"),
+         help="built-in front family"),
+    _arg("--k", type=int, help="arity for --schema uniform"),
+    _arg("--base", help="base set descriptor (default omega)"),
+    _arg("--front-file", help="JSON file describing the front"),
+)
+
+_SEQ_FLAGS = (
+    _arg("--fixture", help="built-in sequence RULE@FRONT, "
+         "e.g. identity@u2, min@schreier, constant:3@u1"),
+    _arg("--file", help="JSON file describing the sequence"),
+    _arg("--codomain",
+         help="value order: rado, omega-leq, chain:K, antichain:K"),
+)
+
+_GAME_PAIR_ARGS = (
+    _arg("x", help="s-expression, or - to read two from stdin"),
+    _arg("y", nargs="?", help="s-expression"),
+    _arg("--qo", default="omega-leq", help="base order name"),
+)
+
+_INJ_HELP = "injection descriptor"
+_RELATION = _arg("--relation", choices=("leq", "eq"), default="leq")
+
+# group -> (help, {command: (handler, help, argument specs)}), in the order
+# help and the subcommand listing show them.  Each command parser gets the
+# common flags first, then its specs in order.
+_COMMANDS = {
+    "qo": ("quasi-order algebra", {
+        "validate": (
+            _cmd_qo_validate, "check a finite order file",
+            (_arg("path", help="JSON file with 'elements' and 'pairs'"),)),
+        "relations": (
+            _cmd_qo_relations, "derived relations between two elements",
+            (_arg("a"), _arg("b"),
+             _arg("--qo", default="omega-leq", help="named base order"),
+             _arg("--file", help="finite order JSON file instead of --qo"))),
+        "product": (
+            _cmd_qo_product, "componentwise product of two finite orders",
+            (_arg("left"), _arg("right"))),
+        "sum": (
+            _cmd_qo_sum, "disjoint sum of orders along a poset index",
+            (_arg("path", help="JSON file with 'index' and 'parts'"),)),
+    }),
+    "rado": ("the incomparable-pairs base order", {
+        "witness": (
+            _cmd_rado_witness, "antichain witness for generators m < n",
+            (_arg("m", type=int), _arg("n", type=int))),
+        "demo": (
+            _cmd_rado_demo, "confirm witnesses for all pairs below --window",
+            ()),
+    }),
+    "front": ("fronts and their ranks", {
+        "member": (
+            _cmd_front_member, "test membership of an index tuple",
+            _FRONT_FLAGS + (
+                _arg("entries",
+                     help="comma-separated indices, or - for empty"),)),
+        "step": (
+            _cmd_front_step, "least member along an infinite subset",
+            _FRONT_FLAGS + (_arg("--at", default="omega",
+                                 help="infinite-set descriptor"),)),
+        "ray": (
+            _cmd_front_ray, "derived front past a base point",
+            _FRONT_FLAGS + (_arg("n", type=int),)),
+        "restrict": (
+            _cmd_front_restrict, "restrict to an infinite subset of the base",
+            _FRONT_FLAGS + (_arg("--to", required=True,
+                                 help="infinite-set descriptor"),)),
+        "rank": (
+            _cmd_front_rank, "ordinal rank in Cantor normal form",
+            _FRONT_FLAGS),
+        "verify": (
+            _cmd_front_verify, "check the front laws on sampled subsets",
+            _FRONT_FLAGS + (
+                _arg("--family", help="raw JSON family with a 'members' list"),
+                _arg("--samples", help="semicolon-separated set descriptors "
+                                       "(default omega;evens;odds)"))),
+    }),
+    "seq": ("super-sequences on fronts", {
+        "eval": (
+            _cmd_seq_eval, "evaluate along an infinite subset",
+            _SEQ_FLAGS + (_arg("--at", default="omega",
+                               help="infinite-set descriptor"),)),
+        "spare": (
+            _cmd_seq_spare, "check the two-clause segment condition",
+            _SEQ_FLAGS),
+        "sparsify": (
+            _cmd_seq_sparsify, "restrict to a segment-free sub-front",
+            _SEQ_FLAGS),
+        "bad": (
+            _cmd_seq_bad, "search the window for a good pair",
+            _SEQ_FLAGS),
+        "perfect": (
+            _cmd_seq_perfect, "check monotone transfer along extensions",
+            _SEQ_FLAGS + (_RELATION,)),
+    }),
+    "game": ("comparison games on hereditary sets", {
+        "solve": (
+            _cmd_game_solve, "decide the lifted comparison x <= y",
+            _GAME_PAIR_ARGS),
+        "play": (
+            _cmd_game_play, "replay one play with the solved strategy",
+            _GAME_PAIR_ARGS),
+        "supp": (
+            _cmd_game_supp, "atom support and depth of a hereditary set",
+            (_arg("x", help="s-expression"),
+             _arg("--qo", default="omega-leq", help="base order name"))),
+        "string": (
+            _cmd_game_string, "chain winning strategies into a multi-"
+            "sequence over the incomparable-pairs sets",
+            (_arg("--at",
+                  help="comma-separated strictly increasing indices"),)),
+        "tilde": (
+            _cmd_game_tilde, "build the level-one lifted sets of a sequence",
+            _SEQ_FLAGS),
+    }),
+    "extract": ("partition and embedding extraction", {
+        "ramsey": (
+            _cmd_extract_ramsey,
+            "largest homogeneous set for a finite coloring",
+            (_arg("n", type=int, help="ground set is [0, n)"),
+             _arg("--k", type=int, default=2, help="tuple size (default 2)"),
+             _arg("--r", type=int, default=2, help="color count (default 2)"),
+             _arg("--rule", default="sum-parity",
+                  help="named coloring rule (default sum-parity)"),
+             _arg("--target", type=int, help="stop at this size"),
+             _arg("--budget", type=int, default=500000,
+                  help="node budget before giving up exhaustiveness"))),
+        "nw": (
+            _cmd_extract_nw, "front-homogeneous subset for a two-coloring",
+            _FRONT_FLAGS + (
+                _arg("--rule",
+                     help="named coloring rule (default sum-parity)"),
+                _arg("--coloring", help="coloring JSON file"),
+                _arg("--target", type=int, required=True,
+                     help="required homogeneous set size"))),
+        "dichotomy": (
+            _cmd_extract_dichotomy, "subset where a relation holds on all "
+            "joined pairs, or its complement",
+            _SEQ_FLAGS + (_RELATION,)),
+        "laver": (
+            _cmd_extract_laver, "two-stage monotone subset extraction",
+            _SEQ_FLAGS + (_arg("--min-size", type=int, default=4,
+                               help="required monotone set size "
+                                    "(default 4)"),)),
+    }),
+    "shift": ("strictly increasing injections", {
+        "rho": (
+            _cmd_shift_rho, "orbit-composition transport of f along g",
+            (_arg("f", help=_INJ_HELP), _arg("g", help=_INJ_HELP))),
+        "sigma": (
+            _cmd_shift_sigma, "piecewise transport of f along the g-orbit",
+            (_arg("f", help=_INJ_HELP), _arg("g", help=_INJ_HELP))),
+        "critical": (
+            _cmd_shift_critical, "least point moved by g",
+            (_arg("g", help=_INJ_HELP),)),
+        "orbit": (
+            _cmd_shift_orbit, "iterates of g from its critical point",
+            (_arg("g", help=_INJ_HELP),)),
+        "perfect": (
+            _cmd_shift_perfect, "monotone-image extraction over several "
+            "generalized shifts",
+            _SEQ_FLAGS + (_arg("--shift", action="append",
+                               help="injection descriptor "
+                                    "(repeatable; default succ)"),)),
+    }),
 }
 
-
-def _add_front_flags(p, with_file=True):
-    p.add_argument("--schema", choices=["trivial", "uniform", "schreier"],
-                   help="built-in front family")
-    p.add_argument("--k", type=int, help="arity for --schema uniform")
-    p.add_argument("--base", help="base set descriptor (default omega)")
-    if with_file:
-        p.add_argument("--front-file", help="JSON file describing the front")
+SUBCOMMANDS = {group: tuple(cmds) for group, (_, cmds) in _COMMANDS.items()}
+HANDLERS = {(group, cmd): spec[0] for group, (_, cmds) in _COMMANDS.items()
+            for cmd, spec in cmds.items()}
 
 
-def _add_seq_flags(p):
-    p.add_argument("--fixture", help="built-in sequence RULE@FRONT, "
-                   "e.g. identity@u2, min@schreier, constant:3@u1")
-    p.add_argument("--file", help="JSON file describing the sequence")
-    p.add_argument("--codomain",
-                   help="value order: rado, omega-leq, chain:K, antichain:K")
+# --- parser -----------------------------------------------------------------
 
+def build_parser(argv: Optional[list] = None) -> _Parser:
+    """The ``bqo`` argument parser.
 
-def build_parser() -> _Parser:
+    When ``argv`` starts with a group and one of its commands, only the
+    root, that group's and that command's parsers are built.  The root's
+    only positional is the group, so ``argv[0]`` names it unambiguously.
+    Any other ``argv`` (help, version, an unknown or missing group or
+    command, None) builds every parser, so messages list every choice.
+    """
+    chosen = None
+    if argv is not None and len(argv) >= 2:
+        group, cmd = argv[0], argv[1]
+        if group in _COMMANDS and cmd in _COMMANDS[group][1]:
+            chosen = group, cmd
+
     common = _Parser(add_help=False)
-    common.add_argument("--window", type=int, default=16,
-                        help="finite horizon for searches (default 16)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into reports (default 0)")
-    common.add_argument("--format", choices=["text", "json"], default="text",
-                        help="output format (default text)")
-
+    for names, kw in _COMMON_FLAGS:
+        common.add_argument(*names, **kw)
     parser = _Parser(prog="bqo", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"bqo {__version__}")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
-
-    def sub(group_parser, name, **kw):
-        return group_parser.add_parser(name, parents=[common], **kw)
-
-    # qo
-    g = groups.add_parser("qo", help="quasi-order algebra")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "validate", help="check a finite order file")
-    p.add_argument("path", help="JSON file with 'elements' and 'pairs'")
-    p = sub(gs, "relations", help="derived relations between two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--qo", default="omega-leq", help="named base order")
-    p.add_argument("--file", help="finite order JSON file instead of --qo")
-    p = sub(gs, "product", help="componentwise product of two finite orders")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub(gs, "sum", help="disjoint sum of orders along a poset index")
-    p.add_argument("path", help="JSON file with 'index' and 'parts'")
-
-    # rado
-    g = groups.add_parser("rado", help="the incomparable-pairs base order")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "witness", help="antichain witness for generators m < n")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p = sub(gs, "demo", help="confirm witnesses for all pairs below --window")
-
-    # front
-    g = groups.add_parser("front", help="fronts and their ranks")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "member", help="test membership of an index tuple")
-    _add_front_flags(p)
-    p.add_argument("entries", help="comma-separated indices, or - for empty")
-    p = sub(gs, "step", help="least member along an infinite subset")
-    _add_front_flags(p)
-    p.add_argument("--at", default="omega", help="infinite-set descriptor")
-    p = sub(gs, "ray", help="derived front past a base point")
-    _add_front_flags(p)
-    p.add_argument("n", type=int)
-    p = sub(gs, "restrict", help="restrict to an infinite subset of the base")
-    _add_front_flags(p)
-    p.add_argument("--to", required=True, help="infinite-set descriptor")
-    p = sub(gs, "rank", help="ordinal rank in Cantor normal form")
-    _add_front_flags(p)
-    p = sub(gs, "verify", help="check the front laws on sampled subsets")
-    _add_front_flags(p)
-    p.add_argument("--family", help="raw JSON family with a 'members' list")
-    p.add_argument("--samples",
-                   help="semicolon-separated set descriptors "
-                        "(default omega;evens;odds)")
-
-    # seq
-    g = groups.add_parser("seq", help="super-sequences on fronts")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "eval", help="evaluate along an infinite subset")
-    _add_seq_flags(p)
-    p.add_argument("--at", default="omega", help="infinite-set descriptor")
-    p = sub(gs, "spare", help="check the two-clause segment condition")
-    _add_seq_flags(p)
-    p = sub(gs, "sparsify", help="restrict to a segment-free sub-front")
-    _add_seq_flags(p)
-    p = sub(gs, "bad", help="search the window for a good pair")
-    _add_seq_flags(p)
-    p = sub(gs, "perfect", help="check monotone transfer along extensions")
-    _add_seq_flags(p)
-    p.add_argument("--relation", choices=["leq", "eq"], default="leq")
-
-    # game
-    g = groups.add_parser("game", help="comparison games on hereditary sets")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "solve", help="decide the lifted comparison x <= y")
-    p.add_argument("x", help="s-expression, or - to read two from stdin")
-    p.add_argument("y", nargs="?", help="s-expression")
-    p.add_argument("--qo", default="omega-leq", help="base order name")
-    p = sub(gs, "play", help="replay one play with the solved strategy")
-    p.add_argument("x", help="s-expression, or - to read two from stdin")
-    p.add_argument("y", nargs="?", help="s-expression")
-    p.add_argument("--qo", default="omega-leq", help="base order name")
-    p = sub(gs, "supp", help="atom support and depth of a hereditary set")
-    p.add_argument("x", help="s-expression")
-    p.add_argument("--qo", default="omega-leq", help="base order name")
-    p = sub(gs, "string", help="chain winning strategies into a multi-"
-            "sequence over the incomparable-pairs sets")
-    p.add_argument("--at", help="comma-separated strictly increasing indices")
-    p = sub(gs, "tilde", help="build the level-one lifted sets of a sequence")
-    _add_seq_flags(p)
-
-    # extract
-    g = groups.add_parser("extract", help="partition and embedding extraction")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "ramsey", help="largest homogeneous set for a finite coloring")
-    p.add_argument("n", type=int, help="ground set is [0, n)")
-    p.add_argument("--k", type=int, default=2, help="tuple size (default 2)")
-    p.add_argument("--r", type=int, default=2, help="color count (default 2)")
-    p.add_argument("--rule", default="sum-parity",
-                   help="named coloring rule (default sum-parity)")
-    p.add_argument("--target", type=int, help="stop at this size")
-    p.add_argument("--budget", type=int, default=500000,
-                   help="node budget before giving up exhaustiveness")
-    p = sub(gs, "nw", help="front-homogeneous subset for a two-coloring")
-    _add_front_flags(p)
-    p.add_argument("--rule", help="named coloring rule (default sum-parity)")
-    p.add_argument("--coloring", help="coloring JSON file")
-    p.add_argument("--target", type=int, required=True,
-                   help="required homogeneous set size")
-    p = sub(gs, "dichotomy", help="subset where a relation holds on all "
-            "joined pairs, or its complement")
-    _add_seq_flags(p)
-    p.add_argument("--relation", choices=["leq", "eq"], default="leq")
-    p = sub(gs, "laver", help="two-stage monotone subset extraction")
-    _add_seq_flags(p)
-    p.add_argument("--min-size", type=int, default=4,
-                   help="required monotone set size (default 4)")
-
-    # shift
-    g = groups.add_parser("shift", help="strictly increasing injections")
-    gs = g.add_subparsers(dest="cmd", metavar="CMD")
-    p = sub(gs, "rho", help="orbit-composition transport of f along g")
-    p.add_argument("f", help="injection descriptor")
-    p.add_argument("g", help="injection descriptor")
-    p = sub(gs, "sigma", help="piecewise transport of f along the g-orbit")
-    p.add_argument("f", help="injection descriptor")
-    p.add_argument("g", help="injection descriptor")
-    p = sub(gs, "critical", help="least point moved by g")
-    p.add_argument("g", help="injection descriptor")
-    p = sub(gs, "orbit", help="iterates of g from its critical point")
-    p.add_argument("g", help="injection descriptor")
-    p = sub(gs, "perfect", help="monotone-image extraction over several "
-            "generalized shifts")
-    _add_seq_flags(p)
-    p.add_argument("--shift", action="append",
-                   help="injection descriptor (repeatable; default succ)")
-
+    for group, (group_help, commands) in _COMMANDS.items():
+        if chosen and group != chosen[0]:
+            continue
+        cmds = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="cmd", metavar="CMD")
+        for cmd, (_, cmd_help, specs) in commands.items():
+            if chosen and cmd != chosen[1]:
+                continue
+            p = cmds.add_parser(cmd, parents=[common], help=cmd_help)
+            for names, kw in specs:
+                p.add_argument(*names, **kw)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except CliUsageError as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import (
+    DomainError,
     NoMemberWithinBound,
     NotInBase,
     NotSubsetOfBase,
@@ -394,7 +395,9 @@ def front_verify(F, samples: Sequence[InfSet], bound: int) -> VerifyReport:
 
     Accepts a schema Front or a raw finite family of elements (negative
     testing); for the latter density is a prefix scan of each sample.
-    Violations are report entries, never exceptions.
+    Violations are report entries: a density probe that fails with a
+    DomainError (NoMemberWithinBound, NotInBase) records its message, and
+    any other exception is a bug and propagates.
     """
     raw = not isinstance(F, Front)
     if raw:
@@ -434,12 +437,13 @@ def front_verify(F, samples: Sequence[InfSet], bound: int) -> VerifyReport:
         else:
             try:
                 res = front_step(F, Y)
+            except DomainError as exc:
+                probes.append(DensityProbe(
+                    sample=Y.name, member=None, modulus=None, error=str(exc)))
+            else:
                 probes.append(DensityProbe(
                     sample=Y.name, member=res.member, modulus=res.modulus,
                     error=None))
-            except Exception as exc:  # report, never raise
-                probes.append(DensityProbe(
-                    sample=Y.name, member=None, modulus=None, error=str(exc)))
 
     dense = all(p.member is not None for p in probes)
     return VerifyReport(

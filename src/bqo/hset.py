@@ -17,7 +17,9 @@ The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
 parsing is the identity on canonical trees.  One parse tokenizes with one
 regular expression, builds the tree with an explicit stack, and shares one
-Atom per distinct label, so ``parse_atom`` runs once per label.
+Atom per distinct label, so ``parse_atom`` runs once per label.  It refuses
+sets nested more than ``MAX_SEXPR_DEPTH`` deep, so that the recursive
+functions here and in ``games`` stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -152,6 +154,13 @@ _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 _TOKEN = re.compile(rf'[()]|{_STRING.pattern}|".*|[^\s()"]+', re.DOTALL)
 _ESCAPE = re.compile(r'\\(.)', re.DOTALL)
 
+# The deepest set nesting parse_sexpr accepts.  Games, canon_key and
+# hset_to_sexpr recurse once or more per level, so two operands of this depth
+# still fit Python's default recursion limit with room for the caller's
+# frames; the parser refuses deeper input instead of letting a later
+# recursion fail.
+MAX_SEXPR_DEPTH = 128
+
 
 def _word(token: str) -> str:
     """The text of a symbol, or the unescaped body of a string literal."""
@@ -167,7 +176,8 @@ def parse_sexpr(text: str,
 
     ``parse_atom`` decodes atom labels into carrier elements (default: keep
     the label string); it runs once per distinct label, and every occurrence
-    of a label shares one Atom.  The result is re-canonicalized.
+    of a label shares one Atom.  The result is re-canonicalized.  Sets
+    nested more than ``MAX_SEXPR_DEPTH`` deep raise ValueError.
     """
     tokens = _TOKEN.findall(text)
     if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
@@ -195,6 +205,9 @@ def _build(tokens: list, parse_atom) -> tuple:
         head = tokens[pos]
         pos += 1
         if head == "set":
+            if len(stack) == MAX_SEXPR_DEPTH:
+                raise ValueError(f"sets nested deeper than {MAX_SEXPR_DEPTH} "
+                                 f"at token {pos - 2}")
             stack.append([])
         elif head == "atom":
             if pos >= n or tokens[pos] in "()":

@@ -391,7 +391,8 @@ def named_valuation(rule: str) -> Callable[[tuple], Any]:
 def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
     """Build a SuperSeq from file data: a front reference plus a valuation
     given as a named rule, a finite member table, or both (table with rule
-    fallback). Table keys are comma-joined entries."""
+    fallback). Table keys are comma-joined entries; table values must be
+    hashable, and a list value becomes a tuple."""
     from .fronts import front_from_dict
     front = front_from_dict(d["front"])
     vdata = d.get("valuation", {})
@@ -399,8 +400,15 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
     table_raw = vdata.get("table", {})
     table = {}
     for key, v in table_raw.items():
-        s = tuple(int(x) for x in key.split(",")) if key else ()
-        table[s] = tuple(v) if isinstance(v, list) else v
+        s = tuple(map(int, key.split(","))) if key else ()
+        if isinstance(v, list):
+            v = tuple(v)
+        try:
+            hash(v)   # values become HSet atoms and memo keys
+        except TypeError:
+            raise TypeError(f"valuation table value for {key!r} is not "
+                            f"hashable: {v!r}") from None
+        table[s] = v
     fallback = named_valuation(rule) if rule else None
 
     def val(s):

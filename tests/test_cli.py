@@ -11,7 +11,9 @@ import sys
 
 import pytest
 
-from bqo.cli import main
+from bqo import cli
+from bqo.cli import CliUsageError, build_parser, main
+from bqo.hset import MAX_SEXPR_DEPTH
 
 
 def run_cli(argv, stdin=None):
@@ -31,6 +33,44 @@ def run_json(argv):
     code, out, err = run_cli(argv + ["--format", "json"])
     assert code == 0, f"exit {code}: {err}"
     return json.loads(out)
+
+
+USAGE_ERROR_ARGV = [
+    [],
+    ["bogus"],
+    ["front"],
+    ["front", "bogus"],
+    ["qo", "validate"],                      # missing positional
+    ["front", "rank"],                       # no schema and no file
+    ["front", "rank", "--schema", "pentagon"],
+    ["front", "rank", "--schema", "uniform"],  # uniform without --k
+    ["front", "rank", "--schema", "schreier", "--window", "1"],
+    ["front", "step", "--schema", "schreier", "--at", "nonsense"],
+    ["seq", "eval", "--fixture", "no-at-sign"],
+    ["seq", "eval", "--fixture", "bogusrule@u2"],
+    ["seq", "eval"],                         # neither fixture nor file
+    ["game", "solve", "(set", "(atom"],      # malformed s-expression
+    ["shift", "critical", "warp:9"],
+    ["extract", "ramsey", "8", "--rule", "mystery"],
+    ["qo", "validate", "/no/such/file.json"],
+]
+
+DOMAIN_ERROR_ARGV = [
+    ["rado", "witness", "3", "3"],           # needs m < n
+    ["front", "ray", "--schema", "trivial", "0"],
+    ["front", "restrict", "--schema", "uniform", "--k", "2",
+     "--base", "evens", "--to", "odds"],
+    ["shift", "critical", "id"],             # no critical point
+    ["game", "string", "--window", "8", "--at", "5,2"],
+]
+
+JSON_ARGV = [
+    ["rado", "witness", "2", "7"],
+    ["extract", "nw", "--schema", "uniform", "--k", "2",
+     "--rule", "sum-parity", "--target", "3", "--window", "8"],
+    ["game", "solve", '(set (atom "1") (atom "2"))', '(set (atom "3"))'],
+    ["shift", "sigma", "affine:1,5", "affine:1,2", "--window", "8"],
+]
 
 
 # --- headline contract examples --------------------------------------------
@@ -76,25 +116,7 @@ class TestContractExamples:
 # --- exit-code discipline ---------------------------------------------------
 
 class TestExitCodes:
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["bogus"],
-        ["front"],
-        ["front", "bogus"],
-        ["qo", "validate"],                      # missing positional
-        ["front", "rank"],                       # no schema and no file
-        ["front", "rank", "--schema", "pentagon"],
-        ["front", "rank", "--schema", "uniform"],  # uniform without --k
-        ["front", "rank", "--schema", "schreier", "--window", "1"],
-        ["front", "step", "--schema", "schreier", "--at", "nonsense"],
-        ["seq", "eval", "--fixture", "no-at-sign"],
-        ["seq", "eval", "--fixture", "bogusrule@u2"],
-        ["seq", "eval"],                         # neither fixture nor file
-        ["game", "solve", "(set", "(atom"],      # malformed s-expression
-        ["shift", "critical", "warp:9"],
-        ["extract", "ramsey", "8", "--rule", "mystery"],
-        ["qo", "validate", "/no/such/file.json"],
-    ])
+    @pytest.mark.parametrize("argv", USAGE_ERROR_ARGV)
     def test_usage_errors_exit_two(self, argv):
         code, out, err = run_cli(argv)
         assert code == 2, f"{argv} gave exit {code}"
@@ -114,14 +136,7 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["rado", "witness", "3", "3"],           # needs m < n
-        ["front", "ray", "--schema", "trivial", "0"],
-        ["front", "restrict", "--schema", "uniform", "--k", "2",
-         "--base", "evens", "--to", "odds"],
-        ["shift", "critical", "id"],             # no critical point
-        ["game", "string", "--window", "8", "--at", "5,2"],
-    ])
+    @pytest.mark.parametrize("argv", DOMAIN_ERROR_ARGV)
     def test_domain_errors_exit_one(self, argv):
         code, out, err = run_cli(argv)
         assert code == 1, f"{argv} gave exit {code} ({err})"
@@ -145,13 +160,7 @@ class TestJsonEnvelope:
         assert data["seed"] == 0
         assert data["rank"] == "omega"
 
-    @pytest.mark.parametrize("argv", [
-        ["rado", "witness", "2", "7"],
-        ["extract", "nw", "--schema", "uniform", "--k", "2",
-         "--rule", "sum-parity", "--target", "3", "--window", "8"],
-        ["game", "solve", '(set (atom "1") (atom "2"))', '(set (atom "3"))'],
-        ["shift", "sigma", "affine:1,5", "affine:1,2", "--window", "8"],
-    ])
+    @pytest.mark.parametrize("argv", JSON_ARGV)
     def test_json_output_is_byte_identical_across_runs(self, argv):
         runs = []
         for _ in range(2):
@@ -444,6 +453,35 @@ class TestGameCommands:
                                   "--at", "4,1"])
         assert code == 1
 
+    @pytest.mark.parametrize("value", [{"a": 1}, [[0, 1], 2]])
+    def test_tilde_unhashable_table_value_is_a_usage_error(self, tmp_path,
+                                                          value):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({
+            "front": {"schema": "uniform", "k": 1},
+            "valuation": {"table": {"0": value}, "rule": "min"}}))
+        code, out, err = run_cli(["game", "tilde", "--file", str(path),
+                                  "--window", "4"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.splitlines()[0].startswith(
+            "error: malformed sequence file: valuation table value for '0' "
+            "is not hashable")
+
+    @pytest.mark.parametrize("cmd", ["solve", "play", "supp"])
+    def test_nesting_past_the_parse_limit_is_a_usage_error(self, cmd):
+        def nested(levels):
+            return "(set " * levels + '(atom "1")' + ")" * levels
+        operands = [] if cmd == "supp" else ['(atom "1")']
+        code, out, err = run_cli(["game", cmd, nested(MAX_SEXPR_DEPTH)]
+                                 + operands)
+        assert code == 0, err
+        code, out, err = run_cli(["game", cmd, nested(MAX_SEXPR_DEPTH + 1)]
+                                 + operands)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.splitlines()[0] == (
+            "error: cannot parse s-expression: sets nested deeper than "
+            f"{MAX_SEXPR_DEPTH} at token {2 * MAX_SEXPR_DEPTH}")
+
     def test_tilde_first_level_present(self):
         data = run_json(["game", "tilde", "--fixture", "identity@u1",
                          "--window", "6"])
@@ -612,3 +650,140 @@ def test_help_text_mentions_every_group():
     for group, cmds in [("qo", "validate"), ("extract", "laver"),
                         ("shift", "perfect")]:
         assert group in err and cmds in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "bad"], ["seq", "perfect"], ["extract", "dichotomy"],
+    ["extract", "laver"], ["shift", "perfect"],
+])
+def test_file_sequence_without_codomain_is_a_usage_error(tmp_path, argv):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"front": {"schema": "uniform", "k": 2},
+                                "valuation": {"rule": "min"}}))
+    code, out, err = run_cli(argv + ["--file", str(path), "--window", "6"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == (
+        f"error: {argv[1]} needs a codomain order; pass --codomain")
+    code, out, err = run_cli(argv + ["--file", str(path), "--window", "6",
+                                     "--codomain", "omega-leq"])
+    assert code in (0, 1) and "Traceback" not in err
+
+
+# --- parsers built from argv ------------------------------------------------
+
+# one valid invocation per subcommand, using every argument kind
+COMMAND_ARGV = [
+    ["qo", "validate", "order.json"],
+    ["qo", "relations", "0,1", "1,2", "--qo", "rado", "--file", "o.json"],
+    ["qo", "product", "left.json", "right.json", "--format", "json"],
+    ["qo", "sum", "sum.json", "--seed", "7"],
+    ["rado", "witness", "0", "1"],
+    ["rado", "demo", "--window", "8"],
+    ["front", "member", "--schema", "uniform", "--k", "2", "0,5"],
+    ["front", "step", "--schema", "schreier", "--at", "arith:3,2"],
+    ["front", "ray", "--base", "evens", "--schema", "schreier", "4"],
+    ["front", "restrict", "--front-file", "f.json", "--to", "evens"],
+    ["front", "rank", "--schema", "trivial"],
+    ["front", "verify", "--family", "fam.json", "--samples", "omega;evens"],
+    ["seq", "eval", "--fixture", "identity@u2", "--at", "evens"],
+    ["seq", "spare", "--file", "seq.json", "--codomain", "rado"],
+    ["seq", "sparsify", "--fixture", "min@u2", "--window", "5"],
+    ["seq", "bad", "--fixture", "identity@u2", "--window", "12"],
+    ["seq", "perfect", "--fixture", "minmod2@u2", "--relation", "eq"],
+    ["game", "solve", "-", "--qo", "rado"],
+    ["game", "play", '(set (atom "3"))', '(set (atom "1"))'],
+    ["game", "supp", '(set (atom "1"))', "--qo", "chain:3"],
+    ["game", "string", "--window", "10", "--at", "0,1,2,3"],
+    ["game", "tilde", "--fixture", "identity@u1", "--window", "6"],
+    ["extract", "ramsey", "12", "--k", "3", "--r", "3", "--rule",
+     "min-parity", "--target", "3", "--budget", "99"],
+    ["extract", "nw", "--coloring", "c.json", "--target", "3"],
+    ["extract", "dichotomy", "--fixture", "min@u2", "--relation", "eq"],
+    ["extract", "laver", "--fixture", "identity@u2", "--min-size", "5"],
+    ["shift", "rho", "affine:1,5", "affine:1,2"],
+    ["shift", "sigma", "id", "succ", "--window", "8"],
+    ["shift", "critical", "affine:1,3"],
+    ["shift", "orbit", "affine:2,0", "--window", "5"],
+    ["shift", "perfect", "--fixture", "min@u2", "--shift", "succ",
+     "--shift", "affine:1,2"],
+]
+
+BAD_PARSE_ARGV = [
+    ["bogus"],                                   # unknown group
+    ["qo", "bogus"],                             # unknown command
+    ["qo"],                                      # missing command
+    [],                                          # missing group
+    ["qo", "validate", "x", "--bogus"],          # bad flag after a command
+    ["front", "rank", "--schema", "pentagon"],   # bad choice
+    ["extract", "nw", "--schema", "trivial"],    # missing required flag
+    ["rado", "witness", "0", "one"],             # bad int
+    ["--window", "4", "rado", "demo"],           # common flag before group
+    ["qo", "--window", "4", "validate", "x"],    # common flag before command
+]
+
+
+def _parse_outcome(parser, argv):
+    """The parsed namespace as a dict, or the usage error's message."""
+    try:
+        return vars(parser.parse_args(argv))
+    except CliUsageError as exc:
+        return f"CliUsageError: {exc}"
+
+
+def test_command_corpus_covers_every_subcommand():
+    assert sorted({tuple(argv[:2]) for argv in COMMAND_ARGV}) == \
+        sorted(ALL_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV + USAGE_ERROR_ARGV
+                         + DOMAIN_ERROR_ARGV + JSON_ARGV + BAD_PARSE_ARGV)
+def test_argv_selected_parser_parses_like_the_full_parser(argv):
+    assert _parse_outcome(build_parser(argv), argv) == \
+        _parse_outcome(build_parser(), argv)
+
+
+def _help_text(parser, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("group, cmd", ALL_SUBCOMMANDS)
+def test_command_help_is_the_same_under_both_builds(group, cmd, monkeypatch):
+    argv = [group, cmd, "--help"]
+    selected = _help_text(build_parser(argv), argv, monkeypatch)
+    assert selected.startswith(f"usage: bqo {group} {cmd} ")
+    assert selected == _help_text(build_parser(), argv, monkeypatch)
+
+
+def _parsers_built(monkeypatch, call):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    call()
+    monkeypatch.undo()
+    return len(built)
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGV)
+def test_a_named_command_builds_four_parsers(argv, monkeypatch):
+    # common flags, root, group, command
+    assert _parsers_built(monkeypatch, lambda: build_parser(argv)) == 4
+
+
+def test_main_builds_four_parsers_for_a_command(monkeypatch):
+    assert _parsers_built(
+        monkeypatch, lambda: run_cli(["rado", "witness", "0", "1"])) == 4
+
+
+@pytest.mark.parametrize("argv", [None, [], ["--help"], ["qo"], ["qo", "-h"],
+                                  ["bogus", "validate"], ["qo", "bogus"]])
+def test_other_argv_builds_every_parser(argv, monkeypatch):
+    every = 2 + len(cli.SUBCOMMANDS) + len(ALL_SUBCOMMANDS)
+    assert _parsers_built(monkeypatch, lambda: build_parser(argv)) == every

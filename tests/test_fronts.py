@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqo.errors import (
+    NoMemberWithinBound,
     NotInBase,
     NotSubsetOfBase,
     RankInconsistent,
     TrivialHasNoRays,
 )
+import bqo.fronts
 from bqo.fronts import (
     Front,
     SeqSchema,
@@ -318,6 +320,31 @@ class TestVerify:
         rep = front_verify([(5, 6)], [omega()], 8)
         assert not rep.passed
         assert rep.density[0].member is None
+
+    def test_probe_outside_the_base_is_reported(self):
+        front = uniform_front(2, evens())
+        with pytest.raises(NotInBase) as raised:
+            front_step(front, parse_base("odds"))
+        rep = front_verify(front, [evens(), parse_base("odds")], 8)
+        assert rep.density[0].error is None
+        assert rep.density[1].member is None
+        assert rep.density[1].error == str(raised.value)
+        assert not rep.passed
+
+    def test_probe_past_the_step_ceiling_is_reported(self, monkeypatch):
+        def exhausted(F, Y):
+            raise NoMemberWithinBound("consumed too many elements")
+        monkeypatch.setattr(bqo.fronts, "front_step", exhausted)
+        rep = front_verify(uniform_front(2), [omega()], 8)
+        assert rep.density[0].error == "consumed too many elements"
+        assert not rep.passed
+
+    def test_other_errors_of_a_probe_propagate(self, monkeypatch):
+        def broken_step(F, Y):
+            raise TypeError("a bug in front_step")
+        monkeypatch.setattr(bqo.fronts, "front_step", broken_step)
+        with pytest.raises(TypeError, match="a bug in front_step"):
+            front_verify(uniform_front(2), [omega()], 8)
 
 
 class TestShiftRel:

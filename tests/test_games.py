@@ -21,9 +21,9 @@ from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (CANON_KEY_CACHE_SIZE, Atom, Node, all_hsets, canon_key,
-                      depth, hset_to_sexpr, iter_atoms, node, parse_sexpr,
-                      random_hset, supp)
+from bqo.hset import (CANON_KEY_CACHE_SIZE, MAX_SEXPR_DEPTH, Atom, Node,
+                      all_hsets, canon_key, depth, hset_to_sexpr, iter_atoms,
+                      node, parse_sexpr, random_hset, supp)
 from bqo.qo import RADO, antichain, chain, domination_leq, rado_leq
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
@@ -32,6 +32,11 @@ from _helpers import enumerate_preorders, parse_sexpr_reference, subsets
 
 AC2 = antichain(2)
 A0, A1 = AC2.elements
+
+
+def nested_sexpr(levels: int, label: str = "1") -> str:
+    """An atom inside `levels` singleton sets."""
+    return "(set " * levels + f'(atom "{label}")' + ")" * levels
 
 
 def rado_powerset_sequence(window: int) -> list:
@@ -121,6 +126,24 @@ class TestSExpr:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_sexpr(bad)
+
+    def test_nesting_up_to_the_limit_parses_and_plays(self):
+        deep = parse_sexpr(nested_sexpr(MAX_SEXPR_DEPTH, "1"), int)
+        assert depth(deep) == MAX_SEXPR_DEPTH
+        assert parse_sexpr(hset_to_sexpr(deep), int) == deep
+        # the recursive solver takes two operands at the limit
+        other = parse_sexpr(nested_sexpr(MAX_SEXPR_DEPTH, "2"), int)
+        assert game_leq(deep, other, chain(3)).winner == "II"
+        assert game_leq(other, deep, chain(3)).winner == "I"
+
+    @pytest.mark.parametrize("extra", [1, 2, 1000])
+    def test_nesting_past_the_limit_names_the_token(self, extra):
+        text = nested_sexpr(MAX_SEXPR_DEPTH + extra)
+        # token 2 * MAX_SEXPR_DEPTH opens the first set past the limit
+        with pytest.raises(ValueError, match=(
+                f"^sets nested deeper than {MAX_SEXPR_DEPTH} "
+                f"at token {2 * MAX_SEXPR_DEPTH}$")):
+            parse_sexpr(text)
 
 
 def _outcome(parse, text, parse_atom=lambda s: s):

@@ -369,6 +369,21 @@ class TestFiles:
         with pytest.raises(KeyError):
             f.value((5,))
 
+    @pytest.mark.parametrize("value", [{"a": 1}, [[0, 1], 2], [{"a": 1}]])
+    def test_unhashable_table_value_names_its_key(self, value):
+        with pytest.raises(TypeError, match="value for '1' is not hashable"):
+            superseq_from_dict({
+                "front": {"schema": "uniform", "k": 1},
+                "valuation": {"table": {"0": 3, "1": value}},
+            })
+
+    def test_table_lists_become_tuples(self):
+        f = superseq_from_dict({
+            "front": {"schema": "uniform", "k": 1},
+            "valuation": {"table": {"0": [0, 1], "1": "x"}},
+        })
+        assert f.value((0,)) == (0, 1) and f.value((1,)) == "x"
+
 
 class TestValueCache:
     def test_valuation_called_once_per_member(self):
