@@ -6,6 +6,12 @@ begins with a member. Four schemas cover the desk-scale zoo: the trivial
 front {[]}, the uniform fronts [X]^k, the Schreier front {s | 1 + min s =
 |s|}, and sequence nodes assembling one front from a family of rays. Every
 windowed report names its entry bound.
+
+A front is walked as a tree, one ray at a time (Nash-Williams' barrier
+view): ray(F, n) is the one place that knows how each schema steps, and
+membership, stepping, window enumeration and the truncated tree all walk
+through it. The only shortcut is members_within's closed form for a
+residual uniform front, whose members in a window are the k-subsets.
 """
 from __future__ import annotations
 
@@ -120,24 +126,9 @@ def check_front_element(s) -> tuple:
 # --- membership, stepping, rays ------------------------------------------
 
 def front_member(F: Front, s) -> bool:
-    """Schema-directed membership test."""
-    s = check_front_element(s)
-    schema, base = F.schema, F.base
-    if _is_trivial(schema):
-        return s == ()
-    if not s:
-        return False
-    if isinstance(schema, UniformSchema):
-        return len(s) == schema.k and all(base.contains(v) for v in s)
-    if isinstance(schema, SchreierSchema):
-        return 1 + s[0] == len(s) and all(base.contains(v) for v in s)
-    if isinstance(schema, SeqSchema):
-        n = s[0]
-        if not base.contains(n):
-            return False
-        return front_member(
-            Front(schema.ray_schema(n), base.after(n)), s[1:])
-    raise TypeError(f"unknown schema {schema!r}")
+    """Whether s walks the front's rays to a trivial front."""
+    res = residual_front(F, s)
+    return res is not None and _is_trivial(res.schema)
 
 
 @dataclass(frozen=True)
@@ -154,47 +145,23 @@ _STEP_CEILING = 100_000
 def front_step(F: Front, Y: InfSet) -> StepResult:
     """The unique member of the front that begins the enumeration Y.
 
-    Consumption is bounded by the schema (k for uniform, 1 + first element
-    for Schreier, and recursively for sequence nodes); exceeding the bound
-    means the front data is broken and raises NoMemberWithinBound.
+    Walks the rays along Y until the residual front is trivial. Consumption
+    is bounded by the schema (k for uniform, 1 + first element for
+    Schreier, and through the rays for sequence nodes); exceeding the
+    ceiling means the front data is broken and raises NoMemberWithinBound.
     """
-    def take(i: int, base: InfSet) -> int:
-        if i >= _STEP_CEILING:
+    member: list = []
+    cur = F
+    while not _is_trivial(cur.schema):
+        if len(member) >= _STEP_CEILING:
             raise NoMemberWithinBound(
-                f"consumed {i} elements without completing a member")
-        v = Y.nth(i)
-        if not base.contains(v):
+                f"consumed {len(member)} elements without completing a member")
+        v = Y.nth(len(member))
+        if not cur.base.contains(v):
             raise NotInBase(f"element {v} of the argument is outside the base")
-        return v
-
-    def rec(schema, base: InfSet, pos: int) -> tuple:
-        if _is_trivial(schema):
-            return (), pos
-        if isinstance(schema, UniformSchema):
-            out = []
-            for _ in range(schema.k):
-                out.append(take(pos, base))
-                base = base.after(out[-1])
-                pos += 1
-            return tuple(out), pos
-        if isinstance(schema, SchreierSchema):
-            n = take(pos, base)
-            out = [n]
-            sub = base.after(n)
-            pos += 1
-            for _ in range(n):
-                out.append(take(pos, sub))
-                sub = sub.after(out[-1])
-                pos += 1
-            return tuple(out), pos
-        if isinstance(schema, SeqSchema):
-            n = take(pos, base)
-            tail, end = rec(schema.ray_schema(n), base.after(n), pos + 1)
-            return (n,) + tail, end
-        raise TypeError(f"unknown schema {schema!r}")
-
-    member, end = rec(F.schema, F.base, 0)
-    return StepResult(member=member, modulus=end)
+        member.append(v)
+        cur = ray(cur, v)
+    return StepResult(member=tuple(member), modulus=len(member))
 
 
 def ray(F: Front, n: int) -> Front:
@@ -214,20 +181,24 @@ def ray(F: Front, n: int) -> Front:
     raise TypeError(f"unknown schema {schema!r}")
 
 
-def restrict(F: Front, Z: InfSet, prefix_check: int = 16) -> Front:
+_PREFIX_CHECK = 16
+_RANK_SAMPLE = 6
+
+
+def restrict(F: Front, Z: InfSet) -> Front:
     """The sub-front F|Z of members contained in Z, as a front on Z.
 
     Z must be an infinite subset of the base; containment is prefix-checked.
     Rays commute with restriction because schemas are keyed by element value.
     """
-    if not Z.subset_prefix_of(F.base, prefix_check):
+    if not Z.subset_prefix_of(F.base, _PREFIX_CHECK):
         raise NotSubsetOfBase(
             f"{Z.name} is not contained in {F.base.name} "
-            f"(checked {prefix_check} elements)")
+            f"(checked {_PREFIX_CHECK} elements)")
     return Front(F.schema, Z)
 
 
-def rank(F: Front, sample: int = 6) -> OrdinalCNF:
+def rank(F: Front) -> OrdinalCNF:
     """Ordinal rank of the front's tree.
 
     Trivial -> 0, Uniform(k) -> k, Schreier -> omega. Sequence nodes carry a
@@ -245,18 +216,18 @@ def rank(F: Front, sample: int = 6) -> OrdinalCNF:
         return OrdinalCNF.omega()
     if isinstance(schema, SeqSchema):
         declared = schema.declared_rank
-        probes = list(F.base.prefix(sample))
+        probes = list(F.base.prefix(_RANK_SAMPLE))
         for key, _ in schema.table:
             if F.base.contains(key) and key not in probes:
                 probes.append(key)
         probes.sort()
-        ranks = [rank(ray(F, n), sample) for n in probes]
+        ranks = [rank(ray(F, n)) for n in probes]
         for n, r in zip(probes, ranks):
             if not r < declared:
                 raise RankInconsistent(
                     f"ray at {n} has rank {r}, not below declared {declared}")
         if declared.is_limit:
-            base_probe_ranks = ranks[:sample]
+            base_probe_ranks = ranks[:_RANK_SAMPLE]
             grows = all(a < b for a, b in
                         zip(base_probe_ranks, base_probe_ranks[1:]))
             if not grows:
@@ -277,34 +248,26 @@ def rank(F: Front, sample: int = 6) -> OrdinalCNF:
 def members_within(F: Front, bound: int) -> list:
     """All members with every entry below the bound, in lexicographic order.
 
-    Desk-scale only: the count explodes with the bound for high-rank fronts
-    (Schreier growth is Fibonacci-like), so keep windows modest there.
+    Walks the rays depth first in ascending order, which lists a
+    prefix-free family lexicographically; a residual uniform front [X]^k
+    contributes its k-subsets of the window in closed form. Desk-scale only:
+    the count explodes with the bound for high-rank fronts (Schreier growth
+    is Fibonacci-like), so keep windows modest there.
     """
     out: list = []
 
-    def rec(schema, base: InfSet, prefix: tuple):
-        if _is_trivial(schema):
+    def rec(front: Front, prefix: tuple):
+        if isinstance(front.schema, UniformSchema):
+            pool = front.base.upto(bound)
+            out.extend(prefix + combo for combo in
+                       itertools.combinations(pool, front.schema.k))
+        elif _is_trivial(front.schema):
             out.append(prefix)
-            return
-        if isinstance(schema, UniformSchema):
-            pool = base.upto(bound)
-            for combo in itertools.combinations(pool, schema.k):
-                out.append(prefix + combo)
-            return
-        if isinstance(schema, SchreierSchema):
-            for n in base.upto(bound):
-                pool = base.after(n).upto(bound)
-                for combo in itertools.combinations(pool, n):
-                    out.append(prefix + (n,) + combo)
-            return
-        if isinstance(schema, SeqSchema):
-            for n in base.upto(bound):
-                rec(schema.ray_schema(n), base.after(n), prefix + (n,))
-            return
-        raise TypeError(f"unknown schema {schema!r}")
+        else:
+            for n in front.base.upto(bound):
+                rec(ray(front, n), prefix + (n,))
 
-    rec(F.schema, F.base, ())
-    out.sort()
+    rec(F, ())
     return out
 
 
@@ -317,9 +280,7 @@ def residual_front(F: Front, s) -> Optional[Front]:
     s = check_front_element(s)
     cur = F
     for x in s:
-        if _is_trivial(cur.schema):
-            return None
-        if not cur.base.contains(x):
+        if _is_trivial(cur.schema) or not cur.base.contains(x):
             return None
         cur = ray(cur, x)
     return cur
@@ -357,14 +318,12 @@ def tree_of_front(F: Front, bound: int) -> TreeReport:
 
     def rec(front: Front, prefix: tuple):
         leaf = _is_trivial(front.schema)
-        kids: tuple = ()
-        if not leaf:
-            kids = tuple(prefix + (n,) for n in front.base.upto(bound))
+        points = () if leaf else front.base.upto(bound)
         nodes[prefix] = TreeNode(
-            children=kids, rank=rank(front), is_member=leaf)
-        if not leaf:
-            for n in front.base.upto(bound):
-                rec(ray(front, n), prefix + (n,))
+            children=tuple(prefix + (n,) for n in points),
+            rank=rank(front), is_member=leaf)
+        for n in points:
+            rec(ray(front, n), prefix + (n,))
 
     rec(F, ())
     return TreeReport(window=bound, nodes=nodes)

@@ -29,13 +29,14 @@ value (dict writes are atomic).  All other operations are pure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (BadIndices, EmptyTruncation, IllegalMove,
                      InsufficientPrefix, InvariantViolated, MixedBaseQO,
                      NotBad)
-from .fronts import front_member, residual_front
+from .fronts import members_within
 from .hset import Atom, HSet, Node, iter_atoms, node
 
 
@@ -339,32 +340,25 @@ def tilde_build(f, window: int) -> TildeResult:
     window (entries are drawn below the exclusive bound).
     """
     F = f.front
+    members = members_within(F, window)
+    if not members:
+        raise EmptyTruncation(
+            f"no member of the front completes with entries below {window}")
     table: dict = {}
 
-    def build(s: tuple) -> Optional[HSet]:
-        if front_member(F, s):
+    def fold(group: list, depth: int) -> HSet:
+        """HSet of the node that the members in group (sorted, nonempty)
+        share as their prefix of length depth."""
+        s = group[0][:depth]
+        if len(group[0]) == depth:   # prefix-free: s is the group's member
             h: HSet = Atom(f.value(s))
-            table[s] = h
-            return h
-        kids = []
-        for nv in F.base.upto(window):
-            if s and nv <= s[-1]:
-                continue
-            t = s + (nv,)
-            if residual_front(F, t) is None:
-                continue
-            built = build(t)
-            if built is not None:
-                kids.append(built)
-        if not kids:
-            return None
-        h = node(kids)
+        else:
+            h = node([fold(list(kids), depth + 1) for _, kids in
+                      itertools.groupby(group, key=lambda m: m[depth])])
         table[s] = h
         return h
 
-    if build(()) is None:
-        raise EmptyTruncation(
-            f"no member of the front completes with entries below {window}")
+    fold(members, 0)
     first = tuple((m, table[(m,)])
                   for m in F.base.upto(window) if (m,) in table)
     return TildeResult(window, table, first)

@@ -449,7 +449,8 @@ def sequence_diagnose(win: SeqWindow) -> SequenceReport:
     n = len(vs)
     if n < 2:
         raise WindowTooSmall(f"need at least 2 values, got {n}")
-    leq = win.qo.leq
+    # SeqWindow checked every value into the carrier: compare raw
+    leq = getattr(win.qo, "raw_leq", None) or win.qo.leq
     witness = None
     for i in range(n):
         for j in range(i + 1, n):
@@ -489,7 +490,7 @@ def regularity_check(win: SeqWindow) -> RegularityReport:
     vs = win.values
     if len(vs) < 2:
         raise WindowTooSmall(f"need at least 2 values, got {len(vs)}")
-    leq = win.qo.leq
+    leq = getattr(win.qo, "raw_leq", None) or win.qo.leq
 
     def regular(seq) -> bool:
         return all(

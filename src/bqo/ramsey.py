@@ -42,8 +42,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (EmbeddingCheckFailed, InvariantViolated, MissingColor,
                      NotBadOnWindow, NotBadPowersetSeq, RamseyStageFailed,
                      WindowExhausted)
-from .fronts import (Front, UniformSchema, front_member, members_within,
-                     uniform_front)
+from .fronts import Front, UniformSchema, members_within, uniform_front
 from .qo import RADO
 from .streams import omega
 from .superseq import SuperSeq, badness_check
@@ -329,10 +328,13 @@ def join_nodes(front: Front, window: int,
     while (j := g(len(picks))) < len(points):
         picks.append(j)
     out: list = []
+    # u and g_sub(u) hold window points only, so their member prefixes are
+    # exactly the members within the window
+    members = set(members_within(front, window))
 
     def member_prefix(u: tuple) -> Optional[tuple]:
         for i in range(len(u) + 1):
-            if front_member(front, u[:i]):
+            if u[:i] in members:
                 return u[:i]
         return None
 

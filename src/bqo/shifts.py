@@ -25,9 +25,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .errors import (InvariantViolated, LooksLikeIdentity, NotBQOEvidence,
-                     WindowExhausted)
-from .fronts import front_member
+from .errors import (InvariantViolated, LooksLikeIdentity, NoMemberWithinBound,
+                     NotBQOEvidence, NotInBase, WindowExhausted)
+from .fronts import front_step
 from .ramsey import Homogeneous, join_nodes, largest, member_colours
 from .streams import InfSet, parse_base, prefix_then_arithmetic
 from .superseq import SuperSeq
@@ -297,15 +297,12 @@ def _extend_listing(Z: Sequence[int]) -> InfSet:
 
 def _resolve_value(phi: SuperSeq, h: IncInj, limit: int):
     """Value of the valuation at the set enumerated by h, if the member
-    prefix resolves within the limit."""
-    stream: List[int] = []
-    for i in range(limit):
-        stream.append(h(i))
-        if front_member(phi.front, tuple(stream)):
-            return phi.value(tuple(stream))
-    if front_member(phi.front, ()):
-        return phi.value(())
-    return None
+    beginning that set lies in the base and resolves within the limit."""
+    try:
+        step = front_step(phi.front, InfSet(h, name=h.name))
+    except (NotInBase, NoMemberWithinBound):
+        return None
+    return phi.value(step.member) if step.modulus <= limit else None
 
 
 @dataclass(frozen=True)

@@ -2,77 +2,77 @@
 
 An InfSet is a strictly increasing enumeration n -> x_n with a materialised
 prefix cache, never a bare membership predicate: that way density arguments
-terminate with explicit moduli.
+terminate with explicit moduli. Tails (after, shift) are offsets into their
+root set: they share its enumeration and cache, a tail of a tail composes
+the offsets, and no chain of tails nests generators.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+import bisect
+from typing import Callable, Sequence
 
 
 class InfSet:
     """Infinite subset of the naturals, presented by its enumeration."""
 
-    __slots__ = ("_gen", "_cache", "name")
+    __slots__ = ("_gen", "_cache", "_root", "_offset", "name")
 
     def __init__(self, gen: Callable[[int], int], name: str = "set"):
         self._gen = gen
         self._cache: list = []
+        self._root = self
+        self._offset = 0
         self.name = name
 
     def nth(self, i: int) -> int:
         if i < 0:
             raise IndexError("negative index into an enumeration")
-        while len(self._cache) <= i:
-            k = len(self._cache)
-            v = int(self._gen(k))
+        root = self._root
+        cache = root._cache
+        i += self._offset
+        while len(cache) <= i:
+            k = len(cache)
+            v = int(root._gen(k))
             if v < 0:
-                raise ValueError(f"{self.name}: enumeration left the naturals")
-            if self._cache and v <= self._cache[-1]:
+                raise ValueError(f"{root.name}: enumeration left the naturals")
+            if cache and v <= cache[-1]:
                 raise ValueError(
-                    f"{self.name}: enumeration not strictly increasing "
-                    f"at index {k} ({self._cache[-1]} then {v})")
-            self._cache.append(v)
-        return self._cache[i]
+                    f"{root.name}: enumeration not strictly increasing "
+                    f"at index {k} ({cache[-1]} then {v})")
+            cache.append(v)
+        return cache[i]
+
+    def _index(self, x: int) -> int:
+        """Root cache index of this set's first element >= x, materialising
+        the root up to that element."""
+        root = self._root
+        cache = root._cache
+        while len(cache) <= self._offset or cache[-1] < x:
+            root.nth(len(cache))
+        return bisect.bisect_left(cache, x, self._offset)
+
+    def _tail(self, offset: int, name: str) -> "InfSet":
+        tail = object.__new__(InfSet)
+        tail._root, tail._offset, tail.name = self._root, offset, name
+        return tail
 
     def prefix(self, k: int) -> tuple:
         return tuple(self.nth(i) for i in range(k))
 
     def upto(self, bound: int) -> tuple:
         """All elements strictly below the bound."""
-        out = []
-        i = 0
-        while True:
-            v = self.nth(i)
-            if v >= bound:
-                break
-            out.append(v)
-            i += 1
-        return tuple(out)
+        return tuple(self._root._cache[self._offset:self._index(bound)])
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        i = 0
-        while True:
-            v = self.nth(i)
-            if v == x:
-                return True
-            if v > x:
-                return False
-            i += 1
+        return x >= 0 and self._root._cache[self._index(x)] == x
 
     def after(self, n: int) -> "InfSet":
         """The tail {x in this set | x > n}."""
-        def gen(i: int, n=n) -> int:
-            j = 0
-            while self.nth(j) <= n:
-                j += 1
-            return self.nth(j + i)
-        return InfSet(gen, name=f"{self.name}/{n}")
+        return self._tail(self._index(n + 1), f"{self.name}/{n}")
 
     def shift(self) -> "InfSet":
         """Drop the least element."""
-        return InfSet(lambda i: self.nth(i + 1), name=f"shift({self.name})")
+        return self._tail(self._offset + 1, f"shift({self.name})")
 
     def agrees_upto(self, other: "InfSet", bound: int) -> bool:
         return self.upto(bound) == other.upto(bound)
@@ -122,10 +122,6 @@ def prefix_then_arithmetic(prefix: Sequence[int], start: int,
 
     head = ",".join(str(x) for x in prefix)
     return InfSet(gen, name=f"prefix:{head}+arith:{start},{step}")
-
-
-def from_enumeration(values: Callable[[int], int], name: str) -> InfSet:
-    return InfSet(values, name=name)
 
 
 def parse_base(descriptor: str) -> InfSet:

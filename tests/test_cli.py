@@ -264,6 +264,13 @@ class TestFrontCommands:
         assert data["member"] == [3, 5, 7, 9]
         assert data["modulus"] == 4
 
+    def test_step_along_a_far_tail(self):
+        # the member walks 1001 nested tails of the base
+        data = run_json(["front", "step", "--schema", "schreier",
+                         "--at", "omega/1000"])
+        assert data["member"] == list(range(1001, 2003))
+        assert data["modulus"] == 1002
+
     def test_ray_of_schreier_is_uniform(self):
         data = run_json(["front", "ray", "--schema", "schreier", "4"])
         assert data["ray"]["schema"] == "uniform"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqo.errors import (
+    EmptyTruncation,
     NoMemberWithinBound,
     NotInBase,
     NotSubsetOfBase,
@@ -16,8 +17,10 @@ from bqo.errors import (
 import bqo.fronts
 from bqo.fronts import (
     Front,
+    SchreierSchema,
     SeqSchema,
     ShiftPairs,
+    TrivialSchema,
     UniformSchema,
     front_from_dict,
     front_member,
@@ -37,8 +40,11 @@ from bqo.fronts import (
     trivial_front,
     uniform_front,
 )
+from bqo.games import tilde_build
+from bqo.hset import Atom, node
 from bqo.ordinal import OMEGA_ORD, OrdinalCNF
-from bqo.streams import InfSet, arithmetic, evens, omega, parse_base
+from bqo.streams import InfSet, arithmetic, evens, odds, omega, parse_base
+from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import (
     SHIFT_PAIR_FRONTS,
@@ -63,6 +69,15 @@ class TestInfSet:
         t = omega().after(3)
         assert t.prefix(3) == (4, 5, 6)
         assert evens().after(3).prefix(2) == (4, 6)
+        assert evens().shift().after(3).shift().prefix(2) == (6, 8)
+
+    def test_deep_chain_of_tails(self):
+        t = omega()
+        for n in range(5000):
+            t = t.after(n)
+        assert t.nth(0) == 5000
+        assert t.contains(5001) and not t.contains(4999)
+        assert t.upto(5003) == (5000, 5001, 5002)
 
     def test_strictness_enforced(self):
         bad = InfSet(lambda i: 5, name="bad")
@@ -465,3 +480,126 @@ class TestSerialization:
         })
         assert front_member(Q, (0, 5))
         assert front_member(Q, (2, 5, 9))
+
+
+# --- one walk over rays: differential checks --------------------------------
+
+# each front with a window small enough to try every increasing tuple below it
+WALKED_FRONTS = {
+    "trivial": (trivial_front(), 6),
+    "u1": (uniform_front(1), 10),
+    "u2": (uniform_front(2), 10),
+    "u3": (uniform_front(3), 10),
+    "u2-evens": (uniform_front(2, evens()), 12),
+    "u3-odds": (uniform_front(3, odds()), 12),
+    "schreier": (schreier_front(), 11),
+    "schreier-evens": (schreier_front(evens()), 12),
+    "seq": SHIFT_PAIR_FRONTS["seq"],
+    "seq-u1-u2": (seq_front({0: UniformSchema(1)}, UniformSchema(2),
+                            OrdinalCNF.natural(3)), 10),
+    "seq-odds": (seq_front({1: SchreierSchema(), 5: UniformSchema(1)},
+                           UniformSchema(2), OMEGA_ORD.succ(), odds()), 12),
+}
+
+
+def _member_oracle(schema, base: InfSet, s: tuple) -> bool:
+    """Schema-directed membership, one closed form per schema."""
+    if isinstance(schema, TrivialSchema) or schema == UniformSchema(0):
+        return s == ()
+    if not s or not all(base.contains(v) for v in s):
+        return False
+    if isinstance(schema, UniformSchema):
+        return len(s) == schema.k
+    if isinstance(schema, SchreierSchema):
+        return 1 + s[0] == len(s)
+    return _member_oracle(schema.ray_schema(s[0]), base.after(s[0]), s[1:])
+
+
+def _increasing_below(window: int):
+    for r in range(window + 1):
+        yield from itertools.combinations(range(window), r)
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("name", WALKED_FRONTS)
+    def test_membership_matches_listing_and_oracle(self, name):
+        F, w = WALKED_FRONTS[name]
+        listed = set(members_within(F, w))
+        for s in _increasing_below(w):
+            member = front_member(F, s)
+            assert member == (s in listed), s
+            assert member == _member_oracle(F.schema, F.base, s), s
+
+    @pytest.mark.parametrize("name", WALKED_FRONTS)
+    def test_listing_is_sorted_and_matches_closed_forms(self, name):
+        F, w = WALKED_FRONTS[name]
+        members = members_within(F, w)
+        assert members == sorted(set(members))
+        pool = F.base.upto(w)
+        if isinstance(F.schema, UniformSchema):
+            assert members == list(itertools.combinations(pool, F.schema.k))
+        if isinstance(F.schema, SchreierSchema):
+            assert members == sorted(
+                s for r in range(1, len(pool) + 1)
+                for s in itertools.combinations(pool, r) if 1 + s[0] == len(s))
+
+    @pytest.mark.parametrize("name", WALKED_FRONTS)
+    def test_step_member_is_listed_prefix(self, name):
+        F, w = WALKED_FRONTS[name]
+        samples = [F.base, F.base.shift(), F.base.after(2),
+                   F.base.after(3).shift()]
+        for Y in samples:
+            res = front_step(F, Y)
+            assert res.modulus == len(res.member)
+            assert Y.prefix(res.modulus) == res.member
+            top = res.member[-1] + 1 if res.member else 1
+            assert res.member in members_within(F, max(top, w))
+
+
+def _tilde_fold_oracle(f, window: int) -> dict:
+    """The tree fold tilde_build is checked against: every tree node below
+    the window is tried by membership and residual front, depth first."""
+    F = f.front
+    table: dict = {}
+
+    def build(s: tuple):
+        if front_member(F, s):
+            table[s] = Atom(f.value(s))
+            return table[s]
+        kids = []
+        for nv in F.base.upto(window):
+            if s and nv <= s[-1]:
+                continue
+            t = s + (nv,)
+            if residual_front(F, t) is None:
+                continue
+            built = build(t)
+            if built is not None:
+                kids.append(built)
+        if not kids:
+            return None
+        table[s] = node(kids)
+        return table[s]
+
+    if build(()) is None:
+        raise EmptyTruncation("no member completes")
+    return table
+
+
+class TestTildeFold:
+    def test_min_on_schreier_matches_tree_walk(self):
+        f = SuperSeq(front=schreier_front(), valuation=named_valuation("min"),
+                     name="min@schreier")
+        got = tilde_build(f, 12).table
+        want = _tilde_fold_oracle(f, 12)
+        assert list(got) == list(want)
+        assert got == want
+
+    @pytest.mark.parametrize("name", WALKED_FRONTS)
+    def test_fold_matches_tree_walk(self, name):
+        F, window = WALKED_FRONTS[name]
+        f = SuperSeq(front=F, valuation=tuple, name="identity")
+        got = tilde_build(f, window).table
+        want = _tilde_fold_oracle(f, window)
+        assert list(got) == list(want)
+        assert got == want

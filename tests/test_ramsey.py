@@ -41,7 +41,7 @@ from bqo.ramsey import (
     nw_extract,
     powerset_badseq_to_f2,
 )
-from bqo.streams import from_enumeration
+from bqo.streams import InfSet
 from bqo.superseq import SuperSeq, badness_check, named_valuation, perfect_check
 
 OMEGA_EQ = CodedQO(
@@ -359,7 +359,7 @@ def listed_base(points):
             return points[i]
         return points[-1] + 1 + (i - len(points))
 
-    return from_enumeration(value, name="listed")
+    return InfSet(value, name="listed")
 
 
 class TestDichotomy:

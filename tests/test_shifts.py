@@ -282,9 +282,9 @@ class TestFactorEnumeration:
         h = affine(2, 1)
         X_vals = compose(enum_of_set(Y), h).values(8)
         X = enum_of_set(Y)  # not used beyond values; rebuild the set
-        from bqo.streams import from_enumeration
-        Xset = from_enumeration(lambda i: X_vals[i] if i < 8
-                                else X_vals[-1] + 3 * (i - 7), "img")
+        from bqo.streams import InfSet
+        Xset = InfSet(lambda i: X_vals[i] if i < 8
+                      else X_vals[-1] + 3 * (i - 7), name="img")
         assert Xset.subset_prefix_of(Y, count=8)
         back = factor_enumeration(Xset, Y, 8)
         assert back is not None
