@@ -208,7 +208,7 @@ def _superseq_from_args(args) -> SuperSeq:
         codomain = _resolve_order(codomain_name) if codomain_name else None
         try:
             return superseq_from_dict(data, codomain)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CliUsageError(f"malformed sequence file: {exc}") from exc
     fixture = getattr(args, "fixture", None)
     if not fixture:
@@ -219,7 +219,7 @@ def _superseq_from_args(args) -> SuperSeq:
     rule, front_token = fixture.split("@", 1)
     front = _front_from_token(front_token)
     try:
-        val = named_valuation(rule)
+        val = named_valuation(rule, front)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     default = _FIXTURE_CODOMAIN.get(rule.split(":", 1)[0], "omega-leq")
@@ -725,7 +725,10 @@ def _cmd_extract_dichotomy(args):
 
 def _cmd_extract_laver(args):
     f = _ordered_superseq(args)
-    rep = laver_embed(f, args.window, min_size=args.min_size)
+    try:
+        rep = laver_embed(f, args.window, min_size=args.min_size)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
     payload = {"sequence": f.name, "set": list(rep.X),
                "triples": {"ground": len(rep.triples.ground),
                            "homogeneous": list(rep.triples.homogeneous),

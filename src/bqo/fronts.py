@@ -447,80 +447,91 @@ class ShiftPairs:
     ((), ()) first. Partners of s come in two kinds (see shift_rel): members
     that are initial segments of s minus its least entry, whose pairs top
     out at s[-1], and members t extending that tail by entries above s[-1],
-    whose pairs top out at t[-1]. So iteration builds and sorts one
-    largest-entry bucket at a time from the by_last and by_tail indexes, and
-    a caller that stops at a witness never holds the full pair list. len()
-    counts every pair without listing the second kind: each s with a
-    nonempty tail s[1:] pairs with every member properly extending that
-    tail, a run of the sorted members found by bisection, and a singleton
-    (a,) pairs with every member t with t[0] > a.
+    whose pairs top out at t[-1]. A pair of ranks (i, j) in the sorted
+    members is coded i * n + j for n members, so int order is (s, t) order.
+
+    buckets() builds and sorts one largest-entry bucket of codes at a time
+    and hands it out as a list of rank pairs, so a caller that stops at a
+    witness never holds the full pair list. A bucket's second-kind codes
+    come from one flat pass over its members t: by_tail lists the codes
+    i * n of the members s by their tail s[1:], looked up at each proper
+    prefix of t, and the singletons (a,) with a < t[0] are a bisected slice
+    of single_codes. First-kind pairs exist only among members of several
+    lengths; their codes, at most one per member and length, are listed by
+    s[-1] up front. len() counts every pair without listing the second
+    kind: each s with a nonempty tail s[1:] pairs with every member
+    properly extending that tail, a run of the sorted members found by
+    bisection, and a singleton (a,) pairs with every member t with
+    t[0] > a.
 
     Members are front elements: strictly increasing tuples of naturals.
-    Indexes hold members by their rank in lexicographic order.
     """
 
     def __init__(self, members: Iterable):
-        self.members = members = sorted({tuple(m) for m in members})
-        self.rank = {m: i for i, m in enumerate(members)}
-        self.lengths = sorted({len(m) for m in members})
+        # dict.fromkeys keeps the order, so listed members sort in one pass
+        self.members = members = sorted(dict.fromkeys(map(tuple, members)))
+        n = len(members)
         self.by_last: dict = {}   # t[-1] -> ranks of the members t
-        self.by_tail: dict = {}   # s[1:] -> ranks of the members s
+        self.by_tail: dict = {}   # s[1:] -> codes i * n of the members s
         for i, t in enumerate(members):
             if t:
                 self.by_last.setdefault(t[-1], []).append(i)
-                self.by_tail.setdefault(t[1:], []).append(i)
-        # singletons leave by_tail: (a, rank) of each member (a,), ascending
-        self.singles = [(members[i][0], i) for i in self.by_tail.pop((), [])]
-
-    def _segment_partners(self, s: tuple) -> list:
-        """Ranks of the members that are initial segments of s minus its
-        least entry."""
-        tail, rank = s[1:], self.rank
-        return [rank[tail[:n]] for n in self.lengths
-                if n < len(s) and tail[:n] in rank]
+                self.by_tail.setdefault(t[1:], []).append(i * n)
+        # singletons (a,) leave by_tail: their codes and heads a, ascending
+        self.single_codes = self.by_tail.pop((), [])
+        self.single_heads = [members[c // n][0] for c in self.single_codes]
+        # first-kind codes by s[-1]: t an initial segment of s[1:]
+        self.segment_codes: dict = {}
+        lengths = sorted(set(map(len, members)))
+        if len(lengths) > 1:
+            rank = {m: i for i, m in enumerate(members)}
+            for i, s in enumerate(members):
+                tail = s[1:]
+                codes = [i * n + rank[tail[:k]] for k in lengths
+                         if k < len(s) and tail[:k] in rank]
+                if codes:
+                    self.segment_codes.setdefault(s[-1], []).extend(codes)
 
     def bucket(self, top: int) -> list:
         """The pairs whose largest entry is top, sorted by (s, t), as rank
         pairs (i, j) for (members[i], members[j])."""
-        members, by_tail, singles = self.members, self.by_tail, self.singles
-        n = len(members)
+        members, by_tail = self.members, self.by_tail
         tops = self.by_last.get(top, ())
-        # the rank pair (i, j) is coded i * n + j: int order is (s, t) order
-        codes = [i * n + j for i in tops
-                 for j in self._segment_partners(members[i])]
-        for j in tops:
-            t = members[j]
-            below = bisect.bisect_left(singles, (t[0],))
-            codes.extend(i * n + j for _, i in singles[:below])
-            for cut in range(1, len(t)):
-                codes.extend(i * n + j for i in by_tail.get(t[:cut], ()))
+        codes = [b + j for j in tops for c in range(1, len(members[j]))
+                 for b in by_tail.get(members[j][:c], ())]
+        if self.single_codes:
+            singles, heads = self.single_codes, self.single_heads
+            codes += [b + j for j in tops for b in
+                      singles[:bisect.bisect_left(heads, members[j][0])]]
+        codes += self.segment_codes.get(top, ())
         codes.sort()
-        return list(map(divmod, codes, itertools.repeat(n)))
+        return list(map(divmod, codes, itertools.repeat(len(members))))
 
-    def ranked(self):
-        """The pairs in witness order, as rank pairs (see bucket)."""
-        if () in self.rank:
-            yield 0, 0   # () sorts first
+    def buckets(self):
+        """The pairs in witness order, one bucket list at a time, as rank
+        pairs (see bucket); ((), ()) comes first, alone."""
+        if self.members[:1] == [()]:
+            yield [(0, 0)]
         for top in sorted(self.by_last):
-            yield from self.bucket(top)
+            yield self.bucket(top)
 
     def __iter__(self):
         members = self.members
-        for i, j in self.ranked():
-            yield members[i], members[j]
+        for bucket in self.buckets():
+            for i, j in bucket:
+                yield members[i], members[j]
 
     def __len__(self) -> int:
         members = self.members
-        count = int(() in self.rank)
-        count += sum(len(self._segment_partners(m)) for m in members
-                     if len(m) > self.lengths[0])
+        count = int(members[:1] == [()])
+        count += sum(map(len, self.segment_codes.values()))
         count += sum(len(members) - bisect.bisect_left(members, (a + 1,))
-                     for a, _ in self.singles)
-        for tail, ranks in self.by_tail.items():
+                     for a in self.single_heads)
+        for tail, codes in self.by_tail.items():
             # the members properly extending tail are a run of members
             lo = bisect.bisect_right(members, tail)
             hi = bisect.bisect_left(members, tail[:-1] + (tail[-1] + 1,))
-            count += len(ranks) * (hi - lo)
+            count += len(codes) * (hi - lo)
         return count
 
 

@@ -202,13 +202,13 @@ def qo_validate(elements: Sequence[Any], pairs: Iterable) -> FiniteQO:
 # --- the two coded work-horses -------------------------------------------
 
 def _check_rado_pair(s) -> tuple:
-    if (not isinstance(s, tuple) or len(s) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in s)):
-        raise NotAPair(f"{s!r} is not an increasing pair of naturals")
-    m, n = s
-    if not 0 <= m < n:
-        raise NotAPair(f"{s!r} is not an increasing pair of naturals")
-    return s
+    if isinstance(s, tuple) and len(s) == 2:
+        m, n = s
+        if (isinstance(m, int) and isinstance(n, int)
+                and not isinstance(m, bool) and not isinstance(n, bool)
+                and 0 <= m < n):
+            return s
+    raise NotAPair(f"{s!r} is not an increasing pair of naturals")
 
 
 def rado_leq(s, t) -> bool:

@@ -279,27 +279,38 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
     or None, and the number of shift pairs in the window.
 
-    Pairs are generated lazily and the scan stops at the first hit. Each
-    member's value is read once, and passed through check (when given) the
-    first time it is read; values read at the same pair are read s then t
-    and then checked s then t, as evaluating a checked leq(f(s), f(t))
-    would, so the first error raised is the same.
+    The scan walks ShiftPairs.buckets(), one sorted list of rank pairs per
+    largest entry, in a flat loop, and stops at the first hit, so buckets
+    past the witness are never built. Each member's value is read once, and
+    passed through check (when given) the first time it is read; values
+    read at the same pair are read s then t and then checked s then t, as
+    evaluating a checked leq(f(s), f(t)) would, so the first error raised
+    is the same.
     """
     pairs = ShiftPairs(members_within(f.front, bound))
     members = pairs.members
+    value = f.value
     read = [_UNREAD] * len(members)   # values by member rank
-    for i, j in pairs.ranked():
-        vs, vt = read[i], read[j]
-        if vs is _UNREAD or vt is _UNREAD:
-            fresh = [r for r in dict.fromkeys((i, j)) if read[r] is _UNREAD]
-            values = [f.value(members[r]) for r in fresh]
-            for r, v in zip(fresh, values):
+    for bucket in pairs.buckets():
+        for i, j in bucket:
+            vs = read[i]
+            vt = read[j]
+            if vs is _UNREAD or vt is _UNREAD:
+                fresh_s = vs is _UNREAD
+                fresh_t = vt is _UNREAD and i != j
+                if fresh_s:
+                    read[i] = vs = value(members[i])
+                if fresh_t:
+                    read[j] = vt = value(members[j])
+                elif i == j:
+                    vt = vs
                 if check is not None:
-                    check(v)
-                read[r] = v
-            vs, vt = read[i], read[j]
-        if hit(vs, vt):
-            return (members[i], members[j]), len(pairs)
+                    if fresh_s:
+                        check(vs)
+                    if fresh_t:
+                        check(vt)
+            if hit(vs, vt):
+                return (members[i], members[j]), len(pairs)
     return None, len(pairs)
 
 
@@ -367,9 +378,22 @@ def perfect_check(f: SuperSeq, R: Callable[[Any, Any], bool],
 
 # --- named valuations and files -------------------------------------------
 
-def named_valuation(rule: str) -> Callable[[tuple], Any]:
+# rules that read an entry of the member, so the trivial front's only
+# member () has no value under them
+_NONEMPTY_RULES = ("min", "span", "minmod2")
+
+
+def named_valuation(rule: str,
+                    front: Optional[Front] = None) -> Callable[[tuple], Any]:
     """Valuation rules usable in files and on the command line: "identity",
-    "min", "span", "minmod2", "constant:c"."""
+    "min", "span", "minmod2", "constant:c". Given the front, a rule that
+    reads entries is refused on a trivial front, here rather than at the
+    first value read."""
+    if front is not None and rule in _NONEMPTY_RULES \
+            and _is_trivial(front.schema):
+        raise ValueError(
+            f"valuation rule {rule!r} needs nonempty members; the trivial "
+            f"front's only member is ()")
     if rule == "identity":
         return lambda s: tuple(s)
     if rule == "min":
@@ -409,7 +433,9 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
             raise TypeError(f"valuation table value for {key!r} is not "
                             f"hashable: {v!r}") from None
         table[s] = v
-    fallback = named_valuation(rule) if rule else None
+    # a table entry for () spares the rule the trivial front's member
+    fallback = named_valuation(
+        rule, None if () in table else front) if rule else None
 
     def val(s):
         s = tuple(s)

@@ -53,6 +53,21 @@ USAGE_ERROR_ARGV = [
     ["shift", "critical", "warp:9"],
     ["extract", "ramsey", "8", "--rule", "mystery"],
     ["qo", "validate", "/no/such/file.json"],
+    # rules that read entries, on the trivial front's only member ()
+    *[["seq", "eval", "--fixture", f"{rule}@{front}"]
+      for rule in ("min", "span", "minmod2")
+      for front in ("trivial", "u0", "uniform:0")],
+    ["seq", "spare", "--fixture", "span@trivial"],
+    ["seq", "sparsify", "--fixture", "minmod2@u0"],
+    ["seq", "bad", "--fixture", "min@uniform:0"],
+    ["seq", "perfect", "--fixture", "span@u0"],
+    ["extract", "dichotomy", "--fixture", "min@trivial"],
+    ["game", "tilde", "--fixture", "minmod2@trivial"],
+    ["shift", "perfect", "--fixture", "min@trivial"],
+    # embedding extraction needs the pair front
+    ["extract", "laver", "--fixture", "min@schreier"],
+    ["extract", "laver", "--fixture", "identity@u3"],
+    ["extract", "laver", "--fixture", "min@trivial"],
 ]
 
 DOMAIN_ERROR_ARGV = [
@@ -561,6 +576,7 @@ class TestExtractCommands:
         ["extract", "ramsey", "6", "--target", "-1"],
         ["extract", "nw", "--schema", "uniform", "--k", "2", "--target", "-1",
          "--window", "8"],
+        ["extract", "laver", "--fixture", "identity@u3"],   # not a pair front
     ])
     def test_bad_extract_arguments_are_one_line_usage_errors(self, argv):
         code, out, err = run_cli(argv)
@@ -657,6 +673,44 @@ def test_help_text_mentions_every_group():
     for group, cmds in [("qo", "validate"), ("extract", "laver"),
                         ("shift", "perfect")]:
         assert group in err and cmds in err
+
+
+def test_rule_reading_entries_on_the_trivial_front_is_a_usage_error():
+    code, out, err = run_cli(["seq", "eval", "--fixture", "span@u0"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [
+        "error: valuation rule 'span' needs nonempty members; the trivial "
+        "front's only member is ()"]
+
+
+def test_trivial_front_keeps_rules_that_read_no_entry():
+    code, out, err = run_cli(["seq", "bad", "--fixture", "identity@trivial"])
+    assert code == 1
+    assert err == "NotAPair: () is not an increasing pair of naturals\n"
+    data = run_json(["seq", "bad", "--fixture", "constant:3@trivial"])
+    assert data["good_witness"] == [[], []] and data["pairs_scanned"] == 1
+
+
+@pytest.mark.parametrize("rule,table,message", [
+    ("min", {}, "valuation rule 'min' needs nonempty members; the trivial "
+     "front's only member is ()"),
+    ("min", {"": 4}, None),   # the table entry for () is read instead
+    ("medium", {}, "unknown valuation rule 'medium'"),
+])
+def test_file_rule_on_the_trivial_front(tmp_path, rule, table, message):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"front": {"schema": "trivial"},
+                                "valuation": {"rule": rule,
+                                              "table": table}}))
+    code, out, err = run_cli(["seq", "eval", "--file", str(path)])
+    assert "Traceback" not in err
+    if message is None:
+        assert code == 0 and out.startswith("value: 4")
+    else:
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == (
+            f"error: malformed sequence file: {message}")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import enum
 import itertools
 
 import pytest
@@ -112,6 +113,28 @@ class TestRado:
             rado_leq((0, 1), (2, 1))
         with pytest.raises(NotAPair):
             rado_leq("01", (0, 1))
+
+    @pytest.mark.parametrize("s", [
+        (False, True), (0, True), (0.0, 1), [0, 1], (0, 1, 2), (-1, 2),
+        (3, 3), (2, 1), "01", (), None])
+    def test_carrier_check_rejects(self, s):
+        message = f"{s!r} is not an increasing pair of naturals"
+        for check in (bqo.qo._check_rado_pair, RADO.check):
+            with pytest.raises(NotAPair) as err:
+                check(s)
+            assert str(err.value) == message
+        with pytest.raises(NotAPair) as err:
+            rado_leq((0, 1), s)
+        assert str(err.value) == message
+
+    def test_carrier_check_accepts_int_subclasses(self):
+        class Point(enum.IntEnum):
+            LOW = 2
+            HIGH = 5
+        s = (Point.LOW, Point.HIGH)
+        assert bqo.qo._check_rado_pair(s) is s
+        assert RADO.check(s) is s
+        assert rado_leq(s, (2, 7)) and not rado_leq((2, 7), s)
 
     def test_coded_carrier(self):
         assert RADO.contains((2, 9))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 from bqo.errors import DifferentBase, NotAPair
 from bqo.fronts import (
     Front,
+    ShiftPairs,
     TrivialSchema,
     UniformSchema,
     front_member,
+    front_to_dict,
     members_within,
     schreier_front,
     shift_rel,
@@ -303,36 +306,72 @@ class TestScanErrors:
     pair in witness order would, and only if the scan gets there."""
 
     @staticmethod
-    def identity_except(table: dict, log: list) -> SuperSeq:
+    def bad_except(front, table: dict, log: list) -> SuperSeq:
+        """(s[0], 100) into rado, bad on every shift pair of nonempty
+        members (t[0] sits above s[0] and below 100), except at table."""
         def v(s):
             log.append(s)
-            return table.get(s, s)
-        return SuperSeq(uniform_front(2), v, RADO, "identity")
+            return table.get(s, (s[0], 100) if s else (0, 1))
+        return SuperSeq(front, v, RADO, "bad")
 
-    # (2, 5) is first met as t; (0, 5) as s, next to an unread t
-    @pytest.mark.parametrize("member", [(2, 5), (0, 5)])
-    def test_malformed_value_raises_at_its_first_pair(self, member):
-        table = {member: (5, 3)}
-        ref_log = []
-        ref = self.identity_except(table, ref_log)
-        pairs = sorted(shift_pairs_reference(
-            members_within(uniform_front(2), 8)), key=witness_key)
-        with pytest.raises(NotAPair) as ref_err:
-            for s, t in pairs:
-                rado_leq(ref.value(s), ref.value(t))
-        log = []
-        with pytest.raises(NotAPair) as err:
-            badness_check(self.identity_except(table, log), 8)
-        assert str(err.value) == str(ref_err.value) == (
-            "(5, 3) is not an increasing pair of naturals")
-        assert log == ref_log and member in log
+    @staticmethod
+    def checked_reference(f: SuperSeq, pairs: list):
+        """The first good pair of a checked rado_leq in witness order."""
+        for s, t in pairs:
+            if rado_leq(f.value(s), f.value(t)):
+                return s, t
+        return None
+
+    # singletons (u1, Schreier), segment partners (seq), the lone ((), ())
+    # pair (trivial) and the plain extension buckets of the uniform fronts
+    @pytest.mark.parametrize("front", SHIFT_PAIR_FRONTS)
+    def test_malformed_value_raises_at_its_first_pair(self, front):
+        F, bound = SHIFT_PAIR_FRONTS[front]
+        members = members_within(F, bound)
+        pairs = sorted(shift_pairs_reference(members), key=witness_key)
+        paired = {m for pair in pairs for m in pair}
+        for member in members:
+            table = {member: (5, 3)}
+            outcomes = []
+            for scan in (lambda f: self.checked_reference(f, pairs),
+                         lambda f: badness_check(f, bound).good_witness):
+                log = []
+                try:
+                    outcomes.append((scan(self.bad_except(F, table, log)),
+                                     log))
+                except NotAPair as exc:
+                    outcomes.append((str(exc), log))
+            assert outcomes[0] == outcomes[1], member
+            result, log = outcomes[1]
+            if member in paired:
+                assert result == "(5, 3) is not an increasing pair of naturals"
+                assert member in log
+            else:
+                assert result is None and member not in log
 
     def test_good_pair_before_malformed_value(self):
         # f(1, 2) = f(0, 1) makes the first pair good; (5, 7) tops out at 7
         table = {(1, 2): (0, 1), (5, 7): (5, 3)}
-        rep = badness_check(self.identity_except(table, []), 8)
+
+        def v(s):
+            return table.get(s, s)
+        rep = badness_check(SuperSeq(uniform_front(2), v, RADO), 8)
         assert rep.good_witness == ((0, 1), (1, 2))
         assert rep.pairs_scanned == 56
+
+
+class TestScanLaziness:
+    def test_scan_builds_buckets_up_to_its_witness(self, monkeypatch):
+        built = []
+        bucket = ShiftPairs.bucket
+        monkeypatch.setattr(ShiftPairs, "bucket", lambda pairs, top: (
+            built.append(top) or bucket(pairs, top)))
+        # bucket 1 is empty on the pair front; ((0, 1), (1, 2)) is good
+        rep = badness_check(constant(uniform_front(2), 0), 40)
+        assert rep.good_witness == ((0, 1), (1, 2))
+        assert rep.pairs_scanned == len(
+            shift_pairs_reference(members_within(uniform_front(2), 40)))
+        assert built == [1, 2]
 
 
 class TestFiles:
@@ -376,6 +415,28 @@ class TestFiles:
                 "front": {"schema": "uniform", "k": 1},
                 "valuation": {"table": {"0": 3, "1": value}},
             })
+
+    @pytest.mark.parametrize("rule", ["min", "span", "minmod2"])
+    @pytest.mark.parametrize("front", [trivial_front(), uniform_front(0)])
+    def test_rules_reading_entries_refuse_the_trivial_front(self, rule,
+                                                            front):
+        message = (f"valuation rule '{rule}' needs nonempty members; the "
+                   "trivial front's only member is ()")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            named_valuation(rule, front)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            superseq_from_dict({"front": front_to_dict(front),
+                                "valuation": {"rule": rule}})
+        # a table entry for () is read instead of the rule
+        f = superseq_from_dict({"front": front_to_dict(front),
+                                "valuation": {"rule": rule,
+                                              "table": {"": 7}}})
+        assert f.value(()) == 7
+        assert named_valuation(rule, uniform_front(1))((4,)) in (0, 4)
+
+    def test_rules_reading_no_entry_take_the_trivial_front(self):
+        assert named_valuation("identity", trivial_front())(()) == ()
+        assert named_valuation("constant:3", trivial_front())(()) == 3
 
     def test_table_lists_become_tuples(self):
         f = superseq_from_dict({
