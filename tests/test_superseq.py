@@ -306,6 +306,13 @@ class TestScanErrors:
     pair in witness order would, and only if the scan gets there."""
 
     @staticmethod
+    def identity_except(table: dict, log: list) -> SuperSeq:
+        def v(s):
+            log.append(s)
+            return table.get(s, s)
+        return SuperSeq(uniform_front(2), v, RADO, "identity")
+
+    @staticmethod
     def bad_except(front, table: dict, log: list) -> SuperSeq:
         """(s[0], 100) into rado, bad on every shift pair of nonempty
         members (t[0] sits above s[0] and below 100), except at table."""
@@ -322,10 +329,28 @@ class TestScanErrors:
                 return s, t
         return None
 
+    # (2, 5) is first met as t; (0, 5) as s, next to an unread t
+    @pytest.mark.parametrize("member", [(2, 5), (0, 5)])
+    def test_malformed_value_raises_at_its_first_pair(self, member):
+        table = {member: (5, 3)}
+        ref_log = []
+        ref = self.identity_except(table, ref_log)
+        pairs = sorted(shift_pairs_reference(
+            members_within(uniform_front(2), 8)), key=witness_key)
+        with pytest.raises(NotAPair) as ref_err:
+            for s, t in pairs:
+                rado_leq(ref.value(s), ref.value(t))
+        log = []
+        with pytest.raises(NotAPair) as err:
+            badness_check(self.identity_except(table, log), 8)
+        assert str(err.value) == str(ref_err.value) == (
+            "(5, 3) is not an increasing pair of naturals")
+        assert log == ref_log and member in log
+
     # singletons (u1, Schreier), segment partners (seq), the lone ((), ())
     # pair (trivial) and the plain extension buckets of the uniform fronts
     @pytest.mark.parametrize("front", SHIFT_PAIR_FRONTS)
-    def test_malformed_value_raises_at_its_first_pair(self, front):
+    def test_malformed_value_raises_at_every_member(self, front):
         F, bound = SHIFT_PAIR_FRONTS[front]
         members = members_within(F, bound)
         pairs = sorted(shift_pairs_reference(members), key=witness_key)
