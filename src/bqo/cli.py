@@ -47,6 +47,14 @@ class CliUsageError(Exception):
     """Bad flags, unknown subcommands, unreadable or malformed inputs."""
 
 
+def _usage(fn, *args, **kwargs):
+    """fn(*args, **kwargs), reporting a ValueError as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that raises instead of calling sys.exit."""
 
@@ -218,10 +226,7 @@ def _superseq_from_args(args) -> SuperSeq:
             f"fixture {fixture!r} must look like RULE@FRONT, e.g. identity@u2")
     rule, front_token = fixture.split("@", 1)
     front = _front_from_token(front_token)
-    try:
-        val = named_valuation(rule, front)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    val = _usage(named_valuation, rule, front)
     default = _FIXTURE_CODOMAIN.get(rule.split(":", 1)[0], "omega-leq")
     codomain = _resolve_order(codomain_name or default)
     return SuperSeq(front=front, valuation=val, codomain=codomain,
@@ -312,11 +317,8 @@ def _coloring_from_args(args) -> Coloring:
             raise CliUsageError(f"malformed coloring file: {exc}") from exc
     front = _front_from_args(args)
     rule = getattr(args, "rule", None) or "sum-parity"
-    try:
-        color = named_coloring(rule)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
-    return Coloring(front=front, color=color, name=rule)
+    return Coloring(front=front, color=_usage(named_coloring, rule),
+                    name=rule)
 
 
 # --- qo group ---------------------------------------------------------------
@@ -421,10 +423,7 @@ def _cmd_rado_demo(args):
 def _cmd_front_member(args):
     F = _front_from_args(args)
     s = _parse_prefix(args.entries)
-    try:
-        ok = front_member(F, s)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    ok = _usage(front_member, F, s)
     payload = {"front": front_to_dict(F), "entries": list(s), "member": ok}
     return payload, [f"member: {_text_value(ok)}"]
 
@@ -586,22 +585,18 @@ def _cmd_game_solve(args):
                      f"ii_wins: {_text_value(res.ii_wins)}"]
 
 
-def _least_child_I(position):
-    return min(position[0].children, key=canon_key)
-
-
-def _least_child_II(position):
-    return min(position[1].children, key=canon_key)
-
-
 def _cmd_game_play(args):
     (x, y), q = _read_hsets(args, 2)
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
+
+    def least(side: int):       # the loser plays its least child
+        return lambda pos: min(pos[side].children, key=canon_key)
+
     if res.winner == "II":
-        strat_I, strat_II = _least_child_I, res.strategy
+        strat_I, strat_II = least(0), res.strategy
     else:
-        strat_I, strat_II = res.strategy, _least_child_II
+        strat_I, strat_II = res.strategy, least(1)
     t = game_play(x, y, strat_I, strat_II, q)
     payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
                "qo": args.qo, "solved_winner": res.winner,
@@ -667,11 +662,9 @@ def _cmd_game_tilde(args):
 # --- extract group ----------------------------------------------------------
 
 def _cmd_extract_ramsey(args):
-    try:
-        rep = finite_ramsey(args.n, args.k, args.r, named_coloring(args.rule),
-                            target=args.target, budget=args.budget)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    rep = _usage(lambda: finite_ramsey(
+        args.n, args.k, args.r, named_coloring(args.rule),
+        target=args.target, budget=args.budget))
     payload = {"ground": rep.window, "k": rep.k, "colors": rep.r,
                "rule": args.rule, "target": rep.target,
                "homogeneous_set": list(rep.Z), "color": rep.color,
@@ -686,10 +679,7 @@ def _cmd_extract_ramsey(args):
 
 def _cmd_extract_nw(args):
     col = _coloring_from_args(args)
-    try:
-        rep = nw_extract(col, args.window, args.target)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    rep = _usage(nw_extract, col, args.window, args.target)
     payload = {"coloring": col.name, "target": rep.target,
                "homogeneous_set": list(rep.Z), "side": rep.side,
                "members_checked": rep.members_checked,
@@ -725,10 +715,7 @@ def _cmd_extract_dichotomy(args):
 
 def _cmd_extract_laver(args):
     f = _ordered_superseq(args)
-    try:
-        rep = laver_embed(f, args.window, min_size=args.min_size)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+    rep = _usage(laver_embed, f, args.window, min_size=args.min_size)
     payload = {"sequence": f.name, "set": list(rep.X),
                "triples": {"ground": len(rep.triples.ground),
                            "homogeneous": list(rep.triples.homogeneous),

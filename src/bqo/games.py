@@ -40,8 +40,12 @@ from .fronts import members_within
 from .hset import Atom, HSet, Node, iter_atoms, node
 
 
-def _check_base(h: HSet, qo) -> None:
-    for a in dict.fromkeys(iter_atoms(h)):
+def _check_base(h: HSet, qo, seen: Optional[set] = None) -> None:
+    atoms = dict.fromkeys(iter_atoms(h))
+    if seen is not None:        # atoms checked before are skipped
+        atoms = [a for a in atoms if a not in seen]
+        seen.update(atoms)
+    for a in atoms:
         if not qo.contains(a.value):
             raise MixedBaseQO(
                 f"atom {a.value!r} is not in the carrier of the base order")
@@ -126,8 +130,11 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
     """
     _check_base(x, qo)
     _check_base(y, qo)
-    if memo is None:
-        memo = {}
+    return _solve(x, y, qo, {} if memo is None else memo)
+
+
+def _solve(x: HSet, y: HSet, qo, memo: dict) -> GameResult:
+    """game_leq on a position whose atoms are known to be in the carrier."""
     raw = getattr(qo, "raw_leq", None)
     leq = raw if raw is not None and getattr(qo, "check", None) else qo.leq
     strat: dict = {}
@@ -252,9 +259,10 @@ class StrungMultiSeq:
             consumed = max(consumed, j + 1)
             return self.xs[prefix[j]]
 
-        def i_move_stream(j: int):
+        def moves(j: int):
             # Successive moves of Player I in the j-th chained game; they
-            # double as Player II's moves in the (j-1)-th game.
+            # double as Player II's moves in the (j-1)-th game.  The first
+            # game returns its final pair of atoms.
             A, B = x_at(j), x_at(j + 1)
             child = None
             while True:
@@ -267,45 +275,45 @@ class StrungMultiSeq:
                     b = B
                 else:
                     if child is None:
-                        child = i_move_stream(j + 1)
+                        child = moves(j + 1)
                     b = next(child)
+                if j == 0 and isinstance(a, Atom) and isinstance(b, Atom):
+                    return a, b
                 A, B = a, b
 
-        A, B = x_at(0), x_at(1)
-        child = None
-        while True:
-            if isinstance(A, Atom):
-                a = A
-            else:
-                a = self._strategies[(prefix[0], prefix[1])][(A, B)]
-            if isinstance(B, Atom):
-                b = B
-            else:
-                if child is None:
-                    child = i_move_stream(1)
-                b = next(child)
-            if isinstance(a, Atom) and isinstance(b, Atom):
-                if self.qo.leq(a.value, b.value):
-                    raise InvariantViolated(
-                        "a winning strategy for I reached a comparison "
-                        "favorable to II")
-                return a.value, consumed
-            A, B = a, b
+        first = moves(0)
+        try:
+            while True:
+                next(first)
+        except StopIteration as end:
+            a, b = end.value
+        if self.qo.leq(a.value, b.value):
+            raise InvariantViolated(
+                "a winning strategy for I reached a comparison favorable "
+                "to II")
+        return a.value, consumed
 
 
 def string_strategies(xs, qo, window: Optional[int] = None) -> StrungMultiSeq:
     """Verify badness of xs below the window and chain I's strategies.
 
     Solves every pair m < n < window up front (raising NotBad on any
-    II-win) and returns the multi-sequence function.
+    II-win) and returns the multi-sequence function.  Each set is checked
+    against the carrier when a pair first uses it, as game_leq would check
+    it, and each distinct atom once.
     """
     xs = tuple(xs)
     n = len(xs) if window is None else min(window, len(xs))
     strategies = {}
     memo: dict = {}
+    seen: set = set()
+    checked = 0                 # xs[:checked] lie in the carrier
     for m in range(n):
         for k in range(m + 1, n):
-            res = game_leq(xs[m], xs[k], qo, memo=memo)
+            while checked <= k:
+                _check_base(xs[checked], qo, seen)
+                checked += 1
+            res = _solve(xs[m], xs[k], qo, memo)
             if res.winner != "I":
                 raise NotBad(
                     f"position ({m}, {k}) is a II-win; stringing requires "

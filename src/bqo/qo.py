@@ -570,17 +570,10 @@ def rado_trick_extract(downsets: Sequence[Downset], m: int) -> TrickReport:
         raise BadIndices(f"requested size {m} must be positive")
     if ds and any(d.over != ds[0].over for d in ds[1:]):
         raise MixedBaseQO("downsets live over different carriers")
-    counts: dict = {}
-    order: list = []
+    counts: dict = {}           # in order of first occurrence
     for d in ds:
-        if d.members not in counts:
-            counts[d.members] = 0
-            order.append(d.members)
-        counts[d.members] += 1
-    best = None
-    for val in order:
-        if best is None or counts[val] > counts[best]:
-            best = val
+        counts[d.members] = counts.get(d.members, 0) + 1
+    best = max(counts, key=counts.get, default=None)   # earliest of ties
     if best is None or counts[best] < m:
         have = 0 if best is None else counts[best]
         raise WindowTooSmall(

@@ -6,9 +6,10 @@ colour, the finite shadow of the Nash-Williams / Galvin-Prikry partition
 argument.  Z grows in ascending order, so a constraint is completed exactly
 when its largest point is added; the kernel asks only for the colours of
 the constraints the newest point completes.  For k-subsets these are
-generated lazily; for a family of members they come from an index keyed by
-each member's largest point.  Points are tried in ascending order, so the
-first set of any size found is the lexicographically least of that size.
+generated lazily; for a family of members they come from an index of
+member bitmasks keyed by each member's largest point.  Points are tried in
+ascending order, so the first set of any size found is the
+lexicographically least of that size.
 
 finite_ramsey finds a largest (or target-sized) subset of [0, N) all of
 whose k-subsets share one color.  nw_extract specializes to 2-colorings of
@@ -17,7 +18,8 @@ such that every member realized inside Z has one color side (side 0 tried
 before side 1).
 
 join_nodes lists the minimal prefixes that determine a member and its
-shift member, for the plain shift or any generalized shift g.
+shift member, for the plain shift or any generalized shift g, in one
+pruned walk.
 dichotomy_extract colors each join node by whether a decidable relation R
 holds between the value at the member and at its shift member, extracts a
 largest one-sided Z, and reports whether the valuation is a homomorphism
@@ -33,7 +35,6 @@ choosing least witnesses so every construction is reproducible.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,17 +130,29 @@ def _subset_colours(k: int, color: Callable[[tuple], int]):
 
 
 def member_colours(colour_of: dict):
-    """Colours of the members inside cur whose largest point is cur[-1]."""
+    """Colours of the members inside cur whose largest point is cur[-1]:
+    each member is an int bitmask (a bit per distinct point), tested as
+    mask & inside == mask against cur's mask.  The empty member is never
+    yielded."""
+    bit = {x: 1 << i for i, x in enumerate(
+        dict.fromkeys(itertools.chain.from_iterable(colour_of)))}
     by_max: dict = {}
     for s, c in colour_of.items():
         if s:
-            by_max.setdefault(max(s), []).append((frozenset(s), c))
+            mask = 0
+            for x in s:
+                mask |= bit[x]
+            by_max.setdefault(max(s), []).append((mask, c))
 
     def colours(cur: list):
-        inside = set(cur)
-        for fs, c in by_max.get(cur[-1], ()):
-            if fs <= inside:
-                yield c
+        group = by_max.get(cur[-1])
+        if group:
+            inside = 0
+            for x in cur:
+                inside |= bit.get(x, 0)
+            for mask, c in group:
+                if mask & inside == mask:
+                    yield c
     return colours
 
 
@@ -252,12 +265,9 @@ def coloring_from_dict(data: dict) -> Coloring:
 def _points_and_members(front, window: int):
     if isinstance(front, Front):
         return list(front.base.upto(window)), members_within(front, window)
-    members = sorted(tuple(s) for s in front
-                     if not s or s[-1] < window)
+    members = sorted(tuple(s) for s in front if not s or s[-1] < window)
     points = sorted({x for s in members for x in s})
     return points, members
-
-
 
 
 @dataclass(frozen=True)
@@ -318,41 +328,45 @@ def join_nodes(front: Front, window: int,
 
     Each returned triple (u, s, t) has s the unique member beginning u and
     t the unique member beginning the g-subsequence (u[g(0)], u[g(1)], ...)
-    of u; both prefixes are unique, so stopping at the first resolution
-    yields the minimal determining nodes.  For the successor (the plain
+    of u, at the first u where both resolve.  For the successor (the plain
     shift), t begins u minus its least entry and u is exactly the union of
-    s and t, of length max(|s|, |t| + 1).
+    s and t, of length max(|s|, |t| + 1).  One depth-first walk over
+    increasing tuples u carries for u and its g-subsequence the member
+    resolved, or None while it is a proper prefix of a member, and drops a
+    branch where either is neither.  g must be increasing and non-negative
+    below the window, else ValueError.
     """
     points = list(front.base.upto(window))
     picks: list = []            # g(0) < g(1) < ... below len(points)
     while (j := g(len(picks))) < len(points):
+        if j < 0 or (picks and j <= picks[-1]):
+            raise ValueError(f"g must be increasing and non-negative, but "
+                             f"g({len(picks)}) = {j}")
         picks.append(j)
-    out: list = []
     # u and g_sub(u) hold window points only, so their member prefixes are
-    # exactly the members within the window
-    members = set(members_within(front, window))
+    # the members within the window; state maps proper prefixes to None
+    members = members_within(front, window)
+    state = dict.fromkeys(s[:i] for s in members for i in range(len(s)))
+    state.update((s, s) for s in members)
+    pickset, last_pick = set(picks), picks[-1] if picks else -1
+    out: list = []
 
-    def member_prefix(u: tuple) -> Optional[tuple]:
-        for i in range(len(u) + 1):
-            if u[:i] in members:
-                return u[:i]
-        return None
-
-    def g_sub(u: tuple) -> tuple:
-        return tuple(map(u.__getitem__,
-                         picks[:bisect.bisect_left(picks, len(u))]))
-
-    def rec(u: tuple, start: int) -> None:
-        if u:
-            s = member_prefix(u)
-            t = member_prefix(g_sub(u))
-            if s is not None and t is not None:
-                out.append((u, s, t))
-                return
+    def rec(u: tuple, s, t, tu: tuple, start: int) -> None:
+        grow = t is None and len(u) in pickset
         for i in range(start, len(points)):
-            rec(u + (points[i],), i + 1)
+            v = u + (points[i],)
+            tv = tu + (points[i],) if grow else tu
+            s2 = state.get(v, False) if s is None else s
+            t2 = state.get(tv, False) if grow else t
+            if s2 is False or t2 is False:
+                continue
+            if s2 is not None and t2 is not None:
+                out.append((v, s2, t2))
+            elif t2 is not None or len(v) <= last_pick:
+                rec(v, s2, t2, tv, i + 1)
 
-    rec((), 0)
+    if members:
+        rec((), state[()], state[()], (), 0)
     return out
 
 
@@ -430,6 +444,20 @@ class LaverReport:
     pairs_checked: int
 
 
+def _require_bad_pairs(f: SuperSeq, window: int, what: str) -> None:
+    """Refuse f unless it is a pair-front sequence into a quasi-order and
+    bad on the window."""
+    schema = f.front.schema
+    if not (isinstance(schema, UniformSchema) and schema.k == 2):
+        raise ValueError(f"{what} needs a pair front")
+    if f.codomain is None:
+        raise ValueError(f"{what} needs a quasi-order codomain")
+    rep = badness_check(f, window)
+    if not rep.bad_on_window:
+        raise NotBadOnWindow(
+            f"good pair {rep.good_witness} within {window}")
+
+
 def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     """Extract X on which f embeds the two-clause pair order.
 
@@ -442,15 +470,7 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     Each value is read once; a codomain with check and raw_leq (see
     CodedQO) has it checked then and compared raw.
     """
-    schema = f.front.schema
-    if not (isinstance(schema, UniformSchema) and schema.k == 2):
-        raise ValueError("embedding extraction needs a pair front")
-    if f.codomain is None:
-        raise ValueError("embedding extraction needs a quasi-order codomain")
-    rep = badness_check(f, window)
-    if not rep.bad_on_window:
-        raise NotBadOnWindow(
-            f"good pair {rep.good_witness} within {window}")
+    _require_bad_pairs(f, window, "embedding extraction")
     raw_leq = getattr(f.codomain, "raw_leq", None)
     check = f.codomain.check if raw_leq is not None else None
     leq = raw_leq or f.codomain.leq
@@ -497,10 +517,11 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     X = tuple(N2[1:])
     violations = []
     pairs = list(itertools.combinations(X, 2))
-    for p in pairs:
-        for q in pairs:
+    read = [(p, value(p)) for p in pairs]
+    for p, vp in read:
+        for q, vq in read:
             left = RADO.raw_leq(p, q)
-            right = leq(value(p), value(q))
+            right = leq(vp, vq)
             if left != right:
                 violations.append((p, q, left, right))
     if violations:
@@ -532,20 +553,11 @@ def f2_to_powerset_badseq(f: SuperSeq, window: int) -> PowersetSeqReport:
     lies in P_m but below nothing in P_n, defeating domination.  Sets are
     window truncations and flagged as such.
     """
-    schema = f.front.schema
-    if not (isinstance(schema, UniformSchema) and schema.k == 2):
-        raise ValueError("row extraction needs a pair front")
-    if f.codomain is None:
-        raise ValueError("row extraction needs a quasi-order codomain")
-    rep = badness_check(f, window)
-    if not rep.bad_on_window:
-        raise NotBadOnWindow(
-            f"good pair {rep.good_witness} within {window}")
+    _require_bad_pairs(f, window, "row extraction")
     leq = f.codomain.leq
     points = list(f.front.base.upto(window))
-    rows = []
-    for i, m in enumerate(points[:-1]):
-        rows.append(tuple(f.value((m, n)) for n in points[i + 1:]))
+    rows = [tuple(f.value((m, n)) for n in points[i + 1:])
+            for i, m in enumerate(points[:-1])]
     witnesses = []
     confirmed = True
     for i in range(len(rows)):

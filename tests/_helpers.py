@@ -1,10 +1,12 @@
 """Shared fixtures and little oracles for the test suite."""
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from bqo.fronts import (
     UniformSchema,
+    members_within,
     schreier_front,
     seq_front,
     trivial_front,
@@ -91,6 +93,42 @@ def shift_pairs_reference(members) -> list:
                 seen.add(t)
                 pairs.append((s, t))
     return pairs
+
+
+def join_nodes_reference(front, window: int, g=lambda i: i + 1) -> list:
+    """Join nodes by an unpruned walk over every increasing tuple u of
+    window points, slicing each prefix of u and of its g-subsequence and
+    looking it up in the member set; kept as the reference for join_nodes.
+    g must be increasing, or the walk never starts."""
+    points = list(front.base.upto(window))
+    picks: list = []
+    while (j := g(len(picks))) < len(points):
+        picks.append(j)
+    out: list = []
+    members = set(members_within(front, window))
+
+    def member_prefix(u: tuple):
+        for i in range(len(u) + 1):
+            if u[:i] in members:
+                return u[:i]
+        return None
+
+    def g_sub(u: tuple) -> tuple:
+        return tuple(map(u.__getitem__,
+                         picks[:bisect.bisect_left(picks, len(u))]))
+
+    def rec(u: tuple, start: int) -> None:
+        if u:
+            s = member_prefix(u)
+            t = member_prefix(g_sub(u))
+            if s is not None and t is not None:
+                out.append((u, s, t))
+                return
+        for i in range(start, len(points)):
+            rec(u + (points[i],), i + 1)
+
+    rec((), 0)
+    return out
 
 
 def witness_key(pair) -> tuple:

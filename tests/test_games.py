@@ -642,6 +642,41 @@ class TestStringStrategies:
         with pytest.raises(InvariantViolated):
             g((0, 1, 2, 3))
 
+    def test_each_distinct_atom_is_checked_once(self):
+        # every set also holds the shared atom {0,1}; the sequence stays bad
+        window = 6
+        xs = [node(list(x.children) + [Atom((0, 1))])
+              for x in rado_powerset_sequence(window)]
+        counts: dict = {}
+
+        def contains(v):
+            counts[v] = counts.get(v, 0) + 1
+            return RADO.contains(v)
+
+        counted = dataclasses.replace(RADO, contains=contains)
+        g = string_strategies(xs, counted, window)
+        assert counts == {a.value: 1 for x in xs for a in iter_atoms(x)}
+        assert g(tuple(range(window))) == string_strategies(
+            xs, RADO, window)(tuple(range(window)))
+
+    def test_off_carrier_atom_in_a_later_set_raises_mixed_base(self):
+        xs = rado_powerset_sequence(5)
+        xs[2] = node([Atom((5, 3))])
+        with pytest.raises(MixedBaseQO, match=r"\(5, 3\)"):
+            string_strategies(xs, RADO)
+
+    def test_ii_win_before_an_off_carrier_set_raises_not_bad(self):
+        xs = rado_powerset_sequence(5)
+        xs[1] = xs[0]
+        xs[3] = node([Atom("x")])
+        with pytest.raises(NotBad, match=r"\(0, 1\)"):
+            string_strategies(xs, RADO)
+
+    def test_sets_beyond_the_window_or_without_a_pair_are_not_checked(self):
+        xs = rado_powerset_sequence(4) + [node([Atom("x")])]
+        assert string_strategies(xs, RADO, 4).window == 4
+        assert string_strategies([node([Atom("x")])], RADO).window == 1
+
     def test_local_constancy(self):
         window = 8
         xs = rado_powerset_sequence(window)

@@ -41,8 +41,11 @@ from bqo.ramsey import (
     nw_extract,
     powerset_badseq_to_f2,
 )
-from bqo.streams import InfSet
+from bqo.shifts import parse_inj
+from bqo.streams import InfSet, odds
 from bqo.superseq import SuperSeq, badness_check, named_valuation, perfect_check
+
+from _helpers import SHIFT_PAIR_FRONTS, join_nodes_reference
 
 OMEGA_EQ = CodedQO(
     name="omega-eq",
@@ -319,6 +322,10 @@ class TestHomogeneous:
             assert list(Homogeneous(points, colours, side)) == want
 
 
+JOIN_FRONTS = {name: front for name, (front, _) in SHIFT_PAIR_FRONTS.items()}
+JOIN_FRONTS["schreier-odds"] = schreier_front(odds())
+
+
 class TestJoinNodes:
     def test_pair_front_joins_are_triples(self):
         joins = join_nodes(uniform_front(2), 5)
@@ -349,6 +356,68 @@ class TestJoinNodes:
         # members sized by least entry: joins group by their two least points
         joins = join_nodes(schreier_front(), 6)
         assert len(joins) == 10
+
+    @pytest.mark.parametrize("shift", ["succ", "affine:1,2", "affine:2,0",
+                                       "affine:2,1"])
+    @pytest.mark.parametrize("name", sorted(JOIN_FRONTS))
+    def test_matches_the_unpruned_reference_walk(self, name, shift):
+        front = JOIN_FRONTS[name]
+        for window in range(13):
+            g = parse_inj(shift)
+            assert join_nodes(front, window, g) == \
+                join_nodes_reference(front, window, g), window
+
+    @pytest.mark.parametrize("g", [lambda i: 0, lambda i: -1,
+                                   lambda i: i - 1, lambda i: 3 - i,
+                                   lambda i: min(i, 2)])
+    def test_g_not_increasing_and_non_negative_is_refused(self, g):
+        with pytest.raises(ValueError, match="increasing and non-negative"):
+            join_nodes(uniform_front(2), 8, g)
+
+    def test_g_beyond_the_window_gives_no_g_subsequence(self):
+        # no pick below the window: t is never resolved on a nonempty front
+        assert join_nodes(uniform_front(2), 5, lambda i: 5 + i) == []
+        assert join_nodes(trivial_front(), 3, lambda i: 5 + i) == [
+            ((0,), (), ()), ((1,), (), ()), ((2,), (), ())]
+
+
+def brute_colours(family: dict, cur) -> list:
+    return sorted(c for s, c in family.items()
+                  if s and s[-1] == cur[-1] and set(s) <= set(cur))
+
+
+class TestMemberColours:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_brute_force(self, seed):
+        # up to 90 distinct points, some far above 64: masks span several
+        # machine words; the empty member is in every family
+        rng = random.Random(seed)
+        spread = rng.choice([1, 3, 7, 50])
+        points = sorted(rng.sample(range(0, 100 * spread, spread),
+                                   rng.randint(5, 90)))
+        family = {(): rng.randrange(2)}
+        for _ in range(rng.randint(1, 200)):
+            s = tuple(sorted(rng.sample(points, rng.randint(1, 4))))
+            family[s] = rng.randrange(3)
+        colours = member_colours(family)
+        members = [s for s in family if s]
+        for _ in range(300):
+            picked = set(rng.choice(members))
+            picked.update(rng.sample(points, rng.randint(0, 6)))
+            cur = sorted(picked)
+            assert sorted(colours(cur)) == brute_colours(family, cur), cur
+            cur = cur[:rng.randint(1, len(cur))]
+            assert sorted(colours(cur)) == brute_colours(family, cur), cur
+
+    def test_points_outside_every_member_and_sparse_bases(self):
+        family = {(): 1, (2,): 0, (2, 100): 1, (64, 100): 0, (100,): 1,
+                  (1000, 10 ** 6): 0}
+        colours = member_colours(family)
+        assert sorted(colours([2, 64, 100])) == [0, 1, 1]
+        assert sorted(colours([2, 5, 100])) == [1, 1]
+        assert list(colours([5])) == []
+        assert list(colours([1000, 10 ** 6])) == [0]
+        assert list(colours([10 ** 6])) == []
 
 
 def listed_base(points):
@@ -555,6 +624,37 @@ class TestLaverEmbed:
         after_scan = checked[len(scanned):]
         assert after_scan
         assert len(after_scan) == len(set(after_scan))
+
+    def test_violations_match_a_reference_loop(self):
+        # the perturbation makes some same-first-entry pairs comparable
+        # downwards; stage and shift-pair comparisons never meet it, so
+        # X is still 1..11 and only the verification disagrees
+        def perturbed_leq(a, b):
+            flip = a[0] == b[0] and a[1] > b[1] and (a[0] + b[1]) % 3 == 0
+            return rado_leq(a, b) != flip
+
+        pert = CodedQO(name="rado-perturbed", contains=RADO.contains,
+                       leq=perturbed_leq, key=RADO.key, fmt=RADO.fmt)
+        f = SuperSeq(front=uniform_front(2),
+                     valuation=named_valuation("identity"), codomain=pert,
+                     name="identity-perturbed")
+        with pytest.raises(EmbeddingCheckFailed) as exc:
+            laver_embed(f, 12)
+        pairs = list(itertools.combinations(range(1, 12), 2))
+        want = [(p, q, rado_leq(p, q), perturbed_leq(p, q))
+                for p in pairs for q in pairs
+                if rado_leq(p, q) != perturbed_leq(p, q)]
+        assert want
+        assert exc.value.pairs == want
+
+    @pytest.mark.parametrize("pair", [(1, 2), (3, 9), (10, 11)])
+    def test_malformed_value_inside_X_raises_not_a_pair(self, pair):
+        f = SuperSeq(front=uniform_front(2),
+                     valuation=lambda s: (9, 3) if s == pair else tuple(s),
+                     codomain=RADO, name="one-malformed")
+        with pytest.raises(NotAPair, match=re.escape(
+                "(9, 3) is not an increasing pair of naturals")):
+            laver_embed(f, 12)
 
     def test_malformed_value_raises_the_carrier_error(self):
         # (0, 7) is in no shift pair below 8, so the badness scan never
