@@ -343,8 +343,8 @@ def join_nodes(front: Front, window: int,
             raise ValueError(f"g must be increasing and non-negative, but "
                              f"g({len(picks)}) = {j}")
         picks.append(j)
-    # u and g_sub(u) hold window points only, so their member prefixes are
-    # the members within the window; state maps proper prefixes to None
+    # u and its g-subsequence hold window points only, so their member
+    # prefixes are window members; state maps proper prefixes to None
     members = members_within(front, window)
     state = dict.fromkeys(s[:i] for s in members for i in range(len(s)))
     state.update((s, s) for s in members)
