@@ -259,7 +259,7 @@ class StrungMultiSeq:
             consumed = max(consumed, j + 1)
             return self.xs[prefix[j]]
 
-        def moves(j: int):
+        def i_move_stream(j: int):
             # Successive moves of Player I in the j-th chained game; they
             # double as Player II's moves in the (j-1)-th game.  The first
             # game returns its final pair of atoms.
@@ -275,13 +275,13 @@ class StrungMultiSeq:
                     b = B
                 else:
                     if child is None:
-                        child = moves(j + 1)
+                        child = i_move_stream(j + 1)
                     b = next(child)
                 if j == 0 and isinstance(a, Atom) and isinstance(b, Atom):
                     return a, b
                 A, B = a, b
 
-        first = moves(0)
+        first = i_move_stream(0)
         try:
             while True:
                 next(first)
