@@ -13,6 +13,10 @@ and seed it was produced under.
 An invocation that names a group and one of its commands builds only that
 command's parser; any other argv builds them all, so help, version and
 usage errors list every choice.
+
+Each handler returns its report payload and the text lines that show it
+(None for plain ``key: value`` lines in payload order), and routes every
+input error through ``_usage`` so that it exits 2 with one message.
 """
 from __future__ import annotations
 
@@ -23,9 +27,10 @@ from typing import Any, Callable, Optional
 
 from . import __version__
 from .errors import DomainError
-from .fronts import (Front, front_from_dict, front_member, front_step,
-                     front_to_dict, front_verify, members_within, rank, ray,
-                     restrict, schreier_front, trivial_front, uniform_front)
+from .fronts import (Front, check_front_element, front_from_dict,
+                     front_member, front_step, front_to_dict, front_verify,
+                     members_within, rank, ray, restrict, schreier_front,
+                     trivial_front, uniform_front)
 from .games import (game_leq, game_play, string_strategies, tilde_build)
 from .hset import (Atom, Node, canon_key, depth, hset_to_sexpr, node,
                    parse_sexpr, supp)
@@ -47,12 +52,12 @@ class CliUsageError(Exception):
     """Bad flags, unknown subcommands, unreadable or malformed inputs."""
 
 
-def _usage(fn, *args, **kwargs):
-    """fn(*args, **kwargs), reporting a ValueError as a usage error."""
+def _usage(fn, *args, what: str = "", errors=(ValueError,)):
+    """fn(*args), reporting one of `errors` as a usage error, after `what`."""
     try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from exc
+        return fn(*args)
+    except errors as exc:
+        raise CliUsageError(f"{what}: {exc}" if what else str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,10 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _subcommand_listing() -> str:
-    lines = ["valid subcommands:"]
-    for group, cmds in SUBCOMMANDS.items():
-        lines.append(f"  {group}: {', '.join(cmds)}")
-    return "\n".join(lines)
+    return "\n".join(["valid subcommands:"] + [
+        f"  {g}: {', '.join(cmds)}" for g, cmds in SUBCOMMANDS.items()])
 
 
 # --- serialization ----------------------------------------------------------
@@ -111,6 +114,17 @@ def _emit(args, command: str, payload: dict, text_lines: Optional[list] = None):
             print(line)
 
 
+def _fields(report, *names) -> dict:
+    """Payload entries copied from a report's fields of the same names."""
+    return {name: getattr(report, name) for name in names}
+
+
+def _lines(args, payload: dict, *keys) -> list:
+    """``key: value`` text lines for payload keys; 'window' reads --window."""
+    return [f"{k}: {_text_value(args.window if k == 'window' else payload[k])}"
+            for k in keys]
+
+
 # --- shared input helpers ---------------------------------------------------
 
 def _load_json(path: str) -> dict:
@@ -130,17 +144,24 @@ def _qo_from_data(data: dict) -> FiniteQO:
     except (KeyError, TypeError) as exc:
         raise CliUsageError(
             "order file needs 'elements' and 'pairs' keys") from exc
-    elements = [tuple(e) if isinstance(e, list) else e for e in elements]
-    pairs = [tuple(tuple(x) if isinstance(x, list) else x for x in p)
-             for p in pairs]
-    return qo_validate(elements, pairs)
+    return _usage(lambda: qo_validate(
+        [_hashable(e) for e in elements],
+        [tuple(map(_hashable, p)) for p in pairs]),
+        what="malformed order file", errors=(TypeError, ValueError))
+
+
+def _hashable(x):
+    """A JSON list as a tuple, so that it can be a carrier element."""
+    return tuple(x) if isinstance(x, list) else x
+
+
+def _related_pairs(q: FiniteQO) -> int:
+    return sum(r.bit_count() for r in q.rows)
 
 
 def _resolve_order(name: str):
-    try:
-        return resolve_qo(name)
-    except (ValueError, KeyError) as exc:
-        raise CliUsageError(f"unknown base order {name!r}: {exc}") from exc
+    return _usage(resolve_qo, name, what=f"unknown base order {name!r}",
+                  errors=(ValueError, KeyError))
 
 
 def _parse_element(q, text: str):
@@ -158,34 +179,29 @@ def _parse_element(q, text: str):
 
 
 def _parse_base_arg(descriptor: str):
-    try:
-        return parse_base(descriptor)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliUsageError(
-            f"bad infinite-set descriptor {descriptor!r}: {exc}") from exc
+    return _usage(parse_base, descriptor,
+                  what=f"bad infinite-set descriptor {descriptor!r}",
+                  errors=(ValueError, KeyError, TypeError))
 
 
 def _front_from_args(args) -> Front:
-    if getattr(args, "front_file", None):
-        return front_from_dict(_load_json(args.front_file))
-    schema = getattr(args, "schema", None)
-    if schema is None:
+    if args.front_file:
+        data = _load_json(args.front_file)
+        if not isinstance(data, dict):
+            raise CliUsageError(
+                f"front file {args.front_file} must hold a JSON object")
+        return _usage(front_from_dict, data, what="malformed front file",
+                      errors=(KeyError, TypeError, ValueError))
+    if args.schema is None:
         raise CliUsageError("need --schema or --front-file")
-    base = _parse_base_arg(getattr(args, "base", None) or "omega")
-    if schema == "trivial":
+    base = _parse_base_arg(args.base or "omega")
+    if args.schema == "trivial":
         return trivial_front(base)
-    if schema == "schreier":
+    if args.schema == "schreier":
         return schreier_front(base)
-    if schema == "uniform":
-        k = getattr(args, "k", None)
-        if k is None:
-            raise CliUsageError("--schema uniform needs --k")
-        try:
-            return uniform_front(k, base)
-        except ValueError as exc:
-            raise CliUsageError(f"bad --k {k}: {exc}") from exc
-    raise CliUsageError(
-        f"unknown schema {schema!r}: expected trivial, uniform, or schreier")
+    if args.k is None:      # argparse limits --schema to its three choices
+        raise CliUsageError("--schema uniform needs --k")
+    return _usage(uniform_front, args.k, base, what=f"bad --k {args.k}")
 
 
 # Named super-sequence fixtures: "<rule>@<front>" with a default codomain
@@ -200,25 +216,23 @@ def _front_from_token(token: str) -> Front:
         return schreier_front()
     if token == "trivial":
         return trivial_front()
-    if token.startswith("u") and token[1:].isdigit():
-        return uniform_front(int(token[1:]))
-    if token.startswith("uniform:"):
-        return uniform_front(int(token.split(":", 1)[1]))
+    arity = token[8:] if token.startswith("uniform:") else token[1:]
+    if token.startswith("uniform:") or (token[:1] == "u" and arity.isdigit()):
+        return _usage(lambda: uniform_front(int(arity)),
+                      what=f"bad front token {token!r}")
     raise CliUsageError(
         f"unknown front token {token!r}: expected uN, uniform:N, "
         "schreier, or trivial")
 
 
 def _superseq_from_args(args) -> SuperSeq:
-    codomain_name = getattr(args, "codomain", None)
-    if getattr(args, "file", None):
+    if args.file:
         data = _load_json(args.file)
-        codomain = _resolve_order(codomain_name) if codomain_name else None
-        try:
-            return superseq_from_dict(data, codomain)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliUsageError(f"malformed sequence file: {exc}") from exc
-    fixture = getattr(args, "fixture", None)
+        codomain = _resolve_order(args.codomain) if args.codomain else None
+        return _usage(superseq_from_dict, data, codomain,
+                      what="malformed sequence file",
+                      errors=(KeyError, TypeError, ValueError))
+    fixture = args.fixture
     if not fixture:
         raise CliUsageError("need --fixture RULE@FRONT or --file PATH")
     if "@" not in fixture:
@@ -228,7 +242,7 @@ def _superseq_from_args(args) -> SuperSeq:
     front = _front_from_token(front_token)
     val = _usage(named_valuation, rule, front)
     default = _FIXTURE_CODOMAIN.get(rule.split(":", 1)[0], "omega-leq")
-    codomain = _resolve_order(codomain_name or default)
+    codomain = _resolve_order(args.codomain or default)
     return SuperSeq(front=front, valuation=val, codomain=codomain,
                     name=fixture)
 
@@ -255,15 +269,11 @@ def _parse_prefix(text: str) -> tuple:
 
 
 def _atom_parser(q) -> Callable[[str], Any]:
-    if isinstance(q, CodedQO) and q.parse is not None:
-        return q.parse
-    return lambda t: int(t)
+    return q.parse if isinstance(q, CodedQO) and q.parse is not None else int
 
 
 def _atom_fmt(q) -> Callable[[Any], str]:
-    if isinstance(q, CodedQO) and q.fmt is not None:
-        return q.fmt
-    return str
+    return q.fmt if isinstance(q, CodedQO) and q.fmt is not None else str
 
 
 def _split_sexprs(text: str) -> list:
@@ -288,35 +298,34 @@ def _split_sexprs(text: str) -> list:
     return out
 
 
-def _read_hsets(args, count: int) -> list:
-    """Read `count` hereditary sets from argv or, when 'x' is '-', stdin."""
+def _parse_hset(q, text: str):
+    return _usage(parse_sexpr, text, _atom_parser(q),
+                  what="cannot parse s-expression",
+                  errors=(ValueError, TypeError))
+
+
+def _read_hset_pair(args) -> tuple:
+    """Read two hereditary sets from argv or, when 'x' is '-', stdin."""
     q = _resolve_order(args.qo)
-    parse_atom = _atom_parser(q)
     if args.x == "-":
         texts = _split_sexprs(sys.stdin.read())
-        if len(texts) < count:
+        if len(texts) < 2:
             raise CliUsageError(
-                f"expected {count} s-expressions on stdin, got {len(texts)}")
-        texts = texts[:count]
+                f"expected 2 s-expressions on stdin, got {len(texts)}")
     else:
-        texts = [args.x, args.y][:count]
-        if any(t is None for t in texts):
-            raise CliUsageError(f"expected {count} s-expression arguments")
-    try:
-        return [parse_sexpr(t, parse_atom) for t in texts], q
-    except (ValueError, TypeError) as exc:
-        raise CliUsageError(f"cannot parse s-expression: {exc}") from exc
+        texts = [args.x, args.y]
+        if args.y is None:
+            raise CliUsageError("expected 2 s-expression arguments")
+    return [_parse_hset(q, t) for t in texts[:2]], q
 
 
 def _coloring_from_args(args) -> Coloring:
-    if getattr(args, "coloring", None):
-        data = _load_json(args.coloring)
-        try:
-            return coloring_from_dict(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliUsageError(f"malformed coloring file: {exc}") from exc
+    if args.coloring:
+        return _usage(coloring_from_dict, _load_json(args.coloring),
+                      what="malformed coloring file",
+                      errors=(KeyError, TypeError, ValueError))
     front = _front_from_args(args)
-    rule = getattr(args, "rule", None) or "sum-parity"
+    rule = args.rule or "sum-parity"
     return Coloring(front=front, color=_usage(named_coloring, rule),
                     name=rule)
 
@@ -324,9 +333,8 @@ def _coloring_from_args(args) -> Coloring:
 # --- qo group ---------------------------------------------------------------
 
 def _cmd_qo_validate(args):
-    data = _load_json(args.path)
-    q = _qo_from_data(data)
-    n_pairs = sum(1 for a in q.elements for b in q.elements if q.leq(a, b))
+    q = _qo_from_data(_load_json(args.path))
+    n_pairs = _related_pairs(q)
     payload = {"valid": True, "elements": len(q.elements),
                "leq_pairs": n_pairs}
     return payload, [f"valid: true ({len(q.elements)} elements, "
@@ -339,21 +347,24 @@ def _cmd_qo_relations(args):
     a = _parse_element(q, args.a)
     b = _parse_element(q, args.b)
     rec = derived_relations(q, a, b)
-    payload = {"a": a, "b": b, "leq": rec.leq, "geq": rec.geq,
-               "equiv": rec.equiv, "strict": rec.strict,
-               "incomparable": rec.incomparable}
+    payload = {"a": a, "b": b, **_fields(
+        rec, "leq", "geq", "equiv", "strict", "incomparable")}
     return payload, None
+
+
+def _qo_result(word: str, R: FiniteQO):
+    """The report of a constructed order: its size and related pairs."""
+    n_pairs = _related_pairs(R)
+    payload = {"elements": len(R.elements), "leq_pairs": n_pairs,
+               "carrier": R.elements}
+    return payload, [f"{word}: {len(R.elements)} elements, "
+                     f"{n_pairs} related pairs"]
 
 
 def _cmd_qo_product(args):
     P = _qo_from_data(_load_json(args.left))
     Q = _qo_from_data(_load_json(args.right))
-    R = product_qo(P, Q)
-    n_pairs = sum(1 for a in R.elements for b in R.elements if R.leq(a, b))
-    payload = {"elements": len(R.elements), "leq_pairs": n_pairs,
-               "carrier": list(R.elements)}
-    return payload, [f"product: {len(R.elements)} elements, "
-                     f"{n_pairs} related pairs"]
+    return _qo_result("product", product_qo(P, Q))
 
 
 def _cmd_qo_sum(args):
@@ -361,7 +372,7 @@ def _cmd_qo_sum(args):
     try:
         index = _qo_from_data(data["index"])
         parts = data["parts"]
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise CliUsageError(
             "sum file needs 'index' and 'parts' keys") from exc
     family = {}
@@ -370,52 +381,35 @@ def _cmd_qo_sum(args):
         if key not in parts:
             raise CliUsageError(f"no part for index element {key!r}")
         family[e] = _qo_from_data(parts[key])
-    R = sum_along_poset(index, family)
-    n_pairs = sum(1 for a in R.elements for b in R.elements if R.leq(a, b))
-    payload = {"elements": len(R.elements), "leq_pairs": n_pairs,
-               "carrier": list(R.elements)}
-    return payload, [f"sum: {len(R.elements)} elements, "
-                     f"{n_pairs} related pairs"]
+    return _qo_result("sum", sum_along_poset(index, family))
 
 
 # --- rado group -------------------------------------------------------------
 
 def _cmd_rado_witness(args):
     rep = rado_antichain_witness(args.m, args.n)
-    payload = {"pair": list(rep.pair), "generator_witness":
-               list(rep.generator_witness), "scan_bound": rep.scan_bound,
-               "in_lower_downset": rep.in_lower_downset,
-               "in_upper_downset": rep.in_upper_downset}
+    payload = _fields(rep, "pair", "generator_witness", "scan_bound",
+                      "in_lower_downset", "in_upper_downset")
     m, n = rep.pair
-    w = rep.generator_witness
     return payload, [
-        f"pair ({m},{n}) vs ({n},?): witness {w} lies below ({m},{n}) "
-        f"but below no ({n},k) with k <= {rep.scan_bound}",
-        f"in_lower_downset: {_text_value(rep.in_lower_downset)}",
-        f"in_upper_downset: {_text_value(rep.in_upper_downset)}",
-    ]
+        f"pair ({m},{n}) vs ({n},?): witness {rep.generator_witness} lies "
+        f"below ({m},{n}) but below no ({n},k) with k <= {rep.scan_bound}",
+        *_lines(args, payload, "in_lower_downset", "in_upper_downset")]
 
 
 def _cmd_rado_demo(args):
     bound = args.window
-    pairs = [(m, n) for m in range(bound) for n in range(m + 1, bound)]
-    confirmed = 0
-    sample = None
-    for m, n in pairs:
-        rep = rado_antichain_witness(m, n)
-        if rep.in_lower_downset and not rep.in_upper_downset:
-            confirmed += 1
-            if sample is None:
-                sample = rep
-    payload = {"pairs_checked": len(pairs), "confirmed": confirmed,
-               "all_confirmed": confirmed == len(pairs),
-               "sample_witness": list(sample.generator_witness)
-               if sample else None}
+    reps = [rado_antichain_witness(m, n)
+            for m in range(bound) for n in range(m + 1, bound)]
+    good = [r for r in reps if r.in_lower_downset and not r.in_upper_downset]
+    payload = {"pairs_checked": len(reps), "confirmed": len(good),
+               "all_confirmed": len(good) == len(reps),
+               "sample_witness": good[0].generator_witness if good else None}
     return payload, [
-        f"window: {bound}",
-        f"checked {len(pairs)} generator pairs, {confirmed} antichain "
+        *_lines(args, payload, "window"),
+        f"checked {len(reps)} generator pairs, {len(good)} antichain "
         "witnesses confirmed",
-        f"all_confirmed: {_text_value(confirmed == len(pairs))}"]
+        *_lines(args, payload, "all_confirmed")]
 
 
 # --- front group ------------------------------------------------------------
@@ -423,19 +417,17 @@ def _cmd_rado_demo(args):
 def _cmd_front_member(args):
     F = _front_from_args(args)
     s = _parse_prefix(args.entries)
-    ok = _usage(front_member, F, s)
-    payload = {"front": front_to_dict(F), "entries": list(s), "member": ok}
-    return payload, [f"member: {_text_value(ok)}"]
+    payload = {"front": front_to_dict(F), "entries": s,
+               "member": _usage(front_member, F, s)}
+    return payload, _lines(args, payload, "member")
 
 
 def _cmd_front_step(args):
     F = _front_from_args(args)
-    Y = _parse_base_arg(args.at)
-    res = front_step(F, Y)
+    res = front_step(F, _parse_base_arg(args.at))
     payload = {"front": front_to_dict(F), "at": args.at,
-               "member": list(res.member), "modulus": res.modulus}
-    return payload, [f"member: {list(res.member)}",
-                     f"modulus: {res.modulus}"]
+               **_fields(res, "member", "modulus")}
+    return payload, _lines(args, payload, "member", "modulus")
 
 
 def _cmd_front_ray(args):
@@ -443,86 +435,76 @@ def _cmd_front_ray(args):
     R = ray(F, args.n)
     payload = {"front": front_to_dict(F), "n": args.n,
                "ray": front_to_dict(R), "ray_rank": str(rank(R))}
-    return payload, [f"ray: {json.dumps(front_to_dict(R), sort_keys=True)}",
-                     f"ray_rank: {rank(R)}"]
+    return payload, _lines(args, payload, "ray", "ray_rank")
 
 
 def _cmd_front_restrict(args):
     F = _front_from_args(args)
-    Z = _parse_base_arg(args.to)
-    R = restrict(F, Z)
+    R = restrict(F, _parse_base_arg(args.to))
     payload = {"front": front_to_dict(F), "to": args.to,
                "restricted": front_to_dict(R)}
-    return payload, [
-        f"restricted: {json.dumps(front_to_dict(R), sort_keys=True)}"]
+    return payload, _lines(args, payload, "restricted")
 
 
 def _cmd_front_rank(args):
     F = _front_from_args(args)
-    r = rank(F)
-    payload = {"front": front_to_dict(F), "rank": str(r)}
-    return payload, [str(r)]
+    payload = {"front": front_to_dict(F), "rank": str(rank(F))}
+    return payload, [payload["rank"]]
 
 
 def _cmd_front_verify(args):
-    if getattr(args, "family", None):
+    if args.family:
         data = _load_json(args.family)
         try:
             F = [tuple(m) for m in data["members"]]
         except (KeyError, TypeError) as exc:
             raise CliUsageError(
                 "family file needs a 'members' list") from exc
+        for m in F:
+            _usage(check_front_element, m, what="malformed family file")
     else:
         F = _front_from_args(args)
     descriptors = [d for d in (args.samples or "omega;evens;odds").split(";")
                    if d.strip()]
-    try:
-        samples = [parse_base(d.strip()) for d in descriptors]
-    except (ValueError, KeyError) as exc:
-        raise CliUsageError(f"bad sample descriptor: {exc}") from exc
+    samples = [_usage(parse_base, d.strip(), what="bad sample descriptor",
+                      errors=(ValueError, KeyError)) for d in descriptors]
     rep = front_verify(F, samples, args.window)
-    payload = {"base_ok": rep.base_ok, "segment_free": rep.segment_free,
-               "segment_violation": rep.segment_violation,
-               "density": [{"sample": p.sample,
-                            "member": list(p.member) if p.member else None,
+    payload = {**_fields(rep, "base_ok", "segment_free", "segment_violation",
+                         "passed"),
+               "density": [{"sample": p.sample, "member": p.member or None,
                             "modulus": p.modulus, "error": p.error}
-                           for p in rep.density],
-               "passed": rep.passed}
-    lines = [f"window: {rep.window}",
-             f"base_ok: {_text_value(rep.base_ok)}",
-             f"segment_free: {_text_value(rep.segment_free)}"]
+                           for p in rep.density]}
+    lines = _lines(args, payload, "window", "base_ok", "segment_free")
     for p in rep.density:
         if p.error:
             lines.append(f"  {p.sample}: {p.error}")
         else:
             lines.append(f"  {p.sample}: member {list(p.member)} "
                          f"at modulus {p.modulus}")
-    lines.append(f"passed: {_text_value(rep.passed)}")
-    return payload, lines
+    return payload, lines + _lines(args, payload, "passed")
 
 
 # --- seq group --------------------------------------------------------------
 
+def _relation(args, f: SuperSeq):
+    """The --relation flag as a predicate on f's values."""
+    return (lambda a, b: a == b) if args.relation == "eq" else f.codomain.leq
+
+
 def _cmd_seq_eval(args):
     f = _superseq_from_args(args)
-    Y = _parse_base_arg(args.at)
-    res = eval_up(f, Y)
-    payload = {"sequence": f.name, "at": args.at, "value": res.value,
-               "member": list(res.member), "modulus": res.modulus}
-    return payload, [f"value: {_text_value(res.value)}",
-                     f"member: {list(res.member)}",
-                     f"modulus: {res.modulus}"]
+    res = eval_up(f, _parse_base_arg(args.at))
+    payload = {"sequence": f.name, "at": args.at,
+               **_fields(res, "value", "member", "modulus")}
+    return payload, _lines(args, payload, "value", "member", "modulus")
 
 
 def _cmd_seq_spare(args):
     f = _superseq_from_args(args)
     rep = spare_check(f, args.window)
-    payload = {"sequence": f.name, "search_bound": rep.search_bound,
-               "holds": rep.holds,
-               "failure": list(rep.failure) if rep.failure else None}
-    return payload, [f"window: {rep.window}",
-                     f"holds: {_text_value(rep.holds)}",
-                     f"failure: {_text_value(payload['failure'])}"]
+    payload = {"sequence": f.name, "failure": rep.failure or None,
+               **_fields(rep, "search_bound", "holds")}
+    return payload, _lines(args, payload, "window", "holds", "failure")
 
 
 def _cmd_seq_sparsify(args):
@@ -532,8 +514,7 @@ def _cmd_seq_sparsify(args):
               for s in members_within(out.front, args.window)}
     payload = {"sequence": f.name, "result": out.name,
                "front": front_to_dict(out.front), "values": values}
-    lines = [f"result: {out.name}",
-             f"front: {json.dumps(front_to_dict(out.front), sort_keys=True)}"]
+    lines = _lines(args, payload, "result", "front")
     for k in sorted(values, key=lambda t: tuple(map(int, t.split(",")))):
         lines.append(f"  f({k}) = {_text_value(values[k])}")
     return payload, lines
@@ -542,51 +523,35 @@ def _cmd_seq_sparsify(args):
 def _cmd_seq_bad(args):
     f = _ordered_superseq(args)
     rep = badness_check(f, args.window)
-    payload = {"sequence": f.name,
-               "good_witness": [list(rep.good_witness[0]),
-                                list(rep.good_witness[1])]
-               if rep.good_witness else None,
-               "bad_on_window": rep.bad_on_window,
-               "pairs_scanned": rep.pairs_scanned}
-    return payload, [f"window: {rep.window}",
-                     f"bad_on_window: {_text_value(rep.bad_on_window)}",
-                     f"good_witness: {_text_value(payload['good_witness'])}",
-                     f"pairs_scanned: {rep.pairs_scanned}"]
+    payload = {"sequence": f.name, **_fields(
+        rep, "good_witness", "bad_on_window", "pairs_scanned")}
+    return payload, _lines(args, payload, "window", "bad_on_window",
+                           "good_witness", "pairs_scanned")
 
 
 def _cmd_seq_perfect(args):
     f = _ordered_superseq(args)
-    if args.relation == "eq":
-        R = lambda a, b: a == b  # noqa: E731
-    else:
-        R = f.codomain.leq
-    rep = perfect_check(f, R, args.window)
+    rep = perfect_check(f, _relation(args, f), args.window)
     payload = {"sequence": f.name, "relation": args.relation,
-               "holds": rep.holds,
-               "violation": [list(rep.violation[0]), list(rep.violation[1])]
-               if rep.violation else None,
-               "pairs_scanned": rep.pairs_scanned}
-    return payload, [f"window: {rep.window}",
-                     f"holds: {_text_value(rep.holds)}",
-                     f"violation: {_text_value(payload['violation'])}",
-                     f"pairs_scanned: {rep.pairs_scanned}"]
+               **_fields(rep, "holds", "violation", "pairs_scanned")}
+    return payload, _lines(args, payload, "window", "holds", "violation",
+                           "pairs_scanned")
 
 
 # --- game group -------------------------------------------------------------
 
 def _cmd_game_solve(args):
-    (x, y), q = _read_hsets(args, 2)
+    (x, y), q = _read_hset_pair(args)
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
     payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
-               "qo": args.qo, "winner": res.winner, "ii_wins": res.ii_wins,
-               "strategy_size": len(res.strategy)}
-    return payload, [f"winner: {res.winner}",
-                     f"ii_wins: {_text_value(res.ii_wins)}"]
+               "qo": args.qo, "strategy_size": len(res.strategy),
+               **_fields(res, "winner", "ii_wins")}
+    return payload, _lines(args, payload, "winner", "ii_wins")
 
 
 def _cmd_game_play(args):
-    (x, y), q = _read_hsets(args, 2)
+    (x, y), q = _read_hset_pair(args)
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
 
@@ -598,16 +563,14 @@ def _cmd_game_play(args):
     else:
         strat_I, strat_II = res.strategy, least(1)
     t = game_play(x, y, strat_I, strat_II, q)
+    rounds = [[hset_to_sexpr(a, fmt), hset_to_sexpr(b, fmt)]
+              for a, b in t.rounds]
     payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
                "qo": args.qo, "solved_winner": res.winner,
-               "play_winner": t.winner,
-               "rounds": [[hset_to_sexpr(a, fmt), hset_to_sexpr(b, fmt)]
-                          for a, b in t.rounds],
+               "play_winner": t.winner, "rounds": rounds,
                "final": [fmt(v) for v in t.final], "comparison": t.comparison}
-    lines = []
-    for i, (a, b) in enumerate(t.rounds):
-        lines.append(f"round {i}: I plays {hset_to_sexpr(a, fmt)}, "
-                     f"II plays {hset_to_sexpr(b, fmt)}")
+    lines = [f"round {i}: I plays {a}, II plays {b}"
+             for i, (a, b) in enumerate(rounds)]
     lines.append(f"final atoms: {fmt(t.final[0])} vs {fmt(t.final[1])} "
                  f"(comparison: {_text_value(t.comparison)})")
     lines.append(f"winner: {t.winner}")
@@ -617,15 +580,12 @@ def _cmd_game_play(args):
 def _cmd_game_supp(args):
     q = _resolve_order(args.qo)
     fmt = _atom_fmt(q)
-    try:
-        x = parse_sexpr(args.x, _atom_parser(q))
-    except (ValueError, TypeError) as exc:
-        raise CliUsageError(f"cannot parse s-expression: {exc}") from exc
-    atoms = sorted(supp(x), key=repr)
+    x = _parse_hset(q, args.x)
+    support = [fmt(v) for v in sorted(supp(x), key=repr)]
     payload = {"x": hset_to_sexpr(x, fmt), "qo": args.qo, "depth": depth(x),
-               "support": [fmt(v) for v in atoms]}
-    return payload, [f"depth: {depth(x)}",
-                     f"support: {', '.join(fmt(v) for v in atoms)}"]
+               "support": support}
+    return payload, [*_lines(args, payload, "depth"),
+                     f"support: {', '.join(support)}"]
 
 
 def _rado_powerset_sequence(window: int) -> list:
@@ -640,23 +600,21 @@ def _cmd_game_string(args):
     prefix = _parse_prefix(args.at) if args.at else tuple(
         range(min(args.window, 8)))
     value, modulus = g(prefix)
-    payload = {"prefix": list(prefix), "value": value, "modulus": modulus}
-    return payload, [f"prefix: {list(prefix)}",
+    payload = {"prefix": prefix, "value": value, "modulus": modulus}
+    return payload, [*_lines(args, payload, "prefix"),
                      f"value: {RADO.fmt(value)}",
-                     f"modulus: {modulus}"]
+                     *_lines(args, payload, "modulus")]
 
 
 def _cmd_game_tilde(args):
     f = _superseq_from_args(args)
-    fmt = _atom_fmt(f.codomain) if f.codomain is not None else str
+    fmt = _atom_fmt(f.codomain)
     res = tilde_build(f, args.window)
     payload = {"sequence": f.name, "table_size": len(res.table),
                "first_level": [[m, hset_to_sexpr(h, fmt)]
                                for m, h in res.first_level]}
-    lines = [f"window: {res.window}", f"table_size: {len(res.table)}"]
-    for m, h in res.first_level:
-        lines.append(f"  level-1 at {m}: {hset_to_sexpr(h, fmt)}")
-    return payload, lines
+    return payload, _lines(args, payload, "window", "table_size") + [
+        f"  level-1 at {m}: {h}" for m, h in payload["first_level"]]
 
 
 # --- extract group ----------------------------------------------------------
@@ -665,11 +623,9 @@ def _cmd_extract_ramsey(args):
     rep = _usage(lambda: finite_ramsey(
         args.n, args.k, args.r, named_coloring(args.rule),
         target=args.target, budget=args.budget))
-    payload = {"ground": rep.window, "k": rep.k, "colors": rep.r,
-               "rule": args.rule, "target": rep.target,
-               "homogeneous_set": list(rep.Z), "color": rep.color,
-               "size": len(rep.Z), "exhaustive": rep.exhaustive,
-               "explored": rep.explored}
+    payload = {"ground": rep.window, "colors": rep.r, "rule": args.rule,
+               "homogeneous_set": rep.Z, "size": len(rep.Z), **_fields(
+                   rep, "k", "target", "color", "exhaustive", "explored")}
     return payload, [
         f"homogeneous set of size {len(rep.Z)} in color {rep.color}: "
         f"{list(rep.Z)}",
@@ -680,34 +636,24 @@ def _cmd_extract_ramsey(args):
 def _cmd_extract_nw(args):
     col = _coloring_from_args(args)
     rep = _usage(nw_extract, col, args.window, args.target)
-    payload = {"coloring": col.name, "target": rep.target,
-               "homogeneous_set": list(rep.Z), "side": rep.side,
-               "members_checked": rep.members_checked,
-               "exhaustive": rep.exhaustive,
-               "witnesses": [[list(m), c] for m, c in rep.witnesses]}
-    lines = [f"window: {rep.window}",
-             f"homogeneous set: {list(rep.Z)} (side {rep.side})",
-             f"members checked: {rep.members_checked}"]
-    for m, c in rep.witnesses:
-        lines.append(f"  member {list(m)} -> color {c}")
-    return payload, lines
+    payload = {"coloring": col.name, "homogeneous_set": rep.Z, **_fields(
+        rep, "target", "side", "members_checked", "exhaustive", "witnesses")}
+    return payload, [
+        *_lines(args, payload, "window"),
+        f"homogeneous set: {list(rep.Z)} (side {rep.side})",
+        f"members checked: {rep.members_checked}",
+        *(f"  member {list(m)} -> color {c}" for m, c in rep.witnesses)]
 
 
 def _cmd_extract_dichotomy(args):
     f = _ordered_superseq(args)
-    if args.relation == "eq":
-        R, name = (lambda a, b: a == b), "eq"
-    else:
-        R, name = f.codomain.leq, "leq"
-    rep = dichotomy_extract(f, R, args.window, relation_name=name)
-    payload = {"sequence": f.name, "relation": name,
-               "set": list(rep.Z), "side": rep.side,
-               "side_index": rep.side_index,
-               "joins_colored": rep.joins_colored,
-               "pairs_verified": rep.pairs_verified,
-               "exhaustive": rep.exhaustive}
+    rep = dichotomy_extract(f, _relation(args, f), args.window,
+                            relation_name=args.relation)
+    payload = {"sequence": f.name, "relation": args.relation, "set": rep.Z,
+               **_fields(rep, "side", "side_index", "joins_colored",
+                         "pairs_verified", "exhaustive")}
     return payload, [
-        f"window: {rep.window}",
+        *_lines(args, payload, "window"),
         f"set: {list(rep.Z)} lands on side {rep.side!r}",
         f"joins colored: {rep.joins_colored}, pairs verified: "
         f"{rep.pairs_verified}"]
@@ -715,42 +661,39 @@ def _cmd_extract_dichotomy(args):
 
 def _cmd_extract_laver(args):
     f = _ordered_superseq(args)
-    rep = _usage(laver_embed, f, args.window, min_size=args.min_size)
-    payload = {"sequence": f.name, "set": list(rep.X),
-               "triples": {"ground": len(rep.triples.ground),
-                           "homogeneous": list(rep.triples.homogeneous),
-                           "side": rep.triples.side},
-               "quadruples": {"ground": len(rep.quadruples.ground),
-                              "homogeneous": list(rep.quadruples.homogeneous),
-                              "side": rep.quadruples.side},
-               "pairs_checked": rep.pairs_checked}
+    rep = _usage(lambda: laver_embed(f, args.window, min_size=args.min_size))
+    stages = (("triple", rep.triples), ("quadruple", rep.quadruples))
+    payload = {"sequence": f.name, "set": rep.X,
+               "pairs_checked": rep.pairs_checked,
+               **{f"{word}s": {"ground": len(st.ground), "side": st.side,
+                               "homogeneous": st.homogeneous}
+                  for word, st in stages}}
     return payload, [
-        f"window: {rep.window}",
+        *_lines(args, payload, "window"),
         f"monotone set: {list(rep.X)}",
-        f"triple stage: {len(rep.triples.homogeneous)} of "
-        f"{len(rep.triples.ground)} points on side {rep.triples.side}",
-        f"quadruple stage: {len(rep.quadruples.homogeneous)} of "
-        f"{len(rep.quadruples.ground)} points on side {rep.quadruples.side}",
+        *(f"{word} stage: {len(st.homogeneous)} of {len(st.ground)} points "
+          f"on side {st.side}" for word, st in stages),
         f"pairs checked both directions: {rep.pairs_checked}"]
 
 
 # --- shift group ------------------------------------------------------------
 
 def _parse_inj_arg(text: str):
-    try:
-        return parse_inj(text)
-    except (ValueError, KeyError) as exc:
-        raise CliUsageError(f"bad injection descriptor {text!r}: {exc}") from exc
+    return _usage(parse_inj, text, what=f"bad injection descriptor {text!r}",
+                  errors=(ValueError, KeyError))
+
+
+def _probe(args) -> int:
+    """How far the shift commands evaluate an injection: past the window."""
+    return max(args.window, 64)
 
 
 def _cmd_shift_rho(args):
-    f = _parse_inj_arg(args.f)
-    g = _parse_inj_arg(args.g)
-    r = rho(f, g, probe=max(args.window, 64))
-    n = args.window
-    values = r.values(n)
-    composed = rho(compose(f, g), g, probe=max(args.window, 64))
-    translated = all(composed(i) == r(i + 1) for i in range(n))
+    f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
+    r = rho(f, g, probe=_probe(args))
+    values = r.values(args.window)
+    composed = rho(compose(f, g), g, probe=_probe(args))
+    translated = all(composed(i) == r(i + 1) for i in range(args.window))
     payload = {"f": args.f, "g": args.g, "values": values,
                "translation_identity": translated}
     return payload, [f"rho(f): {list(values)}",
@@ -759,29 +702,25 @@ def _cmd_shift_rho(args):
 
 
 def _cmd_shift_sigma(args):
-    f = _parse_inj_arg(args.f)
-    g = _parse_inj_arg(args.g)
-    s = sigma(f, g, probe=max(args.window, 64))
-    n = args.window
-    values = s.values(n)
-    increasing = all(values[i] < values[i + 1] for i in range(n - 1))
+    f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
+    values = sigma(f, g, probe=_probe(args)).values(args.window)
     payload = {"f": args.f, "g": args.g, "values": values,
-               "strictly_increasing": increasing}
+               "strictly_increasing": all(
+                   a < b for a, b in zip(values, values[1:]))}
     return payload, [f"sigma(f): {list(values)}",
-                     f"strictly_increasing: {_text_value(increasing)}"]
+                     *_lines(args, payload, "strictly_increasing")]
 
 
 def _cmd_shift_critical(args):
     g = _parse_inj_arg(args.g)
-    k = critical_point(g, bound=max(args.window, 64))
-    payload = {"g": args.g, "critical_point": k}
-    return payload, [f"critical_point: {k}"]
+    payload = {"g": args.g, "critical_point": critical_point(
+        g, bound=_probe(args))}
+    return payload, _lines(args, payload, "critical_point")
 
 
 def _cmd_shift_orbit(args):
     g = _parse_inj_arg(args.g)
-    G = orbit_map(g, probe=max(args.window, 64))
-    values = G.values(args.window)
+    values = orbit_map(g, probe=_probe(args)).values(args.window)
     payload = {"g": args.g, "values": values}
     return payload, [f"orbit map: {list(values)}"]
 
@@ -791,16 +730,15 @@ def _cmd_shift_perfect(args):
     shift_descs = args.shift or ["succ"]
     gs = [_parse_inj_arg(d) for d in shift_descs]
     rep = g_perfect_extract(f, gs, args.window)
-    payload = {"sequence": f.name, "shifts": list(shift_descs),
-               "h_values": rep.h.values(min(args.window, 12)),
-               "h_set": rep.h_set.name, "set": list(rep.Z),
-               "joins_colored": rep.joins_colored,
-               "checks_passed": rep.checks_passed,
-               "candidates_tried": rep.candidates_tried}
+    h_values = rep.h.values(min(args.window, 12))
+    payload = {"sequence": f.name, "shifts": shift_descs,
+               "h_values": h_values, "h_set": rep.h_set.name, "set": rep.Z,
+               **_fields(rep, "joins_colored", "checks_passed",
+                         "candidates_tried")}
     return payload, [
-        f"window: {rep.window}",
+        *_lines(args, payload, "window"),
         f"monotone image set: {rep.h_set.name} "
-        f"(first values {list(rep.h.values(min(args.window, 12)))})",
+        f"(first values {list(h_values)})",
         f"witness set: {list(rep.Z)}",
         f"joins colored: {rep.joins_colored}, checks passed: "
         f"{rep.checks_passed}, candidates tried: {rep.candidates_tried}"]
@@ -844,7 +782,7 @@ _GAME_PAIR_ARGS = (
     _arg("--qo", default="omega-leq", help="base order name"),
 )
 
-_INJ_HELP = "injection descriptor"
+_INJ_F, _INJ_G = (_arg(name, help="injection descriptor") for name in "fg")
 _RELATION = _arg("--relation", choices=("leq", "eq"), default="leq")
 
 # group -> (help, {command: (handler, help, argument specs)}), in the order
@@ -973,16 +911,16 @@ _COMMANDS = {
     "shift": ("strictly increasing injections", {
         "rho": (
             _cmd_shift_rho, "orbit-composition transport of f along g",
-            (_arg("f", help=_INJ_HELP), _arg("g", help=_INJ_HELP))),
+            (_INJ_F, _INJ_G)),
         "sigma": (
             _cmd_shift_sigma, "piecewise transport of f along the g-orbit",
-            (_arg("f", help=_INJ_HELP), _arg("g", help=_INJ_HELP))),
+            (_INJ_F, _INJ_G)),
         "critical": (
             _cmd_shift_critical, "least point moved by g",
-            (_arg("g", help=_INJ_HELP),)),
+            (_INJ_G,)),
         "orbit": (
             _cmd_shift_orbit, "iterates of g from its critical point",
-            (_arg("g", help=_INJ_HELP),)),
+            (_INJ_G,)),
         "perfect": (
             _cmd_shift_perfect, "monotone-image extraction over several "
             "generalized shifts",
@@ -1038,26 +976,14 @@ def build_parser(argv: Optional[list] = None) -> _Parser:
 
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(_subcommand_listing(), file=sys.stderr)
-        return 2
-    group = getattr(args, "group", None)
-    cmd = getattr(args, "cmd", None)
-    if group is None or cmd is None:
-        print("error: missing subcommand", file=sys.stderr)
-        print(_subcommand_listing(), file=sys.stderr)
-        return 2
-    if args.window < 2:
-        print("error: --window must be at least 2", file=sys.stderr)
-        print(_subcommand_listing(), file=sys.stderr)
-        return 2
-    handler = HANDLERS[(group, cmd)]
-    try:
-        payload, lines = handler(args)
+        args = build_parser(argv).parse_args(argv)
+        # a missing group leaves no 'cmd' attribute; a bare group leaves None
+        if getattr(args, "cmd", None) is None:
+            raise CliUsageError("missing subcommand")
+        if args.window < 2:
+            raise CliUsageError("--window must be at least 2")
+        payload, lines = HANDLERS[(args.group, args.cmd)](args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_subcommand_listing(), file=sys.stderr)
@@ -1065,7 +991,7 @@ def main(argv: Optional[list] = None) -> int:
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(args, f"{group} {cmd}", payload, lines)
+    _emit(args, f"{args.group} {args.cmd}", payload, lines)
     return 0
 
 

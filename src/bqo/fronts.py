@@ -361,7 +361,6 @@ def front_verify(F, samples: Sequence[InfSet], bound: int) -> VerifyReport:
     raw = not isinstance(F, Front)
     if raw:
         members = sorted(check_front_element(s) for s in F)
-        entries = set(itertools.chain.from_iterable(members))
         base_ok = True
     else:
         members = members_within(F, bound)
@@ -371,21 +370,18 @@ def front_verify(F, samples: Sequence[InfSet], bound: int) -> VerifyReport:
         else:
             base_ok = entries == set(F.base.upto(bound))
 
-    member_set = set(members)
-    seg_violation = None
-    for t in members:
-        for cut in range(len(t)):
-            if t[:cut] in member_set and t[:cut] != t:
-                seg_violation = (t[:cut], t)
-                break
-        if seg_violation:
-            break
+    # members is sorted, so the first member t with a proper initial
+    # segment p in the family sits right after p (only extensions of p lie
+    # between them, and none of those can come before t)
+    seg_violation = next(
+        ((p, t) for p, t in zip(members, members[1:])
+         if len(p) < len(t) and t[:len(p)] == p), None)
 
     probes = []
     for Y in samples:
         if raw:
             hit = None
-            for m in sorted(member_set, key=len):
+            for m in sorted(members, key=len):
                 if Y.prefix(len(m)) == m:
                     hit = m
                     break

@@ -95,6 +95,19 @@ def shift_pairs_reference(members) -> list:
     return pairs
 
 
+def segment_violation_reference(members):
+    """The first member in sorted order that has a proper initial segment
+    in the family, with that segment, by slicing every prefix of every
+    member; None for a segment-free family."""
+    members = sorted(tuple(m) for m in members)
+    member_set = set(members)
+    for t in members:
+        for cut in range(len(t)):
+            if t[:cut] in member_set:
+                return t[:cut], t
+    return None
+
+
 def join_nodes_reference(front, window: int, g=lambda i: i + 1) -> list:
     """Join nodes by an unpruned walk over every increasing tuple u of
     window points, slicing each prefix of u and of its g-subsequence and

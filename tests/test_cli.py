@@ -7,6 +7,7 @@ errors.  JSON output must be byte-identical across repeated runs.
 import contextlib
 import io
 import json
+import pathlib
 import sys
 
 import pytest
@@ -68,6 +69,9 @@ USAGE_ERROR_ARGV = [
     ["extract", "laver", "--fixture", "min@schreier"],
     ["extract", "laver", "--fixture", "identity@u3"],
     ["extract", "laver", "--fixture", "min@trivial"],
+    # malformed front tokens
+    ["seq", "bad", "--fixture", "identity@uniform:-1"],
+    ["seq", "bad", "--fixture", "identity@uniform:x"],
 ]
 
 DOMAIN_ERROR_ARGV = [
@@ -135,6 +139,49 @@ class TestExitCodes:
     def test_usage_errors_exit_two(self, argv):
         code, out, err = run_cli(argv)
         assert code == 2, f"{argv} gave exit {code}"
+        assert out == "" and "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (["front", "rank", "--front-file"], {"schema": "uniform"},
+         "malformed front file: 'k'"),
+        (["front", "rank", "--front-file"], {"schema": "bogus"},
+         "malformed front file: unknown front schema {'schema': 'bogus'}"),
+        (["front", "rank", "--front-file"],
+         {"schema": "uniform", "k": 2, "base": "bogus"},
+         "malformed front file: unknown base descriptor 'bogus'"),
+        (["front", "rank", "--front-file"], [1, 2], "must hold a JSON object"),
+        (["extract", "nw", "--target", "2", "--front-file"], [1, 2],
+         "must hold a JSON object"),
+        (["front", "verify", "--family"], {"members": [[1, "a"]]},
+         "malformed family file: front element entries must be naturals: "
+         "(1, 'a')"),
+        (["front", "verify", "--family"], {"members": [[2, 1]]},
+         "malformed family file: front element not strictly increasing: "
+         "(2, 1)"),
+        (["qo", "validate"], {"elements": [{"a": 1}], "pairs": []},
+         "malformed order file: unhashable type: 'dict'"),
+        (["qo", "validate"], {"elements": [0, 0], "pairs": []},
+         "malformed order file: carrier has duplicate elements"),
+        (["qo", "relations", "0", "0", "--file"],
+         {"elements": [{"a": 1}], "pairs": []}, "malformed order file"),
+        (["qo", "product", "{ok}"], {"elements": [{"a": 1}], "pairs": []},
+         "malformed order file"),
+        (["qo", "sum"], {"index": {"elements": [[0, {"a": 1}]], "pairs": []},
+                         "parts": {}}, "malformed order file"),
+        (["qo", "sum"], [1, 2], "sum file needs 'index' and 'parts' keys"),
+    ])
+    def test_malformed_input_file_is_a_one_line_usage_error(
+            self, tmp_path, argv, content, message):
+        path, ok = tmp_path / "input.json", tmp_path / "ok.json"
+        path.write_text(json.dumps(content))
+        ok.write_text(json.dumps({"elements": [0], "pairs": [[0, 0]]}))
+        code, out, err = run_cli(
+            [a.replace("{ok}", str(ok)) for a in argv] + [str(path)])
+        assert code == 2 and out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0], err
 
     def test_usage_errors_list_subcommands(self):
         code, out, err = run_cli(["bogus"])
@@ -309,6 +356,14 @@ class TestFrontCommands:
         assert data["passed"] is True
         assert {p["sample"] for p in data["density"]} == \
             {"omega", "arith:0,2", "arith:1,3"}
+
+    def test_verify_reports_the_empty_member_as_null(self):
+        argv = ["front", "verify", "--schema", "trivial", "--samples", "omega"]
+        data = run_json(argv)
+        assert data["density"] == [{"sample": "omega", "member": None,
+                                    "modulus": 0, "error": None}]
+        code, out, err = run_cli(argv)
+        assert code == 0 and "  omega: member [] at modulus 0\n" in out
 
     def test_verify_flags_segment_in_raw_family(self, tmp_path):
         path = tmp_path / "family.json"
@@ -848,3 +903,17 @@ def test_main_builds_four_parsers_for_a_command(monkeypatch):
 def test_other_argv_builds_every_parser(argv, monkeypatch):
     every = 2 + len(cli.SUBCOMMANDS) + len(ALL_SUBCOMMANDS)
     assert _parsers_built(monkeypatch, lambda: build_parser(argv)) == every
+
+
+# --- golden replay ----------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = json.loads(
+    (ROOT / "perfbench" / "golden" / "cli.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_golden_invocation_replays_byte_for_byte(entry, monkeypatch):
+    monkeypatch.chdir(ROOT)      # the goldens name data files from the root
+    code, out, err = run_cli(entry["argv"], stdin=entry["stdin"] or "")
+    assert (code, out) == (entry["exit"], entry["stdout"]), err

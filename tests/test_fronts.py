@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import (
     SHIFT_PAIR_FRONTS,
+    segment_violation_reference,
     shift_pairs_reference,
     shift_witness_oracle,
     witness_key,
@@ -322,6 +324,16 @@ class TestVerify:
         rep = front_verify([(0,), (0, 1)], [omega()], 8)
         assert not rep.passed
         assert rep.segment_violation == ((0,), (0, 1))
+
+    def test_segment_violation_matches_the_slicing_scan(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            family = [tuple(sorted(rng.sample(range(7), rng.randint(0, 4))))
+                      for _ in range(rng.randint(0, 9))]
+            family += rng.sample(family, min(len(family), rng.randint(0, 2)))
+            rep = front_verify(family, [], 8)
+            assert rep.segment_violation == \
+                segment_violation_reference(family), family
 
     def test_trivial_passes(self):
         rep = front_verify(trivial_front(), [omega()], 8)
