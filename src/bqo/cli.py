@@ -17,34 +17,26 @@ usage errors list every choice.
 Each handler returns its report payload and the text lines that show it
 (None for plain ``key: value`` lines in payload order), and routes every
 input error through ``_usage`` so that it exits 2 with one message.
+
+Handlers and input helpers import the library names they call when they
+run, and nothing above them imports a library module but ``bqo.errors``:
+a ``bqo`` process then loads only its own command's modules.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import __version__
 from .errors import DomainError
-from .fronts import (Front, check_front_element, front_from_dict,
-                     front_member, front_step, front_to_dict, front_verify,
-                     members_within, rank, ray, restrict, schreier_front,
-                     trivial_front, uniform_front)
-from .games import (game_leq, game_play, string_strategies, tilde_build)
-from .hset import (Atom, Node, canon_key, depth, hset_to_sexpr, node,
-                   parse_sexpr, supp)
-from .qo import (CodedQO, FiniteQO, RADO, derived_relations, product_qo,
-                 qo_validate, rado_antichain_witness, resolve_qo,
-                 sum_along_poset)
-from .ramsey import (Coloring, coloring_from_dict, dichotomy_extract,
-                     finite_ramsey, laver_embed, named_coloring, nw_extract)
-from .shifts import (compose, critical_point, g_perfect_extract, orbit_map,
-                     parse_inj, rho, sigma)
-from .streams import parse_base
-from .superseq import (SuperSeq, badness_check, eval_up, named_valuation,
-                       perfect_check, spare_check, sparsify,
-                       superseq_from_dict)
+
+if TYPE_CHECKING:
+    from .fronts import Front
+    from .qo import FiniteQO
+    from .ramsey import Coloring
+    from .superseq import SuperSeq
 
 REPORT_VERSION = 1
 
@@ -76,8 +68,8 @@ def _subcommand_listing() -> str:
 
 def _plain(x: Any) -> Any:
     """Render report values with only JSON-native types, deterministically."""
-    if isinstance(x, (Atom, Node)):
-        return hset_to_sexpr(x)
+    if x is None or isinstance(x, (int, float, str)):    # bool is an int
+        return x
     if isinstance(x, dict):
         return {str(k) if not isinstance(k, str) else k: _plain(v)
                 for k, v in x.items()}
@@ -85,8 +77,9 @@ def _plain(x: Any) -> Any:
         return [_plain(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted((_plain(v) for v in x), key=repr)
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
+    from .hset import Atom, Node, hset_to_sexpr
+    if isinstance(x, (Atom, Node)):
+        return hset_to_sexpr(x)
     return str(x)
 
 
@@ -138,6 +131,7 @@ def _load_json(path: str) -> dict:
 
 
 def _qo_from_data(data: dict) -> FiniteQO:
+    from .qo import qo_validate
     try:
         elements = data["elements"]
         pairs = [tuple(p) for p in data["pairs"]]
@@ -160,12 +154,14 @@ def _related_pairs(q: FiniteQO) -> int:
 
 
 def _resolve_order(name: str):
+    from .qo import resolve_qo
     return _usage(resolve_qo, name, what=f"unknown base order {name!r}",
                   errors=(ValueError, KeyError))
 
 
 def _parse_element(q, text: str):
     """Parse one carrier element from the command line."""
+    from .qo import CodedQO
     if isinstance(q, CodedQO) and q.parse is not None:
         try:
             return q.parse(text)
@@ -179,12 +175,15 @@ def _parse_element(q, text: str):
 
 
 def _parse_base_arg(descriptor: str):
+    from .streams import parse_base
     return _usage(parse_base, descriptor,
                   what=f"bad infinite-set descriptor {descriptor!r}",
                   errors=(ValueError, KeyError, TypeError))
 
 
 def _front_from_args(args) -> Front:
+    from .fronts import (front_from_dict, schreier_front, trivial_front,
+                         uniform_front)
     if args.front_file:
         data = _load_json(args.front_file)
         if not isinstance(data, dict):
@@ -211,6 +210,7 @@ _FIXTURE_CODOMAIN = {"identity": "rado", "min": "omega-leq",
 
 
 def _front_from_token(token: str) -> Front:
+    from .fronts import schreier_front, trivial_front, uniform_front
     token = token.strip()
     if token == "schreier":
         return schreier_front()
@@ -226,6 +226,7 @@ def _front_from_token(token: str) -> Front:
 
 
 def _superseq_from_args(args) -> SuperSeq:
+    from .superseq import SuperSeq, named_valuation, superseq_from_dict
     if args.file:
         data = _load_json(args.file)
         codomain = _resolve_order(args.codomain) if args.codomain else None
@@ -269,10 +270,12 @@ def _parse_prefix(text: str) -> tuple:
 
 
 def _atom_parser(q) -> Callable[[str], Any]:
+    from .qo import CodedQO
     return q.parse if isinstance(q, CodedQO) and q.parse is not None else int
 
 
 def _atom_fmt(q) -> Callable[[Any], str]:
+    from .qo import CodedQO
     return q.fmt if isinstance(q, CodedQO) and q.fmt is not None else str
 
 
@@ -299,6 +302,7 @@ def _split_sexprs(text: str) -> list:
 
 
 def _parse_hset(q, text: str):
+    from .hset import parse_sexpr
     return _usage(parse_sexpr, text, _atom_parser(q),
                   what="cannot parse s-expression",
                   errors=(ValueError, TypeError))
@@ -320,6 +324,7 @@ def _read_hset_pair(args) -> tuple:
 
 
 def _coloring_from_args(args) -> Coloring:
+    from .ramsey import Coloring, coloring_from_dict, named_coloring
     if args.coloring:
         return _usage(coloring_from_dict, _load_json(args.coloring),
                       what="malformed coloring file",
@@ -342,6 +347,7 @@ def _cmd_qo_validate(args):
 
 
 def _cmd_qo_relations(args):
+    from .qo import derived_relations
     q = (_qo_from_data(_load_json(args.file)) if args.file
          else _resolve_order(args.qo))
     a = _parse_element(q, args.a)
@@ -362,12 +368,14 @@ def _qo_result(word: str, R: FiniteQO):
 
 
 def _cmd_qo_product(args):
+    from .qo import product_qo
     P = _qo_from_data(_load_json(args.left))
     Q = _qo_from_data(_load_json(args.right))
     return _qo_result("product", product_qo(P, Q))
 
 
 def _cmd_qo_sum(args):
+    from .qo import sum_along_poset
     data = _load_json(args.path)
     try:
         index = _qo_from_data(data["index"])
@@ -375,6 +383,8 @@ def _cmd_qo_sum(args):
     except (KeyError, TypeError) as exc:
         raise CliUsageError(
             "sum file needs 'index' and 'parts' keys") from exc
+    if not isinstance(parts, dict):
+        raise CliUsageError("sum file 'parts' must be a JSON object")
     family = {}
     for e in index.elements:
         key = str(e)
@@ -387,6 +397,7 @@ def _cmd_qo_sum(args):
 # --- rado group -------------------------------------------------------------
 
 def _cmd_rado_witness(args):
+    from .qo import rado_antichain_witness
     rep = rado_antichain_witness(args.m, args.n)
     payload = _fields(rep, "pair", "generator_witness", "scan_bound",
                       "in_lower_downset", "in_upper_downset")
@@ -398,6 +409,7 @@ def _cmd_rado_witness(args):
 
 
 def _cmd_rado_demo(args):
+    from .qo import rado_antichain_witness
     bound = args.window
     reps = [rado_antichain_witness(m, n)
             for m in range(bound) for n in range(m + 1, bound)]
@@ -415,6 +427,7 @@ def _cmd_rado_demo(args):
 # --- front group ------------------------------------------------------------
 
 def _cmd_front_member(args):
+    from .fronts import front_member, front_to_dict
     F = _front_from_args(args)
     s = _parse_prefix(args.entries)
     payload = {"front": front_to_dict(F), "entries": s,
@@ -423,6 +436,7 @@ def _cmd_front_member(args):
 
 
 def _cmd_front_step(args):
+    from .fronts import front_step, front_to_dict
     F = _front_from_args(args)
     res = front_step(F, _parse_base_arg(args.at))
     payload = {"front": front_to_dict(F), "at": args.at,
@@ -431,6 +445,7 @@ def _cmd_front_step(args):
 
 
 def _cmd_front_ray(args):
+    from .fronts import front_to_dict, rank, ray
     F = _front_from_args(args)
     R = ray(F, args.n)
     payload = {"front": front_to_dict(F), "n": args.n,
@@ -439,6 +454,7 @@ def _cmd_front_ray(args):
 
 
 def _cmd_front_restrict(args):
+    from .fronts import front_to_dict, restrict
     F = _front_from_args(args)
     R = restrict(F, _parse_base_arg(args.to))
     payload = {"front": front_to_dict(F), "to": args.to,
@@ -447,12 +463,15 @@ def _cmd_front_restrict(args):
 
 
 def _cmd_front_rank(args):
+    from .fronts import front_to_dict, rank
     F = _front_from_args(args)
     payload = {"front": front_to_dict(F), "rank": str(rank(F))}
     return payload, [payload["rank"]]
 
 
 def _cmd_front_verify(args):
+    from .fronts import check_front_element, front_verify
+    from .streams import parse_base
     if args.family:
         data = _load_json(args.family)
         try:
@@ -492,6 +511,7 @@ def _relation(args, f: SuperSeq):
 
 
 def _cmd_seq_eval(args):
+    from .superseq import eval_up
     f = _superseq_from_args(args)
     res = eval_up(f, _parse_base_arg(args.at))
     payload = {"sequence": f.name, "at": args.at,
@@ -500,6 +520,7 @@ def _cmd_seq_eval(args):
 
 
 def _cmd_seq_spare(args):
+    from .superseq import spare_check
     f = _superseq_from_args(args)
     rep = spare_check(f, args.window)
     payload = {"sequence": f.name, "failure": rep.failure or None,
@@ -508,6 +529,8 @@ def _cmd_seq_spare(args):
 
 
 def _cmd_seq_sparsify(args):
+    from .fronts import front_to_dict, members_within
+    from .superseq import sparsify
     f = _superseq_from_args(args)
     out = sparsify(f, args.window)
     values = {",".join(map(str, s)): out.value(s)
@@ -521,6 +544,7 @@ def _cmd_seq_sparsify(args):
 
 
 def _cmd_seq_bad(args):
+    from .superseq import badness_check
     f = _ordered_superseq(args)
     rep = badness_check(f, args.window)
     payload = {"sequence": f.name, **_fields(
@@ -530,6 +554,7 @@ def _cmd_seq_bad(args):
 
 
 def _cmd_seq_perfect(args):
+    from .superseq import perfect_check
     f = _ordered_superseq(args)
     rep = perfect_check(f, _relation(args, f), args.window)
     payload = {"sequence": f.name, "relation": args.relation,
@@ -541,6 +566,8 @@ def _cmd_seq_perfect(args):
 # --- game group -------------------------------------------------------------
 
 def _cmd_game_solve(args):
+    from .games import game_leq
+    from .hset import hset_to_sexpr
     (x, y), q = _read_hset_pair(args)
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
@@ -551,6 +578,8 @@ def _cmd_game_solve(args):
 
 
 def _cmd_game_play(args):
+    from .games import game_leq, game_play
+    from .hset import canon_key, hset_to_sexpr
     (x, y), q = _read_hset_pair(args)
     fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
@@ -578,6 +607,7 @@ def _cmd_game_play(args):
 
 
 def _cmd_game_supp(args):
+    from .hset import depth, hset_to_sexpr, supp
     q = _resolve_order(args.qo)
     fmt = _atom_fmt(q)
     x = _parse_hset(q, args.x)
@@ -590,11 +620,14 @@ def _cmd_game_supp(args):
 
 def _rado_powerset_sequence(window: int) -> list:
     """X_m = the set of pairs (m, n) for m < n <= window."""
+    from .hset import Atom, node
     return [node(Atom((m, n)) for n in range(m + 1, window + 1))
             for m in range(window)]
 
 
 def _cmd_game_string(args):
+    from .games import string_strategies
+    from .qo import RADO
     xs = _rado_powerset_sequence(args.window)
     g = string_strategies(xs, RADO, args.window)
     prefix = _parse_prefix(args.at) if args.at else tuple(
@@ -607,6 +640,8 @@ def _cmd_game_string(args):
 
 
 def _cmd_game_tilde(args):
+    from .games import tilde_build
+    from .hset import hset_to_sexpr
     f = _superseq_from_args(args)
     fmt = _atom_fmt(f.codomain)
     res = tilde_build(f, args.window)
@@ -620,6 +655,7 @@ def _cmd_game_tilde(args):
 # --- extract group ----------------------------------------------------------
 
 def _cmd_extract_ramsey(args):
+    from .ramsey import finite_ramsey, named_coloring
     rep = _usage(lambda: finite_ramsey(
         args.n, args.k, args.r, named_coloring(args.rule),
         target=args.target, budget=args.budget))
@@ -634,6 +670,7 @@ def _cmd_extract_ramsey(args):
 
 
 def _cmd_extract_nw(args):
+    from .ramsey import nw_extract
     col = _coloring_from_args(args)
     rep = _usage(nw_extract, col, args.window, args.target)
     payload = {"coloring": col.name, "homogeneous_set": rep.Z, **_fields(
@@ -646,6 +683,7 @@ def _cmd_extract_nw(args):
 
 
 def _cmd_extract_dichotomy(args):
+    from .ramsey import dichotomy_extract
     f = _ordered_superseq(args)
     rep = dichotomy_extract(f, _relation(args, f), args.window,
                             relation_name=args.relation)
@@ -660,6 +698,7 @@ def _cmd_extract_dichotomy(args):
 
 
 def _cmd_extract_laver(args):
+    from .ramsey import laver_embed
     f = _ordered_superseq(args)
     rep = _usage(lambda: laver_embed(f, args.window, min_size=args.min_size))
     stages = (("triple", rep.triples), ("quadruple", rep.quadruples))
@@ -679,6 +718,7 @@ def _cmd_extract_laver(args):
 # --- shift group ------------------------------------------------------------
 
 def _parse_inj_arg(text: str):
+    from .shifts import parse_inj
     return _usage(parse_inj, text, what=f"bad injection descriptor {text!r}",
                   errors=(ValueError, KeyError))
 
@@ -689,6 +729,7 @@ def _probe(args) -> int:
 
 
 def _cmd_shift_rho(args):
+    from .shifts import compose, rho
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
     r = rho(f, g, probe=_probe(args))
     values = r.values(args.window)
@@ -702,6 +743,7 @@ def _cmd_shift_rho(args):
 
 
 def _cmd_shift_sigma(args):
+    from .shifts import sigma
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
     values = sigma(f, g, probe=_probe(args)).values(args.window)
     payload = {"f": args.f, "g": args.g, "values": values,
@@ -712,6 +754,7 @@ def _cmd_shift_sigma(args):
 
 
 def _cmd_shift_critical(args):
+    from .shifts import critical_point
     g = _parse_inj_arg(args.g)
     payload = {"g": args.g, "critical_point": critical_point(
         g, bound=_probe(args))}
@@ -719,6 +762,7 @@ def _cmd_shift_critical(args):
 
 
 def _cmd_shift_orbit(args):
+    from .shifts import orbit_map
     g = _parse_inj_arg(args.g)
     values = orbit_map(g, probe=_probe(args)).values(args.window)
     payload = {"g": args.g, "values": values}
@@ -726,6 +770,7 @@ def _cmd_shift_orbit(args):
 
 
 def _cmd_shift_perfect(args):
+    from .shifts import g_perfect_extract
     f = _ordered_superseq(args)
     shift_descs = args.shift or ["succ"]
     gs = [_parse_inj_arg(d) for d in shift_descs]

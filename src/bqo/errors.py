@@ -87,6 +87,13 @@ class DifferentBase(DomainError):
     pass
 
 
+class MissingValue(DomainError, KeyError):
+    """A table valuation without a rule has no value for a member.  Also a
+    KeyError, as a table lookup miss; the message is printed unquoted."""
+
+    __str__ = DomainError.__str__
+
+
 # games
 
 class IllegalMove(DomainError):

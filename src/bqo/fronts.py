@@ -566,25 +566,40 @@ def front_to_dict(F: Front) -> dict:
     return d
 
 
-def _schema_from_dict(d: dict):
-    kind = d.get("schema")
+_JSON_KINDS = {dict: "a JSON object", int: "a JSON integer", str: "a string"}
+
+
+def _json_field(value, kind: type, field: str):
+    """`value` read from an input file if it is of `kind` (an int is not a
+    float or a boolean), else a TypeError that names `field`."""
+    if (not isinstance(value, kind)
+            or kind is int and isinstance(value, bool)):
+        raise TypeError(f"{field} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _schema_from_dict(d: dict, field: str = "front"):
+    kind = _json_field(d, dict, field).get("schema")
     if kind == "trivial":
         return TrivialSchema()
     if kind == "uniform":
-        return UniformSchema(int(d["k"]))
+        return UniformSchema(_json_field(d["k"], int, f"{field} 'k'"))
     if kind == "schreier":
         return SchreierSchema()
     if kind == "seq":
+        rays = _json_field(d.get("rays", {}), dict, f"{field} 'rays'")
         table = tuple(sorted(
-            (int(n), _schema_from_dict(sub))
-            for n, sub in d.get("rays", {}).items()))
-        default = _schema_from_dict(d["default"])
-        return SeqSchema(table, default, OrdinalCNF(tuple(d["rank"])))
+            (int(n), _schema_from_dict(sub, f"{field} ray {n!r}"))
+            for n, sub in rays.items()))
+        default = _schema_from_dict(d["default"], f"{field} 'default'")
+        rank = tuple(_json_field(c, int, f"{field} 'rank' entry")
+                     for c in d["rank"])
+        return SeqSchema(table, default, OrdinalCNF(rank))
     raise ValueError(f"unknown front schema {d!r}")
 
 
 def front_from_dict(d: dict) -> Front:
     from .streams import parse_base
     schema = _schema_from_dict(d)
-    base = parse_base(d.get("base", "omega"))
+    base = parse_base(_json_field(d.get("base", "omega"), str, "front 'base'"))
     return Front(schema, base)

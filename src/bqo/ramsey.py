@@ -240,16 +240,20 @@ def named_coloring(name: str) -> Callable[[tuple], int]:
 def coloring_from_dict(data: dict) -> Coloring:
     """Build a Coloring from a file payload: a front reference plus either
     a rule name or a finite member table {"m,n": color}."""
-    from .fronts import front_from_dict
+    from .fronts import _json_field, front_from_dict
 
     front = front_from_dict(data["front"])
     r = int(data.get("r", 2))
     if "rule" in data:
-        return Coloring(front, named_coloring(data["rule"]), r,
-                        data.get("name", data["rule"]))
+        rule = _json_field(data["rule"], str, "'rule'")
+        return Coloring(front, named_coloring(rule), r,
+                        data.get("name", rule))
+    rows = _json_field(data["table"], dict, "'table'")
     table = {tuple(int(x) for x in key.split(",") if x != ""): int(v)
-             for key, v in data["table"].items()}
+             for key, v in rows.items()}
     default = data.get("default")
+    if default is not None:
+        default = int(default)
 
     def color(s: tuple) -> int:
         s = tuple(s)
@@ -257,7 +261,7 @@ def coloring_from_dict(data: dict) -> Coloring:
             return table[s]
         if default is None:
             raise MissingColor(f"no color for member {s}")
-        return int(default)
+        return default
 
     return Coloring(front, color, r, data.get("name", "table"))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .errors import DifferentBase
+from .errors import DifferentBase, MissingValue
 from .fronts import (
     Front,
     SeqSchema,
@@ -20,6 +20,7 @@ from .fronts import (
     TrivialSchema,
     UniformSchema,
     _is_trivial,
+    _json_field,
     front_step,
     members_within,
     ray,
@@ -419,9 +420,11 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
     hashable, and a list value becomes a tuple."""
     from .fronts import front_from_dict
     front = front_from_dict(d["front"])
-    vdata = d.get("valuation", {})
+    vdata = _json_field(d.get("valuation", {}), dict, "'valuation'")
     rule = vdata.get("rule")
-    table_raw = vdata.get("table", {})
+    if rule is not None:
+        _json_field(rule, str, "valuation 'rule'")
+    table_raw = _json_field(vdata.get("table", {}), dict, "valuation 'table'")
     table = {}
     for key, v in table_raw.items():
         s = tuple(map(int, key.split(","))) if key else ()
@@ -442,7 +445,7 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
         if s in table:
             return table[s]
         if fallback is None:
-            raise KeyError(f"valuation table has no entry for {s!r}")
+            raise MissingValue(f"valuation table has no entry for {s!r}")
         return fallback(s)
 
     name = rule or "table"

@@ -7,7 +7,9 @@ errors.  JSON output must be byte-identical across repeated runs.
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -170,6 +172,56 @@ class TestExitCodes:
         (["qo", "sum"], {"index": {"elements": [[0, {"a": 1}]], "pairs": []},
                          "parts": {}}, "malformed order file"),
         (["qo", "sum"], [1, 2], "sum file needs 'index' and 'parts' keys"),
+        # nested values of the wrong JSON type name their field
+        (["front", "rank", "--front-file"],
+         {"schema": "seq", "default": [1], "rank": [1]},
+         "malformed front file: front 'default' must be a JSON object, "
+         "got [1]"),
+        (["front", "rank", "--front-file"],
+         {"schema": "seq", "default": {"schema": "trivial"}, "rank": [1],
+          "rays": []},
+         "malformed front file: front 'rays' must be a JSON object"),
+        (["front", "rank", "--front-file"],
+         {"schema": "seq", "default": {"schema": "trivial"}, "rank": [1],
+          "rays": {"1": 5}},
+         "malformed front file: front ray '1' must be a JSON object, got 5"),
+        (["front", "rank", "--front-file"],
+         {"schema": "seq", "default": {"schema": "trivial"}, "rank": [1.5]},
+         "malformed front file: front 'rank' entry must be a JSON integer"),
+        (["front", "rank", "--front-file"],
+         {"schema": "uniform", "k": 2, "base": 5},
+         "malformed front file: front 'base' must be a string, got 5"),
+        (["front", "rank", "--front-file"],
+         {"schema": "uniform", "k": 2, "base": ["omega"]},
+         "malformed front file: front 'base' must be a string"),
+        (["front", "rank", "--front-file"], {"schema": "uniform", "k": 2.5},
+         "malformed front file: front 'k' must be a JSON integer, got 2.5"),
+        (["front", "rank", "--front-file"], {"schema": "uniform", "k": True},
+         "malformed front file: front 'k' must be a JSON integer, got True"),
+        (["seq", "eval", "--file"], {"front": [1]},
+         "malformed sequence file: front must be a JSON object, got [1]"),
+        (["seq", "eval", "--file"],
+         {"front": {"schema": "uniform", "k": 2}, "valuation": []},
+         "malformed sequence file: 'valuation' must be a JSON object"),
+        (["seq", "eval", "--file"],
+         {"front": {"schema": "uniform", "k": 2}, "valuation": {"rule": 5}},
+         "malformed sequence file: valuation 'rule' must be a string"),
+        (["seq", "eval", "--file"],
+         {"front": {"schema": "uniform", "k": 2},
+          "valuation": {"table": []}},
+         "malformed sequence file: valuation 'table' must be a JSON object"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": []},
+         "malformed coloring file: 'table' must be a JSON object"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "rule": 5},
+         "malformed coloring file: 'rule' must be a string"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": {},
+          "default": [1]}, "malformed coloring file"),
+        (["qo", "sum"], {"index": {"elements": [0], "pairs": [[0, 0]]},
+                         "parts": 5},
+         "sum file 'parts' must be a JSON object"),
     ])
     def test_malformed_input_file_is_a_one_line_usage_error(
             self, tmp_path, argv, content, message):
@@ -650,6 +702,15 @@ class TestExtractCommands:
         assert code == 1 and out == ""
         assert err == "MissingColor: no color for member (1,)\n"
 
+    def test_valuation_table_without_rule_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"front": {"schema": "uniform", "k": 1},
+                                    "valuation": {"table": {"0": 1}}}))
+        code, out, err = run_cli(["seq", "eval", "--file", str(path),
+                                  "--at", "odds"])
+        assert code == 1 and out == ""
+        assert err == "MissingValue: valuation table has no entry for (1,)\n"
+
 
 # --- shift group ------------------------------------------------------------
 
@@ -917,3 +978,64 @@ def test_golden_invocation_replays_byte_for_byte(entry, monkeypatch):
     monkeypatch.chdir(ROOT)      # the goldens name data files from the root
     code, out, err = run_cli(entry["argv"], stdin=entry["stdin"] or "")
     assert (code, out) == (entry["exit"], entry["stdout"]), err
+
+
+# --- fresh interpreters -----------------------------------------------------
+
+# Every test above runs in this process, after other tests have imported the
+# whole library; these start a new interpreter, so a handler that leans on a
+# module some other path loaded, or an import that creeps back to the top of
+# cli.py, shows here.
+
+LIBRARY = {f"bqo.{m}" for m in ("fronts", "games", "hset", "ordinal", "qo",
+                                "ramsey", "shifts", "streams", "superseq")}
+
+
+def _fresh_python(*args, stdin=""):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], input=stdin, cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+_LOADED_AFTER_EACH_STEP = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("bqo."))
+
+import bqo.cli
+bqo.cli.build_parser()
+steps = [loaded()]
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+    bqo.cli.main(["--version"])
+steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bqo.cli.main(["rado", "witness", "0", "1"]) == 0
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_a_command_loads_only_the_library_modules_it_uses():
+    proc = _fresh_python("-c", _LOADED_AFTER_EACH_STEP)
+    assert proc.returncode == 0, proc.stderr
+    parser, version, witness = (set(step) & LIBRARY
+                                for step in json.loads(proc.stdout))
+    assert parser == set(), "import bqo.cli; build_parser()"
+    assert version == set(), "main(['--version'])"
+    assert witness == {"bqo.qo"}, "main(['rado', 'witness', '0', '1'])"
+
+
+FIRST_GOLDEN_PER_GROUP = {e["argv"][0]: e for e in reversed(GOLDEN)}
+
+
+@pytest.mark.parametrize("group", list(cli.SUBCOMMANDS))
+def test_golden_invocation_replays_in_a_fresh_interpreter(group):
+    entry = FIRST_GOLDEN_PER_GROUP[group]
+    proc = _fresh_python("-m", "bqo.cli", *entry["argv"],
+                         stdin=entry["stdin"] or "")
+    got = (proc.returncode, proc.stdout)
+    assert got == (entry["exit"], entry["stdout"]), proc.stderr
