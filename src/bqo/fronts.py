@@ -2,16 +2,17 @@
 
 A front on an infinite set X is a family of finite subsets of X such that no
 member is a proper initial segment of another and every infinite subset of X
-begins with a member. Four schemas cover the desk-scale zoo: the trivial
-front {[]}, the uniform fronts [X]^k, the Schreier front {s | 1 + min s =
-|s|}, and sequence nodes assembling one front from a family of rays. Every
-windowed report names its entry bound.
+begins with a member. Four schemas cover the desk-scale zoo: the uniform
+fronts [X]^k, the trivial front {[]} = [X]^0 under its own name, the
+Schreier front {s | 1 + min s = |s|}, and sequence nodes assembling one
+front from a family of rays. Every windowed report names its entry bound.
 
 A front is walked as a tree, one ray at a time (Nash-Williams' barrier
-view): ray(F, n) is the one place that knows how each schema steps, and
-membership, stepping, window enumeration and the truncated tree all walk
-through it. The only shortcut is members_within's closed form for a
-residual uniform front, whose members in a window are the k-subsets.
+view). Each schema's ray(n) says how it steps, and carries its own rank and
+file form; ray(F, n) is the one entry point for walkers, so membership,
+stepping, window enumeration and the truncated tree all go through it. The
+only shortcut is members_within's closed form for a residual uniform front,
+whose members in a window are the k-subsets.
 """
 from __future__ import annotations
 
@@ -44,22 +45,68 @@ __all__ = [
 # --- schemas --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrivialSchema:
-    pass
-
-
-@dataclass(frozen=True)
 class UniformSchema:
+    """[X]^k, the k-subsets: the ray at any n is [X/n]^(k-1), and [X]^0 is
+    the trivial front {()}, which has no rays."""
+
     k: int
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("uniform schema needs k >= 0")
 
+    @property
+    def trivial(self) -> bool:
+        return self.k == 0
+
+    def ray(self, n: int):
+        if self.k == 0:
+            raise TrivialHasNoRays("the trivial front has no rays")
+        return UniformSchema(self.k - 1)
+
+    def rank(self, base: InfSet) -> OrdinalCNF:
+        return OrdinalCNF.natural(self.k)
+
+    def to_dict(self) -> dict:
+        return {"schema": "uniform", "k": self.k}
+
+    @classmethod
+    def from_dict(cls, d: dict, field: str):
+        return cls(_json_field(d["k"], int, f"{field} 'k'"))
+
+
+@dataclass(frozen=True)
+class TrivialSchema(UniformSchema):
+    """The trivial front {()} under its own name: [X]^0, with k fixed."""
+
+    k: int = field(default=0, init=False, repr=False)
+
+    def to_dict(self) -> dict:
+        return {"schema": "trivial"}
+
+    @classmethod
+    def from_dict(cls, d: dict, field: str):
+        return cls()
+
 
 @dataclass(frozen=True)
 class SchreierSchema:
-    pass
+    """{s | 1 + min s = |s|}: the ray at n is [X/n]^n."""
+
+    trivial = False
+
+    def ray(self, n: int):
+        return UniformSchema(n)
+
+    def rank(self, base: InfSet) -> OrdinalCNF:
+        return OrdinalCNF.omega()
+
+    def to_dict(self) -> dict:
+        return {"schema": "schreier"}
+
+    @classmethod
+    def from_dict(cls, d: dict, field: str):
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -69,18 +116,68 @@ class SeqSchema:
     The ray table is keyed by the value of the adjoined base element (not by
     its position in the enumeration), so restriction to a smaller base needs
     no table surgery. Unlisted elements fall back to the default schema. The
-    rank is declared, not computed, and is sample-validated by rank().
+    rank is declared, not computed, and rank() validates it on a sample of
+    rays: each sampled ray must rank strictly below the declaration,
+    successor declarations must be attained by some sampled ray + 1, and
+    limit declarations must see strictly growing ray ranks along the base.
     """
 
     table: tuple  # sorted tuple of (n, schema)
     default: Any
     declared_rank: OrdinalCNF
+    trivial = False
 
-    def ray_schema(self, n: int):
+    def ray(self, n: int):
         for key, schema in self.table:
             if key == n:
                 return schema
         return self.default
+
+    def rank(self, base: InfSet) -> OrdinalCNF:
+        declared = self.declared_rank
+        F = Front(self, base)
+        probes = list(base.prefix(_RANK_SAMPLE))
+        for key, _ in self.table:
+            if base.contains(key) and key not in probes:
+                probes.append(key)
+        probes.sort()
+        ranks = [rank(ray(F, n)) for n in probes]
+        for n, r in zip(probes, ranks):
+            if not r < declared:
+                raise RankInconsistent(
+                    f"ray at {n} has rank {r}, not below declared {declared}")
+        if declared.is_limit:
+            base_probe_ranks = ranks[:_RANK_SAMPLE]
+            grows = all(a < b for a, b in
+                        zip(base_probe_ranks, base_probe_ranks[1:]))
+            if not grows:
+                raise RankInconsistent(
+                    f"declared limit rank {declared} but sampled ray ranks "
+                    f"{[str(r) for r in base_probe_ranks]} do not grow")
+        elif all(r.succ() != declared for r in ranks):
+            raise RankInconsistent(
+                f"declared rank {declared} not attained by any sampled ray "
+                f"+ 1")
+        return declared
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": "seq",
+            "rays": {str(n): sub.to_dict() for n, sub in self.table},
+            "default": self.default.to_dict(),
+            "rank": list(self.declared_rank.coefficients),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict, field: str):
+        rays = _json_field(d.get("rays", {}), dict, f"{field} 'rays'")
+        table = tuple(sorted(
+            (int(n), _schema_from_dict(sub, f"{field} ray {n!r}"))
+            for n, sub in rays.items()))
+        default = _schema_from_dict(d["default"], f"{field} 'default'")
+        rank = tuple(_json_field(c, int, f"{field} 'rank' entry")
+                     for c in d["rank"])
+        return cls(table, default, OrdinalCNF(rank))
 
 
 @dataclass(frozen=True)
@@ -107,11 +204,6 @@ def seq_front(table: dict, default, declared_rank: OrdinalCNF,
     return Front(SeqSchema(tbl, default, declared_rank), base or omega())
 
 
-def _is_trivial(schema) -> bool:
-    return isinstance(schema, TrivialSchema) or (
-        isinstance(schema, UniformSchema) and schema.k == 0)
-
-
 def check_front_element(s) -> tuple:
     s = tuple(s)
     for v in s:
@@ -128,7 +220,7 @@ def check_front_element(s) -> tuple:
 def front_member(F: Front, s) -> bool:
     """Whether s walks the front's rays to a trivial front."""
     res = residual_front(F, s)
-    return res is not None and _is_trivial(res.schema)
+    return res is not None and res.schema.trivial
 
 
 @dataclass(frozen=True)
@@ -152,7 +244,7 @@ def front_step(F: Front, Y: InfSet) -> StepResult:
     """
     member: list = []
     cur = F
-    while not _is_trivial(cur.schema):
+    while not cur.schema.trivial:
         if len(member) >= _STEP_CEILING:
             raise NoMemberWithinBound(
                 f"consumed {len(member)} elements without completing a member")
@@ -166,19 +258,10 @@ def front_step(F: Front, Y: InfSet) -> StepResult:
 
 def ray(F: Front, n: int) -> Front:
     """The ray at n: {s | {n} + s is a member}, a front on base/n."""
-    schema, base = F.schema, F.base
-    if _is_trivial(schema):
-        raise TrivialHasNoRays("the trivial front has no rays")
-    if not base.contains(n):
+    schema = F.schema.ray(n)
+    if not F.base.contains(n):
         raise NotInBase(f"{n} is not in the base")
-    sub = base.after(n)
-    if isinstance(schema, UniformSchema):
-        return Front(UniformSchema(schema.k - 1), sub)
-    if isinstance(schema, SchreierSchema):
-        return Front(UniformSchema(n), sub)
-    if isinstance(schema, SeqSchema):
-        return Front(schema.ray_schema(n), sub)
-    raise TypeError(f"unknown schema {schema!r}")
+    return Front(schema, F.base.after(n))
 
 
 _PREFIX_CHECK = 16
@@ -199,48 +282,8 @@ def restrict(F: Front, Z: InfSet) -> Front:
 
 
 def rank(F: Front) -> OrdinalCNF:
-    """Ordinal rank of the front's tree.
-
-    Trivial -> 0, Uniform(k) -> k, Schreier -> omega. Sequence nodes carry a
-    declared rank which is validated on a sample of rays: each sampled ray
-    must rank strictly below the declaration, successor declarations must be
-    attained by some sampled ray + 1, and limit declarations must see
-    strictly growing ray ranks along the base.
-    """
-    schema = F.schema
-    if isinstance(schema, TrivialSchema):
-        return ZERO
-    if isinstance(schema, UniformSchema):
-        return OrdinalCNF.natural(schema.k)
-    if isinstance(schema, SchreierSchema):
-        return OrdinalCNF.omega()
-    if isinstance(schema, SeqSchema):
-        declared = schema.declared_rank
-        probes = list(F.base.prefix(_RANK_SAMPLE))
-        for key, _ in schema.table:
-            if F.base.contains(key) and key not in probes:
-                probes.append(key)
-        probes.sort()
-        ranks = [rank(ray(F, n)) for n in probes]
-        for n, r in zip(probes, ranks):
-            if not r < declared:
-                raise RankInconsistent(
-                    f"ray at {n} has rank {r}, not below declared {declared}")
-        if declared.is_limit:
-            base_probe_ranks = ranks[:_RANK_SAMPLE]
-            grows = all(a < b for a, b in
-                        zip(base_probe_ranks, base_probe_ranks[1:]))
-            if not grows:
-                raise RankInconsistent(
-                    f"declared limit rank {declared} but sampled ray ranks "
-                    f"{[str(r) for r in base_probe_ranks]} do not grow")
-        else:
-            if all(r.succ() != declared for r in ranks):
-                raise RankInconsistent(
-                    f"declared rank {declared} not attained by any sampled "
-                    f"ray + 1")
-        return declared
-    raise TypeError(f"unknown schema {schema!r}")
+    """Ordinal rank of the front's tree (see each schema's rank)."""
+    return F.schema.rank(F.base)
 
 
 # --- window enumeration ---------------------------------------------------
@@ -261,8 +304,6 @@ def members_within(F: Front, bound: int) -> list:
             pool = front.base.upto(bound)
             out.extend(prefix + combo for combo in
                        itertools.combinations(pool, front.schema.k))
-        elif _is_trivial(front.schema):
-            out.append(prefix)
         else:
             for n in front.base.upto(bound):
                 rec(ray(front, n), prefix + (n,))
@@ -280,7 +321,7 @@ def residual_front(F: Front, s) -> Optional[Front]:
     s = check_front_element(s)
     cur = F
     for x in s:
-        if _is_trivial(cur.schema) or not cur.base.contains(x):
+        if cur.schema.trivial or not cur.base.contains(x):
             return None
         cur = ray(cur, x)
     return cur
@@ -317,7 +358,7 @@ def tree_of_front(F: Front, bound: int) -> TreeReport:
     nodes: dict = {}
 
     def rec(front: Front, prefix: tuple):
-        leaf = _is_trivial(front.schema)
+        leaf = front.schema.trivial
         points = () if leaf else front.base.upto(bound)
         nodes[prefix] = TreeNode(
             children=tuple(prefix + (n,) for n in points),
@@ -365,10 +406,7 @@ def front_verify(F, samples: Sequence[InfSet], bound: int) -> VerifyReport:
     else:
         members = members_within(F, bound)
         entries = set(itertools.chain.from_iterable(members))
-        if _is_trivial(F.schema):
-            base_ok = True
-        else:
-            base_ok = entries == set(F.base.upto(bound))
+        base_ok = F.schema.trivial or entries == set(F.base.upto(bound))
 
     # members is sorted, so the first member t with a proper initial
     # segment p in the family sits right after p (only extensions of p lie
@@ -543,25 +581,8 @@ def shift_pairs_within(members: Iterable) -> list:
 
 # --- serialization --------------------------------------------------------
 
-def _schema_to_dict(schema) -> dict:
-    if isinstance(schema, TrivialSchema):
-        return {"schema": "trivial"}
-    if isinstance(schema, UniformSchema):
-        return {"schema": "uniform", "k": schema.k}
-    if isinstance(schema, SchreierSchema):
-        return {"schema": "schreier"}
-    if isinstance(schema, SeqSchema):
-        return {
-            "schema": "seq",
-            "rays": {str(n): _schema_to_dict(sub) for n, sub in schema.table},
-            "default": _schema_to_dict(schema.default),
-            "rank": list(schema.declared_rank.coefficients),
-        }
-    raise TypeError(f"unknown schema {schema!r}")
-
-
 def front_to_dict(F: Front) -> dict:
-    d = _schema_to_dict(F.schema)
+    d = F.schema.to_dict()
     d["base"] = F.base.name
     return d
 
@@ -578,24 +599,16 @@ def _json_field(value, kind: type, field: str):
     return value
 
 
+_SCHEMAS = {"trivial": TrivialSchema, "uniform": UniformSchema,
+            "schreier": SchreierSchema, "seq": SeqSchema}
+
+
 def _schema_from_dict(d: dict, field: str = "front"):
     kind = _json_field(d, dict, field).get("schema")
-    if kind == "trivial":
-        return TrivialSchema()
-    if kind == "uniform":
-        return UniformSchema(_json_field(d["k"], int, f"{field} 'k'"))
-    if kind == "schreier":
-        return SchreierSchema()
-    if kind == "seq":
-        rays = _json_field(d.get("rays", {}), dict, f"{field} 'rays'")
-        table = tuple(sorted(
-            (int(n), _schema_from_dict(sub, f"{field} ray {n!r}"))
-            for n, sub in rays.items()))
-        default = _schema_from_dict(d["default"], f"{field} 'default'")
-        rank = tuple(_json_field(c, int, f"{field} 'rank' entry")
-                     for c in d["rank"])
-        return SeqSchema(table, default, OrdinalCNF(rank))
-    raise ValueError(f"unknown front schema {d!r}")
+    cls = _SCHEMAS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown front schema {d!r}")
+    return cls.from_dict(d, field)
 
 
 def front_from_dict(d: dict) -> Front:

@@ -125,8 +125,8 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
 
     Winner II means x <= y in the lifted order.  The optional memo dict may
     be shared across calls that use the same base order.  Each distinct
-    atom is checked against the carrier once, up front, so a base order
-    with check and raw_leq (as RADO has) is then compared raw.
+    atom is checked against the carrier once, up front, and the atoms are
+    then compared with the order's raw_leq.
     """
     _check_base(x, qo)
     _check_base(y, qo)
@@ -135,8 +135,7 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
 
 def _solve(x: HSet, y: HSet, qo, memo: dict) -> GameResult:
     """game_leq on a position whose atoms are known to be in the carrier."""
-    raw = getattr(qo, "raw_leq", None)
-    leq = raw if raw is not None and getattr(qo, "check", None) else qo.leq
+    leq = qo.raw_leq
     strat: dict = {}
     visited: set = set()
     if _ii_wins(x, y, leq, memo):

@@ -8,10 +8,10 @@ key) makes equality, hashing, and memo keys deterministic.
 
 Each HSet computes its hash once, at construction, from its value or its
 children's cached hashes, so hashing (and a memo lookup keyed by HSets) is
-O(1); equality stays structural.  The sort key ``canon_key`` is cached in a
-bounded LRU cache of ``CANON_KEY_CACHE_SIZE`` entries; an evicted key is
-recomputed from its children's keys, so the order never depends on the
-cache.
+O(1); equality stays structural, and Node compares without recursion.  The
+sort key ``canon_key`` is cached in a bounded LRU cache of
+``CANON_KEY_CACHE_SIZE`` entries; an evicted key is recomputed from its
+children's keys, so the order never depends on the cache.
 
 The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
@@ -69,6 +69,34 @@ class Node:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        """Structural equality without recursion, so that two equal sets
+        built apart compare at any depth.  Nodes are settled by identity,
+        stored hash and child count, and each pair of children by identity,
+        type and stored hash, before the comparison goes deeper."""
+        if other.__class__ is not Node:
+            return NotImplemented
+        if self is other:
+            return True
+        if self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            xs, ys = x.children, y.children
+            if len(xs) != len(ys):
+                return False
+            for a, b in zip(xs, ys):
+                if a is b:
+                    continue
+                if a.__class__ is not b.__class__ or a._hash != b._hash:
+                    return False
+                if a.__class__ is Node:
+                    stack.append((a, b))
+                elif a.value is not b.value and not a.value == b.value:
+                    return False    # two atoms, compared as Atom.__eq__ does
+        return True
 
     def __reduce__(self):
         return Node, (self.children,)

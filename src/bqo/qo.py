@@ -94,8 +94,14 @@ class FiniteQO:
         except KeyError:
             raise NotInCarrier(f"{x!r} is not in the carrier")
 
+    def check(self, x):
+        self.index(x)
+        return x
+
     def leq(self, a, b) -> bool:
         return bool(self.rows[self.index(a)] >> self.index(b) & 1)
+
+    raw_leq = leq
 
     def key(self, x):
         """Canonical tie-break key: position in the carrier listing."""
@@ -129,21 +135,21 @@ class CodedQO:
 
     name: str
     contains: Callable[[Any], bool]
+    # Every order has check and raw_leq (FiniteQO too): check returns a
+    # carrier member unchanged and raises the carrier's error for anything
+    # else, leq validates both arguments that way, and raw_leq compares
+    # without validation, for values that were checked once.
+    check: Callable[[Any], Any]
     leq: Callable[[Any, Any], bool]
+    raw_leq: Callable[[Any, Any], bool]
     key: Callable[[Any], Any]
     fmt: Callable[[Any], str] = field(default=lambda x: _fmt_element(x))
     parse: Optional[Callable[[str], Any]] = None
-    # For a leq that validates its arguments: check raises the carrier's
-    # own error for a non-member, and raw_leq is leq without validation, for
-    # callers that check each value once and then compare it many times.
-    check: Optional[Callable[[Any], Any]] = None
-    raw_leq: Optional[Callable[[Any, Any], bool]] = None
 
     def validate_window(self, sample: Sequence[Any]) -> dict:
         sample = list(sample)
         for x in sample:
-            if not self.contains(x):
-                raise NotInCarrier(f"{x!r} is not in the carrier of {self.name}")
+            self.check(x)
             if not self.leq(x, x):
                 raise MissingReflexive(x)
         for a, b, c in itertools.product(sample, repeat=3):
@@ -260,13 +266,22 @@ RADO = CodedQO(
     raw_leq=_rado_leq_raw,
 )
 
+
+def _check_natural(x):
+    if isinstance(x, int) and not isinstance(x, bool) and x >= 0:
+        return x
+    raise NotInCarrier(f"{x!r} is not a natural number")
+
+
 OMEGA = CodedQO(
     name="omega-leq",
     contains=lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0,
-    leq=lambda a, b: a <= b,
+    leq=lambda a, b: _check_natural(a) <= _check_natural(b),
     key=lambda x: x,
     fmt=str,
     parse=int,
+    check=_check_natural,
+    raw_leq=lambda a, b: a <= b,
 )
 
 
@@ -287,7 +302,6 @@ def antichain(k: int) -> FiniteQO:
 def rado_window_qo(bound: int) -> FiniteQO:
     """Rado's order restricted to pairs with entries below the bound."""
     elems = [(m, n) for m in range(bound) for n in range(m + 1, bound)]
-    elems.sort()
     return FiniteQO.from_relation(elems, rado_leq)
 
 
@@ -318,14 +332,8 @@ class RelationRecord:
 
 
 def derived_relations(qo, a, b) -> RelationRecord:
-    """Equivalence, strict and incomparability relations derived from <=."""
-    if isinstance(qo, FiniteQO):
-        if not qo.contains(a):
-            raise NotInCarrier(f"{a!r} is not in the carrier")
-        if not qo.contains(b):
-            raise NotInCarrier(f"{b!r} is not in the carrier")
-    elif not (qo.contains(a) and qo.contains(b)):
-        raise NotInCarrier(f"{a!r} or {b!r} is not in the carrier")
+    """Equivalence, strict and incomparability relations derived from <=,
+    whose leq checks a, then b, against the carrier."""
     le = qo.leq(a, b)
     ge = qo.leq(b, a)
     return RelationRecord(
@@ -380,8 +388,7 @@ class Downset:
 
     def __post_init__(self):
         for x in self.members:
-            if not self.over.contains(x):
-                raise NotInCarrier(f"{x!r} is not in the carrier")
+            self.over.check(x)
         for y in self.over.elements:
             for x in self.members:
                 if self.over.leq(y, x) and y not in self.members:
@@ -393,8 +400,7 @@ def downset_closure(qo: FiniteQO, seed: Iterable) -> Downset:
     """Downward closure of a seed set inside a finite carrier."""
     seed = list(seed)
     for x in seed:
-        if not qo.contains(x):
-            raise NotInCarrier(f"{x!r} is not in the carrier")
+        qo.check(x)
     members = frozenset(
         y for y in qo.elements if any(qo.leq(y, x) for x in seed))
     return Downset(over=qo, members=members)
@@ -405,8 +411,7 @@ def domination_leq(qo: FiniteQO, X: Iterable, Y: Iterable) -> bool:
     of Y. Equivalent to inclusion of the downward closures."""
     X, Y = list(X), list(Y)
     for x in X + Y:
-        if not qo.contains(x):
-            raise NotInCarrier(f"{x!r} is not in the carrier")
+        qo.check(x)
     return all(any(qo.leq(x, y) for y in Y) for x in X)
 
 
@@ -421,8 +426,7 @@ class SeqWindow:
 
     def __post_init__(self):
         for v in self.values:
-            if not self.qo.contains(v):
-                raise NotInCarrier(f"{v!r} is not in the carrier")
+            self.qo.check(v)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -450,7 +454,7 @@ def sequence_diagnose(win: SeqWindow) -> SequenceReport:
     if n < 2:
         raise WindowTooSmall(f"need at least 2 values, got {n}")
     # SeqWindow checked every value into the carrier: compare raw
-    leq = getattr(win.qo, "raw_leq", None) or win.qo.leq
+    leq = win.qo.raw_leq
     witness = None
     for i in range(n):
         for j in range(i + 1, n):
@@ -490,7 +494,7 @@ def regularity_check(win: SeqWindow) -> RegularityReport:
     vs = win.values
     if len(vs) < 2:
         raise WindowTooSmall(f"need at least 2 values, got {len(vs)}")
-    leq = getattr(win.qo, "raw_leq", None) or win.qo.leq
+    leq = win.qo.raw_leq
 
     def regular(seq) -> bool:
         return all(

@@ -451,8 +451,7 @@ class LaverReport:
 def _require_bad_pairs(f: SuperSeq, window: int, what: str) -> None:
     """Refuse f unless it is a pair-front sequence into a quasi-order and
     bad on the window."""
-    schema = f.front.schema
-    if not (isinstance(schema, UniformSchema) and schema.k == 2):
+    if f.front.schema != UniformSchema(2):
         raise ValueError(f"{what} needs a pair front")
     if f.codomain is None:
         raise ValueError(f"{what} needs a quasi-order codomain")
@@ -471,21 +470,16 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     evidence of a bad sequence in the codomain and raises
     RamseyStageFailed).  The minimum of the surviving set is dropped and
     both directions of the embedding are verified on every pair over X.
-    Each value is read once; a codomain with check and raw_leq (see
-    CodedQO) has it checked then and compared raw.
+    Each value is read once, checked against the codomain then and
+    compared raw after (see CodedQO).
     """
     _require_bad_pairs(f, window, "embedding extraction")
-    raw_leq = getattr(f.codomain, "raw_leq", None)
-    check = f.codomain.check if raw_leq is not None else None
-    leq = raw_leq or f.codomain.leq
+    leq, check = f.codomain.raw_leq, f.codomain.check
     values: dict = {}
 
     def value(p: tuple):
         if p not in values:
-            v = f.value(p)
-            if check is not None:
-                check(v)
-            values[p] = v
+            values[p] = check(f.value(p))
         return values[p]
 
     def c3(tr: tuple) -> int:

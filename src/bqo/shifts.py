@@ -16,21 +16,24 @@ window for a restriction h making a valuation monotone along every
 requested shift simultaneously.  Its join nodes and candidate sets come
 from bqo.ramsey (join_nodes and the one homogeneous-set search), and each
 candidate is verified against a deterministic battery of sampled
-injections before it is accepted.
+injections before it is accepted.  The front and extraction modules are
+imported where g_perfect_extract needs them, so the injection code alone
+loads only bqo.streams and bqo.errors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
+                    Sequence)
 
 from .errors import (InvariantViolated, LooksLikeIdentity, NoMemberWithinBound,
                      NotBQOEvidence, NotInBase, WindowExhausted)
-from .fronts import front_step
-from .ramsey import Homogeneous, join_nodes, largest, member_colours
 from .streams import InfSet, parse_base, prefix_then_arithmetic
-from .superseq import SuperSeq
+
+if TYPE_CHECKING:
+    from .superseq import SuperSeq
 
 
 @dataclass(frozen=True)
@@ -298,6 +301,7 @@ def _extend_listing(Z: Sequence[int]) -> InfSet:
 def _resolve_value(phi: SuperSeq, h: IncInj, limit: int):
     """Value of the valuation at the set enumerated by h, if the member
     beginning that set lies in the base and resolves within the limit."""
+    from .fronts import front_step
     try:
         step = front_step(phi.front, InfSet(h, name=h.name))
     except (NotInBase, NoMemberWithinBound):
@@ -332,6 +336,7 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
     complement coloring owns a homogeneous window, the failure is evidence
     of badness in the codomain and raises NotBQOEvidence.
     """
+    from .ramsey import Homogeneous, join_nodes, largest, member_colours
     if phi.codomain is None:
         raise ValueError("perfection extraction needs a quasi-order codomain")
     gs = list(gs)

@@ -19,7 +19,6 @@ from .fronts import (
     ShiftPairs,
     TrivialSchema,
     UniformSchema,
-    _is_trivial,
     _json_field,
     front_step,
     members_within,
@@ -167,7 +166,7 @@ def spare_check(f: SuperSeq, bound: int) -> SpareReport:
 
 def _canon(schema):
     """Uniform(0) and Trivial present the same front; fold them together."""
-    return TrivialSchema() if _is_trivial(schema) else schema
+    return TrivialSchema() if schema.trivial else schema
 
 
 def _completion_valuation(f: SuperSeq, s: tuple):
@@ -182,9 +181,7 @@ def _completion_valuation(f: SuperSeq, s: tuple):
 def _sparsify(f: SuperSeq, bound: int):
     F = f.front
     members = members_within(F, bound)
-    if not members:
-        return f, False
-    if _is_trivial(F.schema):
+    if not members or F.schema.trivial:
         return f, False
     # constancy evidence comes from the slack-extended pool: a lone member
     # at the window edge is no proof of a collapsed value
@@ -229,20 +226,16 @@ def _sparsify(f: SuperSeq, bound: int):
         # with the first beyond-window ray; window-sound by contract
         default = table[heads[-1]]
 
-    if len(schemas) == 1 and isinstance(default, TrivialSchema):
-        new_front: Front = Front(UniformSchema(1), F.base)
-    elif len(schemas) == 1 and isinstance(default, UniformSchema) \
-            and all(isinstance(s, UniformSchema) for s in schemas):
-        new_front = Front(UniformSchema(default.k + 1), F.base)
+    if len(schemas) == 1 and isinstance(default, UniformSchema):
+        new_front: Front = Front(UniformSchema(default.k + 1), F.base)
     else:
         ranks = [rank(Front(sch, F.base.after(n)))
                  for n, sch in table.items()]
         ranks.append(rank(Front(default, F.base)))
         declared = max(r.succ() for r in ranks)
-        new_front = Front(
-            SeqSchema(tuple(sorted(table.items(), key=lambda kv: kv[0])),
-                      default, declared),
-            F.base)
+        # table is keyed by the sorted heads, as SeqSchema wants it
+        new_front = Front(SeqSchema(tuple(table.items()), default, declared),
+                          F.base)
 
     def val(s, subs=subs, f=f):
         s = tuple(s)
@@ -334,18 +327,14 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     Pairs are scanned in witness order (largest entry, then s, then t) and
     the scan stops at the first good pair, the reported witness.
     pairs_scanned is the number of shift pairs in the window either way.
-    A codomain with check and raw_leq (see CodedQO) has each value checked
-    once and then compared raw; an invalid value raises the error its leq
+    Each value is checked against the codomain once and then compared raw
+    (see CodedQO); an invalid value raises the error the codomain's leq
     would raise, at the same pair.
     """
     codomain = f.codomain
     if codomain is None:
         raise ValueError("badness needs a quasi-order codomain")
-    raw_leq = getattr(codomain, "raw_leq", None)
-    if raw_leq is not None:
-        witness, count = _first_pair(f, bound, raw_leq, codomain.check)
-    else:
-        witness, count = _first_pair(f, bound, codomain.leq)
+    witness, count = _first_pair(f, bound, codomain.raw_leq, codomain.check)
     return BadnessReport(
         window=bound, good_witness=witness,
         bad_on_window=witness is None, pairs_scanned=count)
@@ -391,7 +380,7 @@ def named_valuation(rule: str,
     reads entries is refused on a trivial front, here rather than at the
     first value read."""
     if front is not None and rule in _NONEMPTY_RULES \
-            and _is_trivial(front.schema):
+            and front.schema.trivial:
         raise ValueError(
             f"valuation rule {rule!r} needs nonempty members; the trivial "
             f"front's only member is ()")

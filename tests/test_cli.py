@@ -829,10 +829,13 @@ def test_file_rule_on_the_trivial_front(tmp_path, rule, table, message):
             f"error: malformed sequence file: {message}")
 
 
-@pytest.mark.parametrize("argv", [
+ORDERED_SEQUENCE_COMMANDS = [
     ["seq", "bad"], ["seq", "perfect"], ["extract", "dichotomy"],
     ["extract", "laver"], ["shift", "perfect"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", ORDERED_SEQUENCE_COMMANDS)
 def test_file_sequence_without_codomain_is_a_usage_error(tmp_path, argv):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"front": {"schema": "uniform", "k": 2},
@@ -844,6 +847,22 @@ def test_file_sequence_without_codomain_is_a_usage_error(tmp_path, argv):
     code, out, err = run_cli(argv + ["--file", str(path), "--window", "6",
                                      "--codomain", "omega-leq"])
     assert code in (0, 1) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["x", [], "", None, True, -1])
+@pytest.mark.parametrize("argv", ORDERED_SEQUENCE_COMMANDS)
+def test_file_value_outside_omega_leq_is_one_domain_error_line(
+        tmp_path, argv, value):
+    # the member (0, 1) is read by every command on the window
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"front": {"schema": "uniform", "k": 2},
+                                "valuation": {"rule": "min",
+                                              "table": {"0,1": value}}}))
+    code, out, err = run_cli(argv + ["--codomain", "omega-leq", "--window",
+                                     "4", "--file", str(path)])
+    assert (code, out) == (1, ""), err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NotInCarrier:"), err
 
 
 # --- parsers built from argv ------------------------------------------------
@@ -1015,6 +1034,10 @@ steps.append(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert bqo.cli.main(["rado", "witness", "0", "1"]) == 0
 steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert bqo.cli.main(["shift", "sigma", "affine:1,5", "affine:1,2",
+                         "--window", "12"]) == 0
+steps.append(loaded())
 print(json.dumps(steps))
 """
 
@@ -1022,20 +1045,26 @@ print(json.dumps(steps))
 def test_a_command_loads_only_the_library_modules_it_uses():
     proc = _fresh_python("-c", _LOADED_AFTER_EACH_STEP)
     assert proc.returncode == 0, proc.stderr
-    parser, version, witness = (set(step) & LIBRARY
-                                for step in json.loads(proc.stdout))
+    parser, version, witness, sigma = (set(step) & LIBRARY
+                                       for step in json.loads(proc.stdout))
     assert parser == set(), "import bqo.cli; build_parser()"
     assert version == set(), "main(['--version'])"
     assert witness == {"bqo.qo"}, "main(['rado', 'witness', '0', '1'])"
+    assert sigma - witness == {"bqo.shifts", "bqo.streams"}, \
+        "main(['shift', 'sigma', ...])"
 
 
 FIRST_GOLDEN_PER_GROUP = {e["argv"][0]: e for e in reversed(GOLDEN)}
 
 
-@pytest.mark.parametrize("group", list(cli.SUBCOMMANDS))
-def test_golden_invocation_replays_in_a_fresh_interpreter(group):
+# each group's first golden, replayed as is and under -O (the checks must
+# still run there: none of them is an assert); ids "qo", "qo-O", ...
+@pytest.mark.parametrize("group, flags", [
+    pytest.param(group, flags, id=group + "".join(flags))
+    for flags in ([], ["-O"]) for group in cli.SUBCOMMANDS])
+def test_golden_invocation_replays_in_a_fresh_interpreter(group, flags):
     entry = FIRST_GOLDEN_PER_GROUP[group]
-    proc = _fresh_python("-m", "bqo.cli", *entry["argv"],
+    proc = _fresh_python(*flags, "-m", "bqo.cli", *entry["argv"],
                          stdin=entry["stdin"] or "")
     got = (proc.returncode, proc.stdout)
     assert got == (entry["exit"], entry["stdout"]), proc.stderr

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -464,20 +465,49 @@ class TestShiftPairs:
         assert built == [1, 2]
 
 
+# a front of every schema class, the sequence node with trivial and
+# Schreier rays among its table entries
+SERIALIZED_FRONTS = {
+    "trivial": trivial_front(),
+    "u0": uniform_front(0),
+    "u2": uniform_front(2),
+    "schreier-evens": schreier_front(evens()),
+    "seq": seq_front({0: UniformSchema(1)}, UniformSchema(2),
+                     OrdinalCNF.natural(3)),
+    "seq-trivial-schreier": seq_front(
+        {1: TrivialSchema(), 3: SchreierSchema(), 5: UniformSchema(0)},
+        UniformSchema(1), OMEGA_ORD.succ(), odds()),
+}
+
+
 class TestSerialization:
     def test_roundtrip(self):
-        fronts = [
-            uniform_front(2),
-            schreier_front(evens()),
-            trivial_front(),
-            seq_front({0: UniformSchema(1)}, UniformSchema(2),
-                      OrdinalCNF.natural(3)),
-        ]
-        for F in fronts:
+        for F in SERIALIZED_FRONTS.values():
             d = front_to_dict(F)
-            G = front_from_dict(d)
-            assert G.schema == F.schema
+            G = front_from_dict(json.loads(json.dumps(d)))
+            assert G.schema == F.schema and type(G.schema) is type(F.schema)
             assert G.base.prefix(6) == F.base.prefix(6)
+            assert front_to_dict(G) == d and rank(G) == rank(F)
+        covered = {type(F.schema) for F in SERIALIZED_FRONTS.values()}
+        assert covered == {TrivialSchema, UniformSchema, SchreierSchema,
+                           SeqSchema}
+
+    def test_trivial_keeps_its_name_beside_uniform_zero(self):
+        assert TrivialSchema() != UniformSchema(0)
+        assert TrivialSchema().k == 0 and TrivialSchema().trivial
+        assert front_to_dict(trivial_front()) == {"schema": "trivial",
+                                                  "base": "omega"}
+        assert front_to_dict(uniform_front(0)) == {"schema": "uniform",
+                                                   "k": 0, "base": "omega"}
+        # a ray that steps down to [X]^0 is a uniform schema, not trivial
+        R = ray(uniform_front(1), 3)
+        assert type(R.schema) is UniformSchema and R.schema.trivial
+        assert front_to_dict(R) == {"schema": "uniform", "k": 0,
+                                    "base": "omega/3"}
+        seq = front_to_dict(SERIALIZED_FRONTS["seq-trivial-schreier"])
+        assert seq["rays"] == {"1": {"schema": "trivial"},
+                               "3": {"schema": "schreier"},
+                               "5": {"schema": "uniform", "k": 0}}
 
     def test_from_dict_examples(self):
         F = front_from_dict({"schema": "uniform", "k": 2, "base": "omega"})
@@ -524,7 +554,7 @@ def _member_oracle(schema, base: InfSet, s: tuple) -> bool:
         return len(s) == schema.k
     if isinstance(schema, SchreierSchema):
         return 1 + s[0] == len(s)
-    return _member_oracle(schema.ray_schema(s[0]), base.after(s[0]), s[1:])
+    return _member_oracle(schema.ray(s[0]), base.after(s[0]), s[1:])
 
 
 def _increasing_below(window: int):

@@ -24,7 +24,7 @@ from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
 from bqo.hset import (CANON_KEY_CACHE_SIZE, MAX_SEXPR_DEPTH, Atom, Node,
                       all_hsets, canon_key, depth, hset_to_sexpr, iter_atoms,
                       node, parse_sexpr, random_hset, supp)
-from bqo.qo import RADO, antichain, chain, domination_leq, rado_leq
+from bqo.qo import RADO, CodedQO, antichain, chain, domination_leq, rado_leq
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
@@ -260,6 +260,14 @@ def _rebuilt(rng, h):
     return node(kids)
 
 
+def _chain_of_singletons(leaf, levels: int) -> Node:
+    """{{...{leaf}...}}, levels deep, built one node() at a time."""
+    h = Atom(leaf)
+    for _ in range(levels):
+        h = node([h])
+    return h
+
+
 class TestCachedHash:
     def test_equal_sets_in_any_child_order_hash_equal(self):
         rng = random.Random(5)
@@ -275,6 +283,22 @@ class TestCachedHash:
         assert repr(node([Atom(1), Atom(0)])) == (
             "Node(children=(Atom(value=0), Atom(value=1)))")
         assert Atom(3) != Atom(4) and node([Atom(3)]) != Atom(3)
+
+    @pytest.mark.parametrize("levels", [300, 3000])
+    def test_a_deep_set_built_twice_compares_without_recursion(self, levels):
+        # the second build finds the first's keys in canon_key's cache,
+        # which compares the two copies at every level
+        first = _chain_of_singletons(0, levels)
+        second = _chain_of_singletons(0, levels)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert _chain_of_singletons(1, levels) != first
+
+    def test_deep_sets_with_equal_hashes_differ_at_the_bottom(self):
+        # hash(-1) == hash(-2) in CPython: the stored hashes agree at every
+        # level, so only the atoms at the bottom tell these apart
+        low, high = (_chain_of_singletons(v, 300) for v in (-1, -2))
+        assert hash(low) == hash(high) and low != high
 
     def test_hsets_are_immutable(self):
         h = node([Atom(0)])
@@ -341,7 +365,7 @@ def _rado_sets_sharing_atoms(rng):
 class TestCheckedOnceComparedRaw:
     def test_rado_games_with_shared_atoms_agree_with_the_oracle(self):
         rng = random.Random(9)
-        checked = dataclasses.replace(RADO, check=None, raw_leq=None)
+        checked = dataclasses.replace(RADO, raw_leq=RADO.leq)
         for _ in range(300):
             x, y = _rado_sets_sharing_atoms(rng)
             for p, q in ((x, y), (y, x)):
@@ -365,15 +389,14 @@ class TestCheckedOnceComparedRaw:
         assert checks == [(0, 1), (1, 2), (2, 3)] * 2
         assert compared
 
-    def test_order_without_check_and_raw_leq_is_compared_with_leq(self):
+    def test_every_order_has_check_and_raw_leq(self):
+        # a finite order's raw_leq is its leq
         c3 = chain(3)
-        assert not hasattr(c3, "raw_leq")
+        assert c3.raw_leq == c3.leq
         assert game_leq(node([Atom(0), Atom(2)]), Atom(2), c3).winner == "II"
-        unchecked = dataclasses.replace(
-            RADO, check=None,
-            raw_leq=lambda a, b: pytest.fail("raw_leq without check"))
-        x = node([Atom((0, 1)), Atom((1, 3))])
-        assert game_leq(x, Atom((4, 5)), unchecked).winner == "II"
+        with pytest.raises(TypeError, match="check.*raw_leq"):
+            CodedQO(name="bare", contains=RADO.contains, leq=RADO.leq,
+                    key=RADO.key)
 
     def test_non_carrier_atom_raises_before_any_comparison(self):
         compared = []

@@ -136,6 +136,23 @@ class TestRado:
         assert RADO.check(s) is s
         assert rado_leq(s, (2, 7)) and not rado_leq((2, 7), s)
 
+    @pytest.mark.parametrize("x", ["x", (), "", None, True, -1, 1.5])
+    def test_omega_checks_naturals_where_it_compares(self, x):
+        message = f"{x!r} is not a natural number"
+        for call in (lambda: OMEGA.check(x), lambda: OMEGA.leq(x, 3),
+                     lambda: OMEGA.leq(3, x)):
+            with pytest.raises(NotInCarrier) as err:
+                call()
+            assert str(err.value) == message
+        assert not OMEGA.contains(x)
+        assert OMEGA.check(7) == 7 and OMEGA.leq(2, 7) and OMEGA.raw_leq(2, 7)
+
+    def test_finite_check_raises_the_index_error(self):
+        c3 = chain(3)
+        assert c3.check(2) == 2
+        with pytest.raises(NotInCarrier, match="^7 is not in the carrier$"):
+            c3.check(7)
+
     def test_coded_carrier(self):
         assert RADO.contains((2, 9))
         assert not RADO.contains((4, 4))

@@ -50,7 +50,9 @@ from _helpers import SHIFT_PAIR_FRONTS, join_nodes_reference
 OMEGA_EQ = CodedQO(
     name="omega-eq",
     contains=lambda x: isinstance(x, int) and x >= 0,
-    leq=lambda a, b: a == b,
+    check=OMEGA.check,
+    leq=lambda a, b: OMEGA.check(a) == OMEGA.check(b),
+    raw_leq=lambda a, b: a == b,
     key=lambda x: x,
     fmt=str,
     parse=int,
@@ -579,7 +581,9 @@ class TestLaverEmbed:
         loose = CodedQO(
             name="loose",
             contains=lambda x: isinstance(x, tuple) and len(x) == 2,
+            check=lambda x: x,
             leq=lambda a, b: a[1] != b[0],
+            raw_leq=lambda a, b: a[1] != b[0],
             key=lambda x: x,
             fmt=str,
             parse=lambda s: s,
@@ -634,7 +638,8 @@ class TestLaverEmbed:
             return rado_leq(a, b) != flip
 
         pert = CodedQO(name="rado-perturbed", contains=RADO.contains,
-                       leq=perturbed_leq, key=RADO.key, fmt=RADO.fmt)
+                       check=RADO.check, leq=perturbed_leq,
+                       raw_leq=perturbed_leq, key=RADO.key, fmt=RADO.fmt)
         f = SuperSeq(front=uniform_front(2),
                      valuation=named_valuation("identity"), codomain=pert,
                      name="identity-perturbed")
