@@ -274,33 +274,6 @@ def _atom_parser(q) -> Callable[[str], Any]:
     return q.parse if isinstance(q, CodedQO) and q.parse is not None else int
 
 
-def _atom_fmt(q) -> Callable[[Any], str]:
-    from .qo import CodedQO
-    return q.fmt if isinstance(q, CodedQO) and q.fmt is not None else str
-
-
-def _split_sexprs(text: str) -> list:
-    """Split concatenated s-expressions at top-level parenthesis depth."""
-    out, buf, level = [], [], 0
-    for ch in text:
-        if ch.isspace() and level == 0:
-            if buf:
-                out.append("".join(buf))
-                buf = []
-            continue
-        buf.append(ch)
-        if ch == "(":
-            level += 1
-        elif ch == ")":
-            level -= 1
-            if level == 0:
-                out.append("".join(buf))
-                buf = []
-    if buf:
-        out.append("".join(buf))
-    return out
-
-
 def _parse_hset(q, text: str):
     from .hset import parse_sexpr
     return _usage(parse_sexpr, text, _atom_parser(q),
@@ -312,15 +285,18 @@ def _read_hset_pair(args) -> tuple:
     """Read two hereditary sets from argv or, when 'x' is '-', stdin."""
     q = _resolve_order(args.qo)
     if args.x == "-":
-        texts = _split_sexprs(sys.stdin.read())
-        if len(texts) < 2:
+        from .hset import parse_sexprs
+        text = sys.stdin.read()
+        hs = _usage(parse_sexprs, text, _atom_parser(q),
+                    what="cannot parse s-expression",
+                    errors=(ValueError, TypeError)) if text.strip() else []
+        if len(hs) < 2:
             raise CliUsageError(
-                f"expected 2 s-expressions on stdin, got {len(texts)}")
-    else:
-        texts = [args.x, args.y]
-        if args.y is None:
-            raise CliUsageError("expected 2 s-expression arguments")
-    return [_parse_hset(q, t) for t in texts[:2]], q
+                f"expected 2 s-expressions on stdin, got {len(hs)}")
+        return hs[:2], q
+    if args.y is None:
+        raise CliUsageError("expected 2 s-expression arguments")
+    return [_parse_hset(q, args.x), _parse_hset(q, args.y)], q
 
 
 def _coloring_from_args(args) -> Coloring:
@@ -538,8 +514,7 @@ def _cmd_seq_sparsify(args):
     payload = {"sequence": f.name, "result": out.name,
                "front": front_to_dict(out.front), "values": values}
     lines = _lines(args, payload, "result", "front")
-    for k in sorted(values, key=lambda t: tuple(map(int, t.split(",")))):
-        lines.append(f"  f({k}) = {_text_value(values[k])}")
+    lines += [f"  f({k}) = {_text_value(v)}" for k, v in values.items()]
     return payload, lines
 
 
@@ -569,9 +544,8 @@ def _cmd_game_solve(args):
     from .games import game_leq
     from .hset import hset_to_sexpr
     (x, y), q = _read_hset_pair(args)
-    fmt = _atom_fmt(q)
     res = game_leq(x, y, q)
-    payload = {"x": hset_to_sexpr(x, fmt), "y": hset_to_sexpr(y, fmt),
+    payload = {"x": hset_to_sexpr(x, q.fmt), "y": hset_to_sexpr(y, q.fmt),
                "qo": args.qo, "strategy_size": len(res.strategy),
                **_fields(res, "winner", "ii_wins")}
     return payload, _lines(args, payload, "winner", "ii_wins")
@@ -581,7 +555,7 @@ def _cmd_game_play(args):
     from .games import game_leq, game_play
     from .hset import canon_key, hset_to_sexpr
     (x, y), q = _read_hset_pair(args)
-    fmt = _atom_fmt(q)
+    fmt = q.fmt
     res = game_leq(x, y, q)
 
     def least(side: int):       # the loser plays its least child
@@ -609,10 +583,9 @@ def _cmd_game_play(args):
 def _cmd_game_supp(args):
     from .hset import depth, hset_to_sexpr, supp
     q = _resolve_order(args.qo)
-    fmt = _atom_fmt(q)
     x = _parse_hset(q, args.x)
-    support = [fmt(v) for v in sorted(supp(x), key=repr)]
-    payload = {"x": hset_to_sexpr(x, fmt), "qo": args.qo, "depth": depth(x),
+    support = [q.fmt(v) for v in sorted(supp(x), key=repr)]
+    payload = {"x": hset_to_sexpr(x, q.fmt), "qo": args.qo, "depth": depth(x),
                "support": support}
     return payload, [*_lines(args, payload, "depth"),
                      f"support: {', '.join(support)}"]
@@ -643,7 +616,7 @@ def _cmd_game_tilde(args):
     from .games import tilde_build
     from .hset import hset_to_sexpr
     f = _superseq_from_args(args)
-    fmt = _atom_fmt(f.codomain)
+    fmt = str if f.codomain is None else f.codomain.fmt
     res = tilde_build(f, args.window)
     payload = {"sequence": f.name, "table_size": len(res.table),
                "first_level": [[m, hset_to_sexpr(h, fmt)]

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import (BadIndices, EmptyTruncation, IllegalMove,
+from .errors import (BadIndices, DomainError, EmptyTruncation, IllegalMove,
                      InsufficientPrefix, InvariantViolated, MixedBaseQO,
                      NotBad)
 from .fronts import members_within
@@ -46,9 +46,11 @@ def _check_base(h: HSet, qo, seen: Optional[set] = None) -> None:
         atoms = [a for a in atoms if a not in seen]
         seen.update(atoms)
     for a in atoms:
-        if not qo.contains(a.value):
-            raise MixedBaseQO(
-                f"atom {a.value!r} is not in the carrier of the base order")
+        try:
+            qo.check(a.value)
+        except DomainError:
+            raise MixedBaseQO(f"atom {a.value!r} is not in the carrier of "
+                              "the base order") from None
 
 
 def _moves(h: HSet) -> tuple:

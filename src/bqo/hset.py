@@ -15,11 +15,13 @@ children's keys, so the order never depends on the cache.
 
 The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
-parsing is the identity on canonical trees.  One parse tokenizes with one
-regular expression, builds the tree with an explicit stack, and shares one
-Atom per distinct label, so ``parse_atom`` runs once per label.  It refuses
-sets nested more than ``MAX_SEXPR_DEPTH`` deep, so that the recursive
-functions here and in ``games`` stay within Python's recursion limit.
+parsing is the identity on canonical trees.  ``parse_sexpr`` reads one
+expression and ``parse_sexprs`` every expression of a text, in order.  One
+parse tokenizes with one regular expression, builds each tree with an
+explicit stack, and shares one Atom per distinct label, so ``parse_atom``
+runs once per label.  It refuses sets nested more than ``MAX_SEXPR_DEPTH``
+deep, so that the recursive functions here and in ``games`` stay within
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -198,6 +200,13 @@ def _word(token: str) -> str:
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
+def _tokens(text: str) -> list:
+    tokens = _TOKEN.findall(text)
+    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
+        raise ValueError("unterminated string literal")
+    return tokens
+
+
 def parse_sexpr(text: str,
                 parse_atom: Callable[[str], object] = lambda s: s) -> HSet:
     """Parse the s-expression format back into an HSet.
@@ -207,24 +216,40 @@ def parse_sexpr(text: str,
     of a label shares one Atom.  The result is re-canonicalized.  Sets
     nested more than ``MAX_SEXPR_DEPTH`` deep raise ValueError.
     """
-    tokens = _TOKEN.findall(text)
-    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
-        raise ValueError("unterminated string literal")
-    out, pos = _build(tokens, parse_atom)
+    tokens = _tokens(text)
+    out, pos = _build(tokens, 0, parse_atom, {})
     if pos != len(tokens):
         raise ValueError("trailing input after s-expression")
     return out
 
 
-def _build(tokens: list, parse_atom) -> tuple:
-    """Build the first s-expression of tokens with an explicit stack of the
-    open sets' children; returns it with the index of the next token."""
-    n = len(tokens)
-    if not n or tokens[0] != "(":
-        raise ValueError("expected '(' at token 0")
+def parse_sexprs(text: str,
+                 parse_atom: Callable[[str], object] = lambda s: s) -> list:
+    """Parse one or more concatenated s-expressions, in order.
+
+    As parse_sexpr, but the text may hold further expressions after the
+    first, with or without whitespace between them, and all of them share
+    one Atom per distinct label.  Empty text raises ValueError, and so does
+    any expression that does not parse.
+    """
+    tokens = _tokens(text)
     atoms: dict = {}
+    out, pos = [], 0
+    while True:
+        h, pos = _build(tokens, pos, parse_atom, atoms)
+        out.append(h)
+        if pos == len(tokens):
+            return out
+
+
+def _build(tokens: list, pos: int, parse_atom, atoms: dict) -> tuple:
+    """Build the s-expression that starts at tokens[pos] with an explicit
+    stack of the open sets' children, taking and recording shared Atoms in
+    atoms; returns it with the index of the next token."""
+    n = len(tokens)
+    if pos >= n or tokens[pos] != "(":
+        raise ValueError(f"expected '(' at token {pos}")
     stack: list = []
-    pos = 0
     while True:
         # tokens[pos] opens an expression
         pos += 1

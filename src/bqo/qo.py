@@ -85,9 +85,6 @@ class FiniteQO:
             rows.append(r)
         return cls(elements, rows)
 
-    def contains(self, x) -> bool:
-        return x in self._index
-
     def index(self, x) -> int:
         try:
             return self._index[x]
@@ -134,11 +131,11 @@ class CodedQO:
     """
 
     name: str
-    contains: Callable[[Any], bool]
-    # Every order has check and raw_leq (FiniteQO too): check returns a
-    # carrier member unchanged and raises the carrier's error for anything
-    # else, leq validates both arguments that way, and raw_leq compares
-    # without validation, for values that were checked once.
+    # Every order has check and raw_leq (FiniteQO too). check is the
+    # membership test: it returns a carrier member unchanged and raises the
+    # carrier's error for anything else. leq validates both arguments that
+    # way, and raw_leq compares without validation, for values that were
+    # checked once.
     check: Callable[[Any], Any]
     leq: Callable[[Any, Any], bool]
     raw_leq: Callable[[Any, Any], bool]
@@ -235,14 +232,6 @@ def _rado_leq_raw(s, t) -> bool:
     return (m == mp and n <= np_) or n < mp
 
 
-def _is_rado_pair(s) -> bool:
-    try:
-        _check_rado_pair(s)
-    except NotAPair:
-        return False
-    return True
-
-
 def _parse_int_pair(text: str) -> tuple:
     parts = text.replace("{", "").replace("}", "").split(",")
     if len(parts) != 2:
@@ -255,7 +244,6 @@ def _parse_int_pair(text: str) -> tuple:
 
 RADO = CodedQO(
     name="rado",
-    contains=_is_rado_pair,
     leq=rado_leq,
     key=lambda s: s,
     fmt=_fmt_element,
@@ -275,7 +263,6 @@ def _check_natural(x):
 
 OMEGA = CodedQO(
     name="omega-leq",
-    contains=lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 0,
     leq=lambda a, b: _check_natural(a) <= _check_natural(b),
     key=lambda x: x,
     fmt=str,

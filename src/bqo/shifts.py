@@ -45,7 +45,6 @@ class IncInj:
     """
 
     evaluator: Callable[[int], int]
-    tag: str = "opaque"
     name: str = "f"
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -76,11 +75,11 @@ class IncInj:
 
 
 def identity_inj() -> IncInj:
-    return IncInj(lambda n: n, tag="id", name="id")
+    return IncInj(lambda n: n, name="id")
 
 
 def successor() -> IncInj:
-    return IncInj(lambda n: n + 1, tag="succ", name="succ")
+    return IncInj(lambda n: n + 1, name="succ")
 
 
 def affine(a: int, b: int) -> IncInj:
@@ -88,8 +87,7 @@ def affine(a: int, b: int) -> IncInj:
         raise ValueError("affine slope must be at least 1")
     if b < 0:
         raise ValueError("affine offset must be a natural")
-    return IncInj(lambda n: a * n + b, tag=f"affine:{a},{b}",
-                  name=f"affine:{a},{b}")
+    return IncInj(lambda n: a * n + b, name=f"affine:{a},{b}")
 
 
 def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
@@ -109,14 +107,12 @@ def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
         return table[n] if n < len(table) else a * n + b
 
     head = ",".join(str(x) for x in table)
-    return IncInj(ev, tag=f"table:{head}+tail:affine:{a},{b}",
-                  name=f"table:{head}+tail:affine:{a},{b}")
+    return IncInj(ev, name=f"table:{head}+tail:affine:{a},{b}")
 
 
 def enum_of_set(X: InfSet) -> IncInj:
     """The injection enumerating an infinite set in increasing order."""
-    return IncInj(X.nth, tag=f"enum-of-set:{X.name}",
-                  name=f"enum-of-set:{X.name}")
+    return IncInj(X.nth, name=f"enum-of-set:{X.name}")
 
 
 def parse_inj(descriptor: str) -> IncInj:
@@ -148,8 +144,7 @@ def parse_inj(descriptor: str) -> IncInj:
 
 def compose(f: IncInj, g: IncInj) -> IncInj:
     """Pointwise composition n -> f(g(n))."""
-    return IncInj(lambda n: f(g(n)), tag="compose",
-                  name=f"({f.name} o {g.name})")
+    return IncInj(lambda n: f(g(n)), name=f"({f.name} o {g.name})")
 
 
 def agrees_upto(f: IncInj, g: IncInj, window: int) -> bool:
@@ -178,7 +173,7 @@ def orbit_map(g: IncInj, probe: int = 64) -> IncInj:
             orbit.append(g(orbit[-1]))
         return orbit[n]
 
-    return IncInj(ev, tag="orbit", name=f"orbit({g.name})")
+    return IncInj(ev, name=f"orbit({g.name})")
 
 
 def rho(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
@@ -186,7 +181,7 @@ def rho(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     right-composition by g into right-composition by the successor."""
     G = orbit_map(g, probe)
     out = compose(f, G)
-    return IncInj(out.evaluator, tag="rho", name=f"rho({f.name};{g.name})")
+    return IncInj(out.evaluator, name=f"rho({f.name};{g.name})")
 
 
 def _require(holds: bool, what: str) -> None:
@@ -243,7 +238,7 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
             check_boundary(n)
         return gpow(e, l)
 
-    return IncInj(ev, tag="sigma", name=f"sigma({f.name};{g.name})")
+    return IncInj(ev, name=f"sigma({f.name};{g.name})")
 
 
 def factor_enumeration(X: InfSet, Y: InfSet, window: int) -> Optional[IncInj]:
@@ -275,7 +270,7 @@ def factor_enumeration(X: InfSet, Y: InfSet, window: int) -> Optional[IncInj]:
                 f"{X.name} is not inside {Y.name} at position {n}")
         return k
 
-    return IncInj(ev, tag="factor", name=f"factor({X.name}<={Y.name})")
+    return IncInj(ev, name=f"factor({X.name}<={Y.name})")
 
 
 # --- windowed perfection along several shifts -------------------------------

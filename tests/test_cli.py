@@ -539,6 +539,27 @@ class TestGameCommands:
                                  stdin='(set (atom "1"))')
         assert code == 2
 
+    @pytest.mark.parametrize("cmd", ["solve", "play"])
+    def test_stdin_solves_the_first_two_of_more_sexprs(self, cmd):
+        code, out, err = run_cli(
+            ["game", cmd, "-", "--format", "json"],
+            stdin='(set (atom "1"))(set (atom "2"))\n(atom "0") (atom "3")')
+        assert code == 0, err
+        data = json.loads(out)
+        assert (data["x"], data["y"]) == ('(set (atom "1"))',
+                                          '(set (atom "2"))')
+
+    @pytest.mark.parametrize("cmd", ["solve", "play"])
+    def test_malformed_third_sexpr_on_stdin_is_a_usage_error(self, cmd):
+        code, out, err = run_cli(
+            ["game", cmd, "-"],
+            stdin='(set (atom "1")) (set (atom "2")) (set')
+        assert code == 2 and out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [
+            "error: cannot parse s-expression: expected ')' at token 16"]
+
     def test_play_transcript_matches_solved_winner(self):
         data = run_json(["game", "play", SINGLETON_12, SINGLETON_3])
         assert data["solved_winner"] == "II"
@@ -610,6 +631,21 @@ class TestGameCommands:
         assert err.splitlines()[0] == (
             "error: cannot parse s-expression: sets nested deeper than "
             f"{MAX_SEXPR_DEPTH} at token {2 * MAX_SEXPR_DEPTH}")
+
+    def test_tilde_file_without_codomain_formats_values_with_str(
+            self, tmp_path):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({
+            "front": {"schema": "uniform", "k": 1},
+            "valuation": {"table": {"0": "a", "1": [0, 1], "2": 5},
+                          "rule": "min"}}))
+        code, out, err = run_cli(["game", "tilde", "--file", str(path),
+                                  "--window", "3"])
+        assert code == 0, err
+        assert out == ('window: 3\ntable_size: 4\n'
+                       '  level-1 at 0: (atom "a")\n'
+                       '  level-1 at 1: (atom "(0, 1)")\n'
+                       '  level-1 at 2: (atom "5")\n')
 
     def test_tilde_first_level_present(self):
         data = run_json(["game", "tilde", "--fixture", "identity@u1",

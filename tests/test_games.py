@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,8 +24,9 @@ from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
 from bqo.hset import (CANON_KEY_CACHE_SIZE, MAX_SEXPR_DEPTH, Atom, Node,
                       all_hsets, canon_key, depth, hset_to_sexpr, iter_atoms,
-                      node, parse_sexpr, random_hset, supp)
-from bqo.qo import RADO, CodedQO, antichain, chain, domination_leq, rado_leq
+                      node, parse_sexpr, parse_sexprs, random_hset, supp)
+from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
+                    rado_window_qo, resolve_qo)
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
@@ -203,12 +205,14 @@ class TestParserMatchesReference:
 
     def test_malformed_corpus_raises(self):
         for text in MALFORMED:
-            with pytest.raises(ValueError):
-                parse_sexpr(text)
+            for parse in (parse_sexpr, parse_sexprs):
+                with pytest.raises(ValueError):
+                    parse(text)
 
     def test_well_formed_corpus_parses(self):
         for text in WELL_FORMED:
             assert isinstance(parse_sexpr(text), (Atom, Node))
+            assert parse_sexprs(text) == [parse_sexpr(text)]
 
     def test_unterminated_literal_wins_over_every_other_error(self):
         for text in MALFORMED:
@@ -247,6 +251,56 @@ class TestParserMatchesReference:
         atoms = list(iter_atoms(h))
         assert len(atoms) == 4
         assert len({id(a) for a in atoms}) == 2
+
+
+# labels that a paren-counting splitter or a naive quoting would break
+_TRICKY_LABELS = st.text(alphabet='ab()"\\ ', max_size=4)
+
+
+def _labelled_hsets():
+    return st.recursive(
+        _TRICKY_LABELS.map(Atom),
+        lambda ch: st.lists(ch, min_size=1, max_size=3).map(node),
+        max_leaves=8)
+
+
+class TestParseSexprs:
+    """parse_sexprs reads every expression of a text with one Atom per
+    label."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_labelled_hsets(), min_size=1, max_size=4),
+           st.sampled_from(["", " ", "\n\t"]))
+    def test_concatenated_texts_round_trip_with_shared_atoms(self, hs, sep):
+        got = parse_sexprs(sep.join(hset_to_sexpr(h) for h in hs))
+        assert got == hs
+        shared: dict = {}
+        for a in (a for h in got for a in iter_atoms(h)):
+            assert shared.setdefault(a.value, a) is a
+
+    def test_parse_atom_runs_once_per_label_across_expressions(self):
+        labels = []
+
+        def parse_atom(label):
+            labels.append(label)
+            return int(label)
+
+        x, y, z = parse_sexprs('(set (atom 1) (atom 2))(atom "1") '
+                               '(set (atom 2) (atom 3))', parse_atom)
+        assert labels == ["1", "2", "3"]
+        assert y is x.children[0] and z.children[0] is x.children[1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected '(' at token 0"),
+        (" \n", "expected '(' at token 0"),
+        ('(set (atom "1")) (set (atom "2")', "expected ')' at token 13"),
+        ('(atom "1") (atom "2") (set', "expected ')' at token 10"),
+        ('(atom "1") (atom "2") x', "expected '(' at token 8"),
+        ('(atom "1") (atom "2', "unterminated string literal"),
+    ])
+    def test_empty_or_cut_off_text_raises(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sexprs(text)
 
 
 def _rebuilt(rng, h):
@@ -379,7 +433,7 @@ class TestCheckedOnceComparedRaw:
         checks, compared = [], []
         order = dataclasses.replace(
             RADO,
-            contains=lambda v: checks.append(v) or RADO.contains(v),
+            check=lambda v: checks.append(v) or RADO.check(v),
             leq=lambda a, b: pytest.fail("checked leq called"),
             raw_leq=lambda a, b: compared.append(1) or RADO.raw_leq(a, b))
         x = parse_sexpr('(set (atom "{0,1}") (set (atom "{0,1}") '
@@ -395,8 +449,17 @@ class TestCheckedOnceComparedRaw:
         assert c3.raw_leq == c3.leq
         assert game_leq(node([Atom(0), Atom(2)]), Atom(2), c3).winner == "II"
         with pytest.raises(TypeError, match="check.*raw_leq"):
-            CodedQO(name="bare", contains=RADO.contains, leq=RADO.leq,
-                    key=RADO.key)
+            CodedQO(name="bare", leq=RADO.leq, key=RADO.key)
+        # every order formats its members, finite ones included
+        for order, member, text in (
+                (c3, 2, "2"), (rado_window_qo(3), (0, 2), "{0,2}"),
+                (resolve_qo("rado"), (1, 4), "{1,4}"),
+                (resolve_qo("omega-leq"), 7, "7"),
+                (resolve_qo("chain:3"), 1, "1"),
+                (resolve_qo("antichain:2"), 0, "0")):
+            assert order.check(member) == member
+            assert order.raw_leq(member, member)
+            assert order.fmt(member) == text
 
     def test_non_carrier_atom_raises_before_any_comparison(self):
         compared = []
@@ -672,11 +735,11 @@ class TestStringStrategies:
               for x in rado_powerset_sequence(window)]
         counts: dict = {}
 
-        def contains(v):
+        def check(v):
             counts[v] = counts.get(v, 0) + 1
-            return RADO.contains(v)
+            return RADO.check(v)
 
-        counted = dataclasses.replace(RADO, contains=contains)
+        counted = dataclasses.replace(RADO, check=check)
         g = string_strategies(xs, counted, window)
         assert counts == {a.value: 1 for x in xs for a in iter_atoms(x)}
         assert g(tuple(range(window))) == string_strategies(

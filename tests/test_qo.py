@@ -144,7 +144,6 @@ class TestRado:
             with pytest.raises(NotInCarrier) as err:
                 call()
             assert str(err.value) == message
-        assert not OMEGA.contains(x)
         assert OMEGA.check(7) == 7 and OMEGA.leq(2, 7) and OMEGA.raw_leq(2, 7)
 
     def test_finite_check_raises_the_index_error(self):
@@ -154,8 +153,9 @@ class TestRado:
             c3.check(7)
 
     def test_coded_carrier(self):
-        assert RADO.contains((2, 9))
-        assert not RADO.contains((4, 4))
+        assert RADO.check((2, 9)) == (2, 9)
+        with pytest.raises(NotAPair):
+            RADO.check((4, 4))
         report = RADO.validate_window(
             [(m, n) for m in range(5) for n in range(m + 1, 5)])
         assert report["ok"] and report["sample_size"] == 10

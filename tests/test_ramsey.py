@@ -49,7 +49,6 @@ from _helpers import SHIFT_PAIR_FRONTS, join_nodes_reference
 
 OMEGA_EQ = CodedQO(
     name="omega-eq",
-    contains=lambda x: isinstance(x, int) and x >= 0,
     check=OMEGA.check,
     leq=lambda a, b: OMEGA.check(a) == OMEGA.check(b),
     raw_leq=lambda a, b: a == b,
@@ -580,7 +579,6 @@ class TestLaverEmbed:
         # of the same-first-entry comparisons disagrees with the pair order
         loose = CodedQO(
             name="loose",
-            contains=lambda x: isinstance(x, tuple) and len(x) == 2,
             check=lambda x: x,
             leq=lambda a, b: a[1] != b[0],
             raw_leq=lambda a, b: a[1] != b[0],
@@ -610,9 +608,8 @@ class TestLaverEmbed:
             check(b)
             return RADO.raw_leq(a, b)
 
-        counted = CodedQO(name="rado-counted", contains=RADO.contains,
-                          leq=leq, key=RADO.key, fmt=RADO.fmt,
-                          check=check, raw_leq=RADO.raw_leq)
+        counted = CodedQO(name="rado-counted", leq=leq, key=RADO.key,
+                          fmt=RADO.fmt, check=check, raw_leq=RADO.raw_leq)
 
         def seq():
             return SuperSeq(front=uniform_front(2),
@@ -637,9 +634,9 @@ class TestLaverEmbed:
             flip = a[0] == b[0] and a[1] > b[1] and (a[0] + b[1]) % 3 == 0
             return rado_leq(a, b) != flip
 
-        pert = CodedQO(name="rado-perturbed", contains=RADO.contains,
-                       check=RADO.check, leq=perturbed_leq,
-                       raw_leq=perturbed_leq, key=RADO.key, fmt=RADO.fmt)
+        pert = CodedQO(name="rado-perturbed", check=RADO.check,
+                       leq=perturbed_leq, raw_leq=perturbed_leq, key=RADO.key,
+                       fmt=RADO.fmt)
         f = SuperSeq(front=uniform_front(2),
                      valuation=named_valuation("identity"), codomain=pert,
                      name="identity-perturbed")
