@@ -161,8 +161,7 @@ def _resolve_order(name: str):
 
 def _parse_element(q, text: str):
     """Parse one carrier element from the command line."""
-    from .qo import CodedQO
-    if isinstance(q, CodedQO) and q.parse is not None:
+    if q.parse is not None:
         try:
             return q.parse(text)
         except (ValueError, TypeError) as exc:
@@ -270,8 +269,7 @@ def _parse_prefix(text: str) -> tuple:
 
 
 def _atom_parser(q) -> Callable[[str], Any]:
-    from .qo import CodedQO
-    return q.parse if isinstance(q, CodedQO) and q.parse is not None else int
+    return q.parse if q.parse is not None else int
 
 
 def _parse_hset(q, text: str):
@@ -481,9 +479,17 @@ def _cmd_front_verify(args):
 
 # --- seq group --------------------------------------------------------------
 
-def _relation(args, f: SuperSeq):
-    """The --relation flag as a predicate on f's values."""
-    return (lambda a, b: a == b) if args.relation == "eq" else f.codomain.leq
+def _relation(args, f: SuperSeq) -> tuple:
+    """The --relation flag as a predicate on values, with the sequence to
+    read them from.  Under leq that sequence checks each value against the
+    codomain on its first read, so the predicate compares raw."""
+    if args.relation == "eq":
+        return f, (lambda a, b: a == b)
+    from .superseq import SuperSeq
+    check, valuation = f.codomain.check, f.valuation
+    checked = SuperSeq(f.front, lambda s: check(valuation(s)), f.codomain,
+                       f.name)
+    return checked, f.codomain.raw_leq
 
 
 def _cmd_seq_eval(args):
@@ -530,8 +536,8 @@ def _cmd_seq_bad(args):
 
 def _cmd_seq_perfect(args):
     from .superseq import perfect_check
-    f = _ordered_superseq(args)
-    rep = perfect_check(f, _relation(args, f), args.window)
+    f, relation = _relation(args, _ordered_superseq(args))
+    rep = perfect_check(f, relation, args.window)
     payload = {"sequence": f.name, "relation": args.relation,
                **_fields(rep, "holds", "violation", "pairs_scanned")}
     return payload, _lines(args, payload, "window", "holds", "violation",
@@ -553,13 +559,13 @@ def _cmd_game_solve(args):
 
 def _cmd_game_play(args):
     from .games import game_leq, game_play
-    from .hset import canon_key, hset_to_sexpr
+    from .hset import hset_to_sexpr
     (x, y), q = _read_hset_pair(args)
     fmt = q.fmt
     res = game_leq(x, y, q)
 
-    def least(side: int):       # the loser plays its least child
-        return lambda pos: min(pos[side].children, key=canon_key)
+    def least(side: int):   # the loser plays its least child, the first one
+        return lambda pos: pos[side].children[0]
 
     if res.winner == "II":
         strat_I, strat_II = least(0), res.strategy
@@ -657,8 +663,8 @@ def _cmd_extract_nw(args):
 
 def _cmd_extract_dichotomy(args):
     from .ramsey import dichotomy_extract
-    f = _ordered_superseq(args)
-    rep = dichotomy_extract(f, _relation(args, f), args.window,
+    f, relation = _relation(args, _ordered_superseq(args))
+    rep = dichotomy_extract(f, relation, args.window,
                             relation_name=args.relation)
     payload = {"sequence": f.name, "relation": args.relation, "set": rep.Z,
                **_fields(rep, "side", "side_index", "joins_colored",

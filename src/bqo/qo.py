@@ -45,6 +45,7 @@ class FiniteQO:
     """
 
     __slots__ = ("elements", "rows", "_index")
+    parse = None    # no text syntax of its own, as a CodedQO without parse
 
     def __init__(self, elements: Sequence[Any], rows: Sequence[int]):
         self.elements = tuple(elements)

@@ -318,9 +318,8 @@ class GPerfectReport:
     candidates_tried: int
 
 
-def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
-                      probe: int = 64,
-                      max_candidates: int = 256) -> GPerfectReport:
+def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
+                      window: int) -> GPerfectReport:
     """Find h with value(h o f) <= value(h o f o g) for each requested g.
 
     Candidate sets are homogeneous windows for the conjunction of the
@@ -338,7 +337,7 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
     if not gs:
         raise ValueError("at least one shift is required")
     for g in gs:
-        critical_point(g, probe)  # rejects identity-looking shifts
+        critical_point(g)  # rejects identity-looking shifts
     leq = phi.codomain.leq
     points = list(phi.front.base.upto(window))
     joins = []
@@ -365,8 +364,8 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj], window: int,
 
     tried = 0
     for size in range(len(largest(points, colours, 1)), 0, -1):
-        for Z in itertools.islice(Homogeneous(points, colours, 1, size),
-                                  max_candidates):
+        # at most 256 candidates of each size are extended and verified
+        for Z in itertools.islice(Homogeneous(points, colours, 1, size), 256):
             tried += 1
             h_set = _extend_listing(Z)
             h = enum_of_set(h_set)

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+import bqo.qo
 from bqo import cli
 from bqo.cli import CliUsageError, build_parser, main
 from bqo.hset import MAX_SEXPR_DEPTH
@@ -698,6 +699,20 @@ class TestExtractCommands:
                          "--relation", "leq", "--window", "8"])
         assert data["side"] == "leq"
         assert data["pairs_verified"] > 0
+
+    @pytest.mark.parametrize("cmd", [["extract", "dichotomy"],
+                                     ["seq", "perfect"]])
+    def test_leq_checks_each_value_once(self, cmd, monkeypatch):
+        # the window's 66 members are each checked on their first read, and
+        # every comparison after that is raw
+        checks = []
+        check = bqo.qo._check_rado_pair
+        monkeypatch.setattr(bqo.qo, "_check_rado_pair",
+                            lambda s: checks.append(s) or check(s))
+        run_json([*cmd, "--fixture", "identity@u2", "--relation", "leq",
+                  "--window", "12"])
+        assert 0 < len(checks) <= 66
+        assert len(checks) == len(set(checks))
 
     def test_laver_identity_pairs(self):
         data = run_json(["extract", "laver", "--fixture", "identity@u2",

@@ -23,8 +23,9 @@ from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
 from bqo.hset import (CANON_KEY_CACHE_SIZE, MAX_SEXPR_DEPTH, Atom, Node,
-                      all_hsets, canon_key, depth, hset_to_sexpr, iter_atoms,
-                      node, parse_sexpr, parse_sexprs, random_hset, supp)
+                      _atom_key, all_hsets, canon_key, depth, hset_to_sexpr,
+                      iter_atoms, node, parse_sexpr, parse_sexprs, random_hset,
+                      supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
 from bqo.streams import omega
@@ -91,6 +92,22 @@ class TestHSetBasics:
         keys = [canon_key(h) for h in hs]
         assert len(set(keys)) == len(hs)
         assert sorted(keys) == sorted(keys)  # comparable without TypeError
+
+    def test_flat_keys_order_as_nested_keys(self):
+        # a node's stored key (1, *child keys) sorts every pair of sets as
+        # the nested key (1, tuple(child keys)) does
+        def nested(h):
+            if isinstance(h, Atom):
+                return canon_key(h)
+            return (1, tuple(nested(c) for c in h.children))
+
+        hs = list(all_hsets((0, "a", (1, 2)), 2)[:400])
+        rng = random.Random(3)
+        hs += [random_hset(rng, (0, 1, "a", (1, 2)), 4, branch=4)
+               for _ in range(200)]
+        for x, y in itertools.product(hs[::7], repeat=2):
+            assert (canon_key(x) < canon_key(y)) == (nested(x) < nested(y))
+        assert sorted(hs, key=canon_key) == sorted(hs, key=nested)
 
 
 class TestSExpr:
@@ -340,13 +357,24 @@ class TestCachedHash:
 
     @pytest.mark.parametrize("levels", [300, 3000])
     def test_a_deep_set_built_twice_compares_without_recursion(self, levels):
-        # the second build finds the first's keys in canon_key's cache,
-        # which compares the two copies at every level
+        # the final == compares the two copies at every level
         first = _chain_of_singletons(0, levels)
         second = _chain_of_singletons(0, levels)
         assert first is not second
         assert first == second and hash(first) == hash(second)
         assert _chain_of_singletons(1, levels) != first
+
+    def test_a_second_deep_build_compares_no_sets(self, monkeypatch):
+        # each node's key is fixed from its children's stored keys, so
+        # building an equal chain again never compares it with the first
+        calls = []
+        compare = Node.__eq__
+        monkeypatch.setattr(Node, "__eq__", lambda self, other: (
+            calls.append(1) or compare(self, other)))
+        first = _chain_of_singletons(0, 3000)
+        second = _chain_of_singletons(0, 3000)
+        assert calls == []
+        assert first == second and len(calls) == 1
 
     def test_deep_sets_with_equal_hashes_differ_at_the_bottom(self):
         # hash(-1) == hash(-2) in CPython: the stored hashes agree at every
@@ -381,23 +409,30 @@ class TestCachedHash:
 
 class TestCanonKeyCache:
     def test_cache_is_bounded(self):
-        info = canon_key.cache_info()
+        info = _atom_key.cache_info()
         assert info.maxsize == CANON_KEY_CACHE_SIZE
         assert 0 < info.maxsize < float("inf")
 
     def test_order_after_eviction_matches_a_cold_cache(self):
-        canon_key.cache_clear()
+        _atom_key.cache_clear()
         hs = all_hsets(("a", "b", 0), 1)
         cold = [node(reversed(h.children)).children for h in hs
                 if isinstance(h, Node)]
         cold_keys = [canon_key(h) for h in hs]
         for i in range(CANON_KEY_CACHE_SIZE + 100):
-            canon_key(Atom(i))
-        assert canon_key.cache_info().currsize == CANON_KEY_CACHE_SIZE
+            Atom(i)
+        assert _atom_key.cache_info().currsize == CANON_KEY_CACHE_SIZE
         warm = [node(reversed(h.children)).children for h in hs
                 if isinstance(h, Node)]
         assert warm == cold
         assert [canon_key(h) for h in hs] == cold_keys
+        assert [canon_key(rebuilt) for rebuilt in all_hsets(("a", "b", 0), 1)
+                ] == cold_keys
+
+    def test_atoms_of_one_value_share_a_key_by_type(self):
+        assert canon_key(Atom(5)) is canon_key(Atom(5))
+        assert canon_key(Atom(1)) == (0, "int:1")
+        assert canon_key(Atom(True)) == (0, "bool:True")
 
 
 def _rado_sets_sharing_atoms(rng):
@@ -460,6 +495,8 @@ class TestCheckedOnceComparedRaw:
             assert order.check(member) == member
             assert order.raw_leq(member, member)
             assert order.fmt(member) == text
+            # a text syntax, or None when elements are read as integers
+            assert order.parse is None or order.parse(text) == member
 
     def test_non_carrier_atom_raises_before_any_comparison(self):
         compared = []
