@@ -485,11 +485,7 @@ def _relation(args, f: SuperSeq) -> tuple:
     codomain on its first read, so the predicate compares raw."""
     if args.relation == "eq":
         return f, (lambda a, b: a == b)
-    from .superseq import SuperSeq
-    check, valuation = f.codomain.check, f.valuation
-    checked = SuperSeq(f.front, lambda s: check(valuation(s)), f.codomain,
-                       f.name)
-    return checked, f.codomain.raw_leq
+    return f.checked(), f.codomain.raw_leq
 
 
 def _cmd_seq_eval(args):

@@ -14,7 +14,9 @@ asks for every child below the atom; node/node asks that every child on
 the left sit below some child on the right.  The node/atom clause is the
 one most easily lost when the order is defined by formula rather than by
 game, so an independent explicit game-tree search (game_leq_oracle) is
-kept solely as a cross-check.
+kept solely as a cross-check.  It alone recurses: the solver, its strategy
+walks, strategy stringing and tilde_build keep explicit stacks, so sets
+of any depth are played.
 
 Strategy stringing chains the winning strategies of Player I along a bad
 sequence: II's moves in each game are copied from I's moves in the next
@@ -30,6 +32,7 @@ value (dict writes are atomic).  All other operations are pure.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -77,49 +80,125 @@ class GameResult:
 
 
 def _ii_wins(x: HSet, y: HSet, leq, memo: dict) -> bool:
+    """Whether II wins at (x, y), with every position solved on the way
+    recorded in memo.
+
+    One loop over an explicit stack, so the depth of the sets is not bound
+    by Python's recursion limit.  A position (X, Y) is decided as
+    all(any(...)) over I's moves X' and II's replies Y' in canonical order,
+    where an Atom side moves to itself and two atoms compare in the base
+    order: the probe of (X', Y') reads memo first and is solved below on a
+    miss; II's replies to one X' stop at the first win, and I's moves stop
+    at the first X' that no reply answers.  A position is stored in memo
+    once all its probes are done, so entries are added children first.
+    """
     key = (x, y)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(x, Atom) and isinstance(y, Atom):
-        res = bool(leq(x.value, y.value))
-    elif isinstance(x, Atom):
-        res = any(_ii_wins(x, yc, leq, memo) for yc in y.children)
-    elif isinstance(y, Atom):
-        res = all(_ii_wins(xc, y, leq, memo) for xc in x.children)
-    else:
-        res = all(any(_ii_wins(xc, yc, leq, memo) for yc in y.children)
-                  for xc in x.children)
-    memo[key] = res
-    return res
+    res = memo.get(key)
+    if res is not None:
+        return res
+    if x.__class__ is Atom and y.__class__ is Atom:
+        res = memo[key] = bool(leq(x.value, y.value))
+        return res
+    stack = []      # (position, I's moves, II's moves, i, j) of open probes
+    xs, ys = _moves(x), _moves(y)
+    i = j = 0
+    while True:
+        xm, ym = probe = (xs[i], ys[j])
+        res = memo.get(probe)
+        if res is None:
+            if xm.__class__ is Atom and ym.__class__ is Atom:
+                res = memo[probe] = bool(leq(xm.value, ym.value))
+            else:
+                stack.append((key, xs, ys, i, j))
+                key = probe
+                xs = xm.children if xm.__class__ is Node else (xm,)
+                ys = ym.children if ym.__class__ is Node else (ym,)
+                i = j = 0
+                continue
+        # res answers probe (xs[i], ys[j]); close every position it decides
+        while True:
+            if res:             # II answers xs[i]: on to I's next move
+                i += 1
+                j = 0
+                if i < len(xs):
+                    break
+            else:               # ys[j] loses: on to II's next reply
+                j += 1
+                if j < len(ys):
+                    break
+            memo[key] = res
+            if not stack:
+                return res
+            key, xs, ys, i, j = stack.pop()
 
 
-def _build_ii_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
-    if (x, y) in visited:
-        return
-    visited.add((x, y))
-    for xm in _moves(x):
-        if isinstance(y, Node):
-            ym = next(yc for yc in y.children if _ii_wins(xm, yc, leq, memo))
-            strat[(xm, y)] = ym
+def _build_ii_strategy(x: HSet, y: HSet, leq, memo) -> dict:
+    """II's winning strategy from (x, y): at each position reached under
+    it, the first reply that wins against each move of I.  Positions are
+    walked in preorder with an explicit stack; each probe reads memo,
+    which the solve at (x, y) filled, and solves only on a miss."""
+    strat: dict = {}
+    visited = {(x, y)}
+    stack = [(y, iter(_moves(x)))]
+    while stack:
+        y, xms = stack[-1]
+        for xm in xms:
+            if isinstance(y, Node):
+                for ym in y.children:
+                    win = memo.get((xm, ym))
+                    if win is None:
+                        win = _ii_wins(xm, ym, leq, memo)
+                    if win:
+                        break
+                strat[(xm, y)] = ym
+            else:
+                ym = y
+            if (not (isinstance(xm, Atom) and isinstance(ym, Atom))
+                    and (xm, ym) not in visited):
+                visited.add((xm, ym))
+                stack.append((ym, iter(_moves(xm))))
+                break
         else:
-            ym = y
-        if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
-            _build_ii_strategy(xm, ym, leq, memo, strat, visited)
+            stack.pop()
+    return strat
 
 
-def _build_i_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
-    if (x, y) in visited:
-        return
-    visited.add((x, y))
-    replies = _moves(y)
-    xm = next(xc for xc in _moves(x)
-              if all(not _ii_wins(xc, ym, leq, memo) for ym in replies))
-    if isinstance(x, Node):
-        strat[(x, y)] = xm
-    for ym in replies:
-        if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
-            _build_i_strategy(xm, ym, leq, memo, strat, visited)
+def _build_i_strategy(x: HSet, y: HSet, leq, memo) -> dict:
+    """I's winning strategy from (x, y): at each position reached under
+    it, the first move that no reply of II answers.  Positions are walked
+    in preorder with an explicit stack; each probe reads memo, which the
+    solve at (x, y) filled, and solves only on a miss."""
+    strat: dict = {}
+    visited: set = set()
+    stack: list = []
+
+    def enter(x: HSet, y: HSet) -> None:
+        visited.add((x, y))
+        replies = _moves(y)
+        for xm in _moves(x):
+            for ym in replies:
+                win = memo.get((xm, ym))
+                if win is None:
+                    win = _ii_wins(xm, ym, leq, memo)
+                if win:
+                    break
+            else:
+                break           # no reply answers xm
+        if isinstance(x, Node):
+            strat[(x, y)] = xm
+        stack.append((xm, iter(replies)))
+
+    enter(x, y)
+    while stack:
+        xm, yms = stack[-1]
+        for ym in yms:
+            if (not (isinstance(xm, Atom) and isinstance(ym, Atom))
+                    and (xm, ym) not in visited):
+                enter(xm, ym)
+                break
+        else:
+            stack.pop()
+    return strat
 
 
 def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
@@ -138,13 +217,9 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
 def _solve(x: HSet, y: HSet, qo, memo: dict) -> GameResult:
     """game_leq on a position whose atoms are known to be in the carrier."""
     leq = qo.raw_leq
-    strat: dict = {}
-    visited: set = set()
     if _ii_wins(x, y, leq, memo):
-        _build_ii_strategy(x, y, leq, memo, strat, visited)
-        return GameResult("II", strat)
-    _build_i_strategy(x, y, leq, memo, strat, visited)
-    return GameResult("I", strat)
+        return GameResult("II", _build_ii_strategy(x, y, leq, memo))
+    return GameResult("I", _build_i_strategy(x, y, leq, memo))
 
 
 def game_leq_oracle(x: HSet, y: HSet, qo) -> str:
@@ -260,34 +335,40 @@ class StrungMultiSeq:
             consumed = max(consumed, j + 1)
             return self.xs[prefix[j]]
 
-        def i_move_stream(j: int):
-            # Successive moves of Player I in the j-th chained game; they
-            # double as Player II's moves in the (j-1)-th game.  The first
-            # game returns its final pair of atoms.
-            A, B = x_at(j), x_at(j + 1)
-            child = None
-            while True:
-                if isinstance(A, Atom):
-                    a = A
-                else:
-                    a = self._strategies[(prefix[j], prefix[j + 1])][(A, B)]
-                yield a
-                if isinstance(B, Atom):
-                    b = B
-                else:
-                    if child is None:
-                        child = i_move_stream(j + 1)
-                    b = next(child)
-                if j == 0 and isinstance(a, Atom) and isinstance(b, Atom):
-                    return a, b
-                A, B = a, b
+        def move(j: int, A: HSet, B: HSet) -> HSet:
+            """Player I's move at (A, B) in the j-th chained game."""
+            if isinstance(A, Atom):
+                return A
+            return self._strategies[(prefix[j], prefix[j + 1])][(A, B)]
 
-        first = i_move_stream(0)
-        try:
-            while True:
-                next(first)
-        except StopIteration as end:
-            a, b = end.value
+        def advance(j: int, b: HSet) -> HSet:
+            """Play II's reply b in the j-th game; I's next move there."""
+            _, _, a = games[j]
+            games[j] = (a, b, move(j, a, b))
+            return games[j][2]
+
+        # games[j] is the j-th chained game's position and I's last move
+        # there, which doubles as II's next reply in game j - 1.  Game j
+        # starts when game j - 1 first needs a reply from it; the first
+        # game ends at a pair of atoms.
+        A, B = x_at(0), x_at(1)
+        games = [(A, B, move(0, A, B))]
+        while True:
+            j = 0       # the deepest game whose reply is not settled yet
+            while isinstance(games[j][1], Node) and j + 1 < len(games):
+                j += 1
+            if isinstance(games[j][1], Atom):
+                reply = games[j][1]
+            else:
+                A, B = x_at(j + 1), x_at(j + 2)
+                reply = move(j + 1, A, B)
+                games.append((A, B, reply))
+            for i in range(j, 0, -1):
+                reply = advance(i, reply)
+            a, b = games[0][2], reply
+            if isinstance(a, Atom) and isinstance(b, Atom):
+                break
+            advance(0, b)
         if self.qo.leq(a.value, b.value):
             raise InvariantViolated(
                 "a winning strategy for I reached a comparison favorable "
@@ -354,20 +435,33 @@ def tilde_build(f, window: int) -> TildeResult:
         raise EmptyTruncation(
             f"no member of the front completes with entries below {window}")
     table: dict = {}
+    stack: list = []    # (prefix, its depth, its groups left, children so far)
 
-    def fold(group: list, depth: int) -> HSet:
-        """HSet of the node that the members in group (sorted, nonempty)
-        share as their prefix of length depth."""
+    def start(group: list, depth: int) -> Optional[HSet]:
+        """The HSet of the node that the members in group (sorted,
+        nonempty) share as their prefix of length depth, when that node is
+        a member; otherwise open the node on the stack and return None."""
         s = group[0][:depth]
         if len(group[0]) == depth:   # prefix-free: s is the group's member
-            h: HSet = Atom(f.value(s))
-        else:
-            h = node([fold(list(kids), depth + 1) for _, kids in
-                      itertools.groupby(group, key=lambda m: m[depth])])
-        table[s] = h
-        return h
+            table[s] = h = Atom(f.value(s))
+            return h
+        stack.append((s, depth, itertools.groupby(
+            group, key=operator.itemgetter(depth)), []))
+        return None
 
-    fold(members, 0)
+    start(members, 0)
+    while stack:
+        s, depth, groups, kids = stack[-1]
+        for _, group in groups:
+            h = start(list(group), depth + 1)
+            if h is None:       # a child opened: it closes before the next
+                break
+            kids.append(h)
+        else:
+            stack.pop()
+            table[s] = h = node(kids)
+            if stack:
+                stack[-1][3].append(h)
     first = tuple((m, table[(m,)])
                   for m in F.base.upto(window) if (m,) in table)
     return TildeResult(window, table, first)

@@ -19,8 +19,9 @@ expression and ``parse_sexprs`` every expression of a text, in order.  One
 parse tokenizes with one regular expression, builds each tree with an
 explicit stack, and shares one Atom per distinct label, so ``parse_atom``
 runs once per label.  It refuses sets nested more than ``MAX_SEXPR_DEPTH``
-deep, so that the recursive functions here and in ``games`` stay within
-Python's recursion limit.
+deep.  That limit bounds input only: the functions here that walk a given
+set, and the solver in ``games``, use explicit stacks, so sets built in
+code may be nested deeper.
 """
 
 from __future__ import annotations
@@ -147,9 +148,14 @@ def canon_key(h: HSet) -> tuple:
 
 def depth(h: HSet) -> int:
     """Nesting depth: 0 for atoms, 1 + max child depth for nodes."""
-    if isinstance(h, Atom):
-        return 0
-    return 1 + max(depth(c) for c in h.children)
+    deepest, stack = 0, [(h, 0)]
+    while stack:
+        h, d = stack.pop()
+        if isinstance(h, Node):
+            stack.extend((c, d + 1) for c in h.children)
+        elif d > deepest:
+            deepest = d
+    return deepest
 
 
 def supp(h: HSet) -> frozenset:
@@ -158,22 +164,36 @@ def supp(h: HSet) -> frozenset:
 
 
 def iter_atoms(h: HSet):
-    """Yield every Atom leaf (with multiplicity of distinct positions)."""
-    if isinstance(h, Atom):
-        yield h
-    else:
-        for c in h.children:
-            yield from iter_atoms(c)
+    """Yield every Atom leaf (with multiplicity of distinct positions),
+    left to right in canonical order."""
+    stack = [h]
+    while stack:
+        h = stack.pop()
+        if isinstance(h, Atom):
+            yield h
+        else:
+            stack.extend(reversed(h.children))
 
 
 # --- s-expression wire format ---------------------------------------------
 
 def hset_to_sexpr(h: HSet, fmt: Callable[[object], str] = str) -> str:
     """Format as ``(atom "a")`` / ``(set e1 e2 ...)`` in canonical order."""
-    if isinstance(h, Atom):
-        label = fmt(h.value).replace("\\", "\\\\").replace('"', '\\"')
-        return f'(atom "{label}")'
-    return "(set " + " ".join(hset_to_sexpr(c, fmt) for c in h.children) + ")"
+    out = []
+    stack: list = [h]   # sets still to format, and text to emit between them
+    while stack:
+        h = stack.pop()
+        if isinstance(h, str):
+            out.append(h)
+        elif isinstance(h, Atom):
+            label = fmt(h.value).replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f'(atom "{label}")')
+        else:
+            out.append("(set")
+            stack.append(")")
+            for c in reversed(h.children):
+                stack += (c, " ")
+    return "".join(out)
 
 
 # One token per match; only whitespace is left between matches.  A quote
@@ -183,11 +203,9 @@ _STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
 _TOKEN = re.compile(rf'[()]|{_STRING.pattern}|".*|[^\s()"]+', re.DOTALL)
 _ESCAPE = re.compile(r'\\(.)', re.DOTALL)
 
-# The deepest set nesting parse_sexpr accepts.  Games and hset_to_sexpr
-# recurse once or more per level (canon_key does not: keys are fixed at
-# construction), so two operands of this depth still fit Python's default
-# recursion limit with room for the caller's frames; the parser refuses
-# deeper input instead of letting a later recursion fail.
+# The deepest set nesting parse_sexpr accepts: a bound on the size of
+# input, not a guard for the code that walks sets, which uses explicit
+# stacks and takes sets of any depth.
 MAX_SEXPR_DEPTH = 128
 
 

@@ -338,7 +338,8 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
         raise ValueError("at least one shift is required")
     for g in gs:
         critical_point(g)  # rejects identity-looking shifts
-    leq = phi.codomain.leq
+    phi = phi.checked()    # each value is checked once, so compare raw
+    leq = phi.codomain.raw_leq
     points = list(phi.front.base.upto(window))
     joins = []
     for g in gs:

@@ -53,6 +53,13 @@ class SuperSeq:
             self._cache[s] = self.valuation(s)
         return self._cache[s]
 
+    def checked(self) -> "SuperSeq":
+        """This sequence with each value passed through the codomain's
+        check on its first read, so that its values compare with raw_leq."""
+        check, valuation = self.codomain.check, self.valuation
+        return SuperSeq(self.front, lambda s: check(valuation(s)),
+                        self.codomain, self.name)
+
 
 @dataclass(frozen=True)
 class EvalResult:

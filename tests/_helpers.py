@@ -4,6 +4,7 @@ from __future__ import annotations
 import bisect
 import itertools
 
+from bqo.errors import InsufficientPrefix
 from bqo.fronts import (
     UniformSchema,
     members_within,
@@ -12,7 +13,8 @@ from bqo.fronts import (
     trivial_front,
     uniform_front,
 )
-from bqo.hset import Atom, node
+from bqo.games import _moves
+from bqo.hset import Atom, HSet, Node, node
 from bqo.ordinal import OrdinalCNF
 from bqo.qo import FiniteQO
 from bqo.streams import evens
@@ -240,3 +242,126 @@ def parse_sexpr_reference(text: str, parse_atom=lambda s: s):
     if pos != len(tokens):
         raise ValueError("trailing input after s-expression")
     return out
+
+
+# --- the recursive game solver, kept as the reference for bqo.games --------
+
+def _ii_wins(x: HSet, y: HSet, leq, memo: dict) -> bool:
+    key = (x, y)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(x, Atom) and isinstance(y, Atom):
+        res = bool(leq(x.value, y.value))
+    elif isinstance(x, Atom):
+        res = any(_ii_wins(x, yc, leq, memo) for yc in y.children)
+    elif isinstance(y, Atom):
+        res = all(_ii_wins(xc, y, leq, memo) for xc in x.children)
+    else:
+        res = all(any(_ii_wins(xc, yc, leq, memo) for yc in y.children)
+                  for xc in x.children)
+    memo[key] = res
+    return res
+
+
+def _build_ii_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
+    if (x, y) in visited:
+        return
+    visited.add((x, y))
+    for xm in _moves(x):
+        if isinstance(y, Node):
+            ym = next(yc for yc in y.children if _ii_wins(xm, yc, leq, memo))
+            strat[(xm, y)] = ym
+        else:
+            ym = y
+        if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
+            _build_ii_strategy(xm, ym, leq, memo, strat, visited)
+
+
+def _build_i_strategy(x: HSet, y: HSet, leq, memo, strat, visited) -> None:
+    if (x, y) in visited:
+        return
+    visited.add((x, y))
+    replies = _moves(y)
+    xm = next(xc for xc in _moves(x)
+              if all(not _ii_wins(xc, ym, leq, memo) for ym in replies))
+    if isinstance(x, Node):
+        strat[(x, y)] = xm
+    for ym in replies:
+        if not (isinstance(xm, Atom) and isinstance(ym, Atom)):
+            _build_i_strategy(xm, ym, leq, memo, strat, visited)
+
+
+def solve_reference(x: HSet, y: HSet, leq, memo: dict) -> tuple:
+    """(winner, strategy) by the recursive solver and strategy walks that
+    bqo.games replaced with explicit stacks; fills memo as they did."""
+    strat: dict = {}
+    if _ii_wins(x, y, leq, memo):
+        _build_ii_strategy(x, y, leq, memo, strat, set())
+        return "II", strat
+    _build_i_strategy(x, y, leq, memo, strat, set())
+    return "I", strat
+
+
+def strung_call_reference(strung, prefix) -> tuple:
+    """StrungMultiSeq.__call__ on a valid index tuple, by the chained
+    generators (one per game, each pulling the next) that bqo.games
+    replaced with an explicit loop: (value, modulus), raising whatever
+    the chain raises."""
+    prefix = tuple(prefix)
+    consumed = 0
+
+    def x_at(j: int) -> HSet:
+        nonlocal consumed
+        if j >= len(prefix):
+            raise InsufficientPrefix(
+                f"chained play needs index position {j}, but only "
+                f"{len(prefix)} indices were supplied")
+        consumed = max(consumed, j + 1)
+        return strung.xs[prefix[j]]
+
+    def i_move_stream(j: int):
+        A, B = x_at(j), x_at(j + 1)
+        child = None
+        while True:
+            if isinstance(A, Atom):
+                a = A
+            else:
+                a = strung._strategies[(prefix[j], prefix[j + 1])][(A, B)]
+            yield a
+            if isinstance(B, Atom):
+                b = B
+            else:
+                if child is None:
+                    child = i_move_stream(j + 1)
+                b = next(child)
+            if j == 0 and isinstance(a, Atom) and isinstance(b, Atom):
+                return a, b
+            A, B = a, b
+
+    first = i_move_stream(0)
+    try:
+        while True:
+            next(first)
+    except StopIteration as end:
+        a, b = end.value
+    return a.value, consumed
+
+
+def tilde_table_reference(f, window: int) -> dict:
+    """tilde_build's table by the recursive fold that bqo.games replaced
+    with an explicit stack: same entries, same insertion order."""
+    table: dict = {}
+
+    def fold(group: list, depth: int) -> HSet:
+        s = group[0][:depth]
+        if len(group[0]) == depth:
+            h: HSet = Atom(f.value(s))
+        else:
+            h = node([fold(list(kids), depth + 1) for _, kids in
+                      itertools.groupby(group, key=lambda m: m[depth])])
+        table[s] = h
+        return h
+
+    fold(members_within(f.front, window), 0)
+    return table

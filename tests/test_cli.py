@@ -808,6 +808,21 @@ class TestShiftCommands:
         assert code == 1
         assert "LooksLikeIdentity" in err
 
+    def test_perfect_checks_each_value_once(self, monkeypatch):
+        # the 103 values read are each checked on their first read, and
+        # every comparison after that is raw
+        checks = []
+        check = bqo.qo._check_rado_pair
+        monkeypatch.setattr(bqo.qo, "_check_rado_pair",
+                            lambda s: checks.append(s) or check(s))
+        code, out, err = run_cli([
+            "shift", "perfect", "--fixture", "identity@u2", "--shift", "succ",
+            "--shift", "affine:1,2", "--window", "12"])
+        assert code == 1
+        assert "NotBQOEvidence: comparison fails homogeneously" in err
+        assert 0 < len(checks) <= 103
+        assert len(checks) == len(set(checks))
+
 
 # --- whole-surface coverage -------------------------------------------------
 

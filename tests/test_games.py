@@ -31,7 +31,9 @@ from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
-from _helpers import enumerate_preorders, parse_sexpr_reference, subsets
+from _helpers import (enumerate_preorders, parse_sexpr_reference,
+                      solve_reference, strung_call_reference, subsets,
+                      tilde_table_reference)
 
 AC2 = antichain(2)
 A0, A1 = AC2.elements
@@ -150,7 +152,8 @@ class TestSExpr:
         deep = parse_sexpr(nested_sexpr(MAX_SEXPR_DEPTH, "1"), int)
         assert depth(deep) == MAX_SEXPR_DEPTH
         assert parse_sexpr(hset_to_sexpr(deep), int) == deep
-        # the recursive solver takes two operands at the limit
+        # both operands at the limit; deeper sets built in code are played
+        # in TestDeepSets
         other = parse_sexpr(nested_sexpr(MAX_SEXPR_DEPTH, "2"), int)
         assert game_leq(deep, other, chain(3)).winner == "II"
         assert game_leq(other, deep, chain(3)).winner == "I"
@@ -563,11 +566,11 @@ class TestGameLeq:
         assert got == expected
 
 
-def _hset_strategy(values, max_depth=3):
+def _hset_strategy(values, max_depth=3, max_leaves=8):
     return st.recursive(
         st.sampled_from([Atom(v) for v in values]),
         lambda ch: st.lists(ch, min_size=1, max_size=3).map(node),
-        max_leaves=8,
+        max_leaves=max_leaves,
     ).filter(lambda h: depth(h) <= max_depth)
 
 
@@ -639,6 +642,67 @@ class TestOracleAgreement:
             table = memo if qo is AC2 else {}
             assert (game_leq(p, q, qo, memo=table).winner
                     == game_leq_oracle(p, q, qo))
+
+
+_RADO_PAIRS_BELOW_8 = tuple((m, n) for m in range(8) for n in range(m + 1, 8))
+
+
+class TestExplicitStackSolver:
+    @pytest.mark.parametrize("qo, values", [
+        (chain(3), (0, 1, 2)), (RADO, _RADO_PAIRS_BELOW_8)],
+        ids=["chain3", "rado8"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_matches_the_recursive_solver(self, qo, values, data):
+        # same winner, strategy and memo, entries in the same order, with a
+        # fresh memo per solve and with one memo shared by a run of solves
+        sets = _hset_strategy(values, max_leaves=20)
+        pairs = data.draw(st.lists(st.tuples(sets, sets), min_size=1,
+                                   max_size=4))
+        shared_reference: dict = {}
+        shared: dict = {}
+        for x, y in pairs:
+            for reference_memo, memo in (({}, {}),
+                                         (shared_reference, shared)):
+                winner, strategy = solve_reference(x, y, qo.raw_leq,
+                                                   reference_memo)
+                res = game_leq(x, y, qo, memo)
+                assert res.winner == winner
+                assert list(res.strategy.items()) == list(strategy.items())
+                assert list(memo.items()) == list(reference_memo.items())
+            assert res.winner == game_leq_oracle(x, y, qo)
+
+
+class TestDeepSets:
+    LEVELS = 3000
+
+    def test_game_leq_on_deep_chains(self):
+        low = _chain_of_singletons(1, self.LEVELS)
+        high = _chain_of_singletons(2, self.LEVELS)
+        up = game_leq(low, high, chain(3))
+        down = game_leq(high, low, chain(3))
+        assert up.winner == "II" and len(up.strategy) == self.LEVELS
+        assert down.winner == "I" and len(down.strategy) == self.LEVELS
+
+    def test_walkers_on_a_deep_chain(self):
+        deep = _chain_of_singletons(1, self.LEVELS)
+        assert depth(deep) == self.LEVELS
+        assert list(iter_atoms(deep)) == [Atom(1)]
+        assert supp(deep) == frozenset({1})
+        assert hset_to_sexpr(deep) == nested_sexpr(self.LEVELS)
+
+    def test_walkers_on_a_deep_set_with_many_atoms(self):
+        # level i holds the atom i beside the set below it; atoms sort
+        # before sets, and the bottom set is {0, 1}
+        deep = Atom(0)
+        for i in range(1, self.LEVELS + 1):
+            deep = node([Atom(i), deep])
+        assert depth(deep) == self.LEVELS
+        assert [a.value for a in iter_atoms(deep)] == [
+            *range(self.LEVELS, 1, -1), 0, 1]
+        assert hset_to_sexpr(deep) == (
+            "".join(f'(set (atom "{i}") ' for i in range(self.LEVELS, 1, -1))
+            + '(set (atom "0") (atom "1"))' + ")" * (self.LEVELS - 1))
 
 
 def _least_move_I(position):
@@ -800,6 +864,32 @@ class TestStringStrategies:
         assert string_strategies(xs, RADO, 4).window == 4
         assert string_strategies([node([Atom("x")])], RADO).window == 1
 
+    def test_matches_the_chained_generator_reference(self):
+        rng = random.Random(11)
+        calls = 0
+        for _ in range(12):
+            qo = rng.choice([antichain(3), antichain(4)])
+            xs: list = []
+            for _ in range(300):
+                h = random_hset(rng, qo.elements, rng.randint(0, 4), branch=3)
+                if all(game_leq(x, h, qo).winner == "I" for x in xs):
+                    xs.append(h)
+                    if len(xs) == 6:
+                        break
+            g = string_strategies(xs, qo)
+            for size in range(2, len(xs) + 1):
+                for prefix in itertools.combinations(range(len(xs)), size):
+                    try:
+                        expected = strung_call_reference(g, prefix)
+                    except InsufficientPrefix as exc:
+                        with pytest.raises(InsufficientPrefix,
+                                           match=re.escape(str(exc))):
+                            g(prefix)
+                    else:
+                        assert g(prefix) == expected
+                        calls += 1
+        assert calls > 100
+
     def test_local_constancy(self):
         window = 8
         xs = rado_powerset_sequence(window)
@@ -865,6 +955,25 @@ class TestTildeBuild:
                      valuation=named_valuation("min"), name="m")
         out = tilde_build(f, 2)
         assert out.first_level == ((0, Atom(0)),)
+
+    @pytest.mark.parametrize("front", [
+        uniform_front(1), uniform_front(2), uniform_front(3),
+        schreier_front()], ids=["u1", "u2", "u3", "schreier"])
+    def test_table_matches_the_recursive_fold(self, front):
+        # same entries in the same order, and the values read in order
+        def logged(rule, log):
+            value = named_valuation(rule)
+            return SuperSeq(front=front, name="f",
+                            valuation=lambda s: log.append(s) or value(s))
+
+        for rule in ("identity", "min", "span"):
+            for window in range(3, 10):
+                reads, reference_reads = [], []
+                table = tilde_build(logged(rule, reads), window).table
+                reference = tilde_table_reference(
+                    logged(rule, reference_reads), window)
+                assert list(table.items()) == list(reference.items())
+                assert reads == reference_reads
 
     def test_larger_window_only_adds_tree_nodes(self):
         small = tilde_build(rado_identity(), 5)
