@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -489,14 +490,14 @@ class ShiftPairs:
     witness never holds the full pair list. A bucket's second-kind codes
     come from one flat pass over its members t: by_tail lists the codes
     i * n of the members s by their tail s[1:], looked up at each proper
-    prefix of t, and the singletons (a,) with a < t[0] are a bisected slice
-    of single_codes. First-kind pairs exist only among members of several
-    lengths; their codes, at most one per member and length, are listed by
-    s[-1] up front. len() counts every pair without listing the second
-    kind: each s with a nonempty tail s[1:] pairs with every member
-    properly extending that tail, a run of the sorted members found by
-    bisection, and a singleton (a,) pairs with every member t with
-    t[0] > a.
+    prefix of t as long as some tail, and the singletons (a,) with
+    a < t[0] are a bisected slice of single_codes. First-kind pairs exist
+    only among members of several lengths; their codes, at most one per
+    member and length, are listed by s[-1] up front. len() counts every
+    pair without listing the second kind: each s with a nonempty tail s[1:]
+    pairs with every member properly extending that tail, a run of the
+    sorted members found by bisection, and a singleton (a,) pairs with
+    every member t with t[0] > a.
 
     Members are front elements: strictly increasing tuples of naturals.
     """
@@ -505,15 +506,20 @@ class ShiftPairs:
         # dict.fromkeys keeps the order, so listed members sort in one pass
         self.members = members = sorted(dict.fromkeys(map(tuple, members)))
         n = len(members)
-        self.by_last: dict = {}   # t[-1] -> ranks of the members t
-        self.by_tail: dict = {}   # s[1:] -> codes i * n of the members s
+        # t[-1] -> ranks of the members t; s[1:] -> codes i * n of the
+        # members s
+        self.by_last = by_last = defaultdict(list)
+        self.by_tail = by_tail = defaultdict(list)
         for i, t in enumerate(members):
             if t:
-                self.by_last.setdefault(t[-1], []).append(i)
-                self.by_tail.setdefault(t[1:], []).append(i * n)
+                by_last[t[-1]].append(i)
+                by_tail[t[1:]].append(i * n)
         # singletons (a,) leave by_tail: their codes and heads a, ascending
-        self.single_codes = self.by_tail.pop((), [])
+        self.single_codes = by_tail.pop((), [])
         self.single_heads = [members[c // n][0] for c in self.single_codes]
+        # the lengths of the tails in by_tail, the only proper prefixes of a
+        # member that bucket looks up
+        self.tail_lengths = sorted(set(map(len, by_tail)))
         # first-kind codes by s[-1]: t an initial segment of s[1:]
         self.segment_codes: dict = {}
         lengths = sorted(set(map(len, members)))
@@ -530,8 +536,9 @@ class ShiftPairs:
         """The pairs whose largest entry is top, sorted by (s, t), as rank
         pairs (i, j) for (members[i], members[j])."""
         members, by_tail = self.members, self.by_tail
+        lengths = self.tail_lengths
         tops = self.by_last.get(top, ())
-        codes = [b + j for j in tops for c in range(1, len(members[j]))
+        codes = [b + j for j in tops for c in lengths if c < len(members[j])
                  for b in by_tail.get(members[j][:c], ())]
         if self.single_codes:
             singles, heads = self.single_codes, self.single_heads

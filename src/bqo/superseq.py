@@ -56,6 +56,8 @@ class SuperSeq:
     def checked(self) -> "SuperSeq":
         """This sequence with each value passed through the codomain's
         check on its first read, so that its values compare with raw_leq."""
+        if self.codomain is None:
+            raise ValueError("checked() needs a quasi-order codomain")
         check, valuation = self.codomain.check, self.valuation
         return SuperSeq(self.front, lambda s: check(valuation(s)),
                         self.codomain, self.name)
@@ -409,18 +411,15 @@ def named_valuation(rule: str,
     raise ValueError(f"unknown valuation rule {rule!r}")
 
 
-def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
-    """Build a SuperSeq from file data: a front reference plus a valuation
-    given as a named rule, a finite member table, or both (table with rule
-    fallback). Table keys are comma-joined entries; table values must be
-    hashable, and a list value becomes a tuple."""
-    from .fronts import front_from_dict
-    front = front_from_dict(d["front"])
-    vdata = _json_field(d.get("valuation", {}), dict, "'valuation'")
-    rule = vdata.get("rule")
-    if rule is not None:
-        _json_field(rule, str, "valuation 'rule'")
-    table_raw = _json_field(vdata.get("table", {}), dict, "valuation 'table'")
+# deletes ASCII digits and commas, the only characters of a key that the
+# bulk decode sends to JSON
+_NOT_DECIMAL = str.maketrans("", "", "0123456789,")
+
+
+def _decode_entries(table_raw: dict) -> dict:
+    """The table decoded one entry at a time: each key split at commas
+    into ints, then each value, a list made a tuple, hashed. The first bad
+    entry in table order raises."""
     table = {}
     for key, v in table_raw.items():
         s = tuple(map(int, key.split(","))) if key else ()
@@ -432,6 +431,56 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
             raise TypeError(f"valuation table value for {key!r} is not "
                             f"hashable: {v!r}") from None
         table[s] = v
+    return table
+
+
+def _decode_table(table_raw: dict) -> dict:
+    """The table decoded in bulk, as _decode_entries decodes it.
+
+    When every key holds only ASCII digits and commas (tested on the keys'
+    own characters, so no key brings a bracket into the JSON text), all
+    keys parse in one json.loads, each key as one list. A key JSON refuses
+    (01, 1,,2, a digit string over the int limit), any other key, or an
+    unhashable value sends the whole table through _decode_entries, which
+    gives the same members and raises the same first error.
+    """
+    import json   # here, so that importing this module does not load json
+    keys = list(table_raw)
+    try:
+        members = None if "".join(keys).translate(_NOT_DECIMAL) else \
+            json.loads("[[" + "],[".join(keys) + "]]")
+    except (TypeError, ValueError):   # a key that is not a string, or 01
+        members = None
+    if members is not None:
+        values = [tuple(v) if isinstance(v, list) else v
+                  for v in table_raw.values()]
+        try:
+            hash(tuple(values))   # values become HSet atoms and memo keys
+        except TypeError:
+            pass
+        else:
+            return dict(zip(map(tuple, members), values))
+    return _decode_entries(table_raw)
+
+
+def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
+    """Build a SuperSeq from file data: a front reference plus a valuation
+    given as a named rule, a finite member table, or both (table with rule
+    fallback). Table keys are comma-joined entries; table values must be
+    hashable, and a list value becomes a tuple.
+
+    Keys and list values are decoded once, here, for the whole table, and
+    the table is the value cache, so reading a table member does not
+    call the valuation. Values are checked against the codomain only where
+    they are read (see badness_check and checked)."""
+    from .fronts import front_from_dict
+    front = front_from_dict(d["front"])
+    vdata = _json_field(d.get("valuation", {}), dict, "'valuation'")
+    rule = vdata.get("rule")
+    if rule is not None:
+        _json_field(rule, str, "valuation 'rule'")
+    table = _decode_table(
+        _json_field(vdata.get("table", {}), dict, "valuation 'table'"))
     # a table entry for () spares the rule the trivial front's member
     fallback = named_valuation(
         rule, None if () in table else front) if rule else None
@@ -445,4 +494,8 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
         return fallback(s)
 
     name = rule or "table"
-    return SuperSeq(front=front, valuation=val, codomain=codomain, name=name)
+    # the table is the value cache as well: value adds to it only val's
+    # results, which for a member off the table is the fallback's value,
+    # the same value val gives on a later call
+    return SuperSeq(front=front, valuation=val, codomain=codomain, name=name,
+                    _cache=table)

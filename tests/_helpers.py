@@ -365,3 +365,20 @@ def tilde_table_reference(f, window: int) -> dict:
 
     fold(members_within(f.front, window), 0)
     return table
+
+
+def decode_table_reference(table_raw: dict) -> dict:
+    """A valuation table decoded entry by entry, as superseq_from_dict did
+    before it decoded in bulk: same members, values, and first error."""
+    table = {}
+    for key, v in table_raw.items():
+        s = tuple(map(int, key.split(","))) if key else ()
+        if isinstance(v, list):
+            v = tuple(v)
+        try:
+            hash(v)
+        except TypeError:
+            raise TypeError(f"valuation table value for {key!r} is not "
+                            f"hashable: {v!r}") from None
+        table[s] = v
+    return table

@@ -448,6 +448,19 @@ class TestShiftPairs:
         members = members_within(F, bound)
         assert len(ShiftPairs(members)) == len(shift_pairs_reference(members))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 8), max_size=4, unique=True)
+                    .map(lambda entries: tuple(sorted(entries))),
+                    max_size=25))
+    def test_any_family_of_increasing_tuples(self, members):
+        # mixed lengths put tails of several lengths in one index, so
+        # bucket looks up prefixes of some lengths and skips others
+        ref = sorted(set(shift_pairs_reference(set(members))),
+                     key=witness_key)
+        pairs = ShiftPairs(members)
+        assert list(pairs) == ref
+        assert len(pairs) == len(ref)
+
     def test_segment_partners_covered(self):
         # the sequence front has pairs whose t is an initial segment of s
         # minus its least entry, the kind uniform fronts never produce

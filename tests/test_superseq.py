@@ -6,10 +6,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bqo.errors import DifferentBase, NotAPair
+from bqo.errors import DifferentBase, MissingValue, NotAPair
 from bqo.fronts import (
     Front,
     ShiftPairs,
@@ -27,6 +27,7 @@ from bqo.qo import OMEGA, RADO, chain, rado_leq
 from bqo.streams import InfSet, arithmetic, evens, omega
 from bqo.superseq import (
     SuperSeq,
+    _decode_table,
     badness_check,
     eval_up,
     named_valuation,
@@ -37,7 +38,12 @@ from bqo.superseq import (
     superseq_from_dict,
 )
 
-from _helpers import SHIFT_PAIR_FRONTS, shift_pairs_reference, witness_key
+from _helpers import (
+    SHIFT_PAIR_FRONTS,
+    decode_table_reference,
+    shift_pairs_reference,
+    witness_key,
+)
 
 
 def identity_u2(bound_qo=RADO) -> SuperSeq:
@@ -469,6 +475,105 @@ class TestFiles:
             "valuation": {"table": {"0": [0, 1], "1": "x"}},
         })
         assert f.value((0,)) == (0, 1) and f.value((1,)) == "x"
+
+
+class _Row(list):
+    pass
+
+
+# keys JSON reads as lists of ints; keys of ASCII digits and commas that
+# JSON may refuse (an empty part, a leading zero); keys with anything int()
+# might accept or refuse
+_JSON_KEYS = st.lists(st.integers(0, 10 ** 6).map(str), max_size=4).map(
+    ",".join)
+_DECIMAL_KEYS = st.text("0123456789,", max_size=8)
+_ANY_KEYS = st.one_of(_JSON_KEYS, _DECIMAL_KEYS,
+                      st.text("0123456789,-+_ \n[]\"'.e\u0663\u00b2",
+                              max_size=8))
+_ATOMS = st.one_of(st.integers(-5, 99), st.text(max_size=3))
+_LISTS = st.lists(_ATOMS, max_size=3)
+_VALUES = st.one_of(_ATOMS, _LISTS, st.lists(_LISTS, max_size=2),
+                    st.dictionaries(st.text(max_size=2), _ATOMS, max_size=2),
+                    _LISTS.map(_Row))
+_TABLES = st.one_of(st.dictionaries(_JSON_KEYS, _LISTS, max_size=8),
+                    st.dictionaries(_JSON_KEYS, _VALUES, max_size=8),
+                    st.dictionaries(_ANY_KEYS, _VALUES, max_size=8))
+
+
+def _decoded(decode, table_raw):
+    """Members with the exact types of their entries, and typed values, in
+    table order; or the exception type and message."""
+    try:
+        table = decode(table_raw)
+    except Exception as e:
+        return type(e), str(e)
+    return [(s, tuple(map(type, s)), v, type(v)) for s, v in table.items()]
+
+
+class TestTableDecode:
+    @settings(max_examples=400, deadline=None)
+    @given(_TABLES)
+    @example({"1" * 5000: 1})
+    @example({"9" * 400: 1, "0": 2})
+    @example({"0": {"a": 1}, "x": 1})
+    @example({"x": 1, "0": {"a": 1}})
+    @example({"01,2": [1], "1,2": [2]})
+    def test_bulk_decode_matches_the_per_entry_decode(self, table_raw):
+        assert _decoded(_decode_table, table_raw) == \
+            _decoded(decode_table_reference, table_raw)
+
+    def test_a_table_entry_is_read_without_the_valuation(self):
+        f = superseq_from_dict({
+            "front": {"schema": "uniform", "k": 2},
+            "valuation": {"rule": "span", "table": {"0,1": [4, 5]}},
+        })
+
+        def unread(s):
+            raise AssertionError(f"valuation called at {s}")
+
+        object.__setattr__(f, "valuation", unread)
+        assert f.value((0, 1)) == (4, 5)
+        with pytest.raises(AssertionError, match=re.escape("(2, 7)")):
+            f.value((2, 7))
+
+    def test_off_table_members_take_the_rule_or_raise(self):
+        table = {"0,1": 9}
+        with_rule = superseq_from_dict({
+            "front": {"schema": "uniform", "k": 2},
+            "valuation": {"rule": "span", "table": table}})
+        assert with_rule.value((0, 1)) == 9 and with_rule.value((2, 7)) == 5
+        table_only = superseq_from_dict({
+            "front": {"schema": "uniform", "k": 2},
+            "valuation": {"table": table}})
+        with pytest.raises(MissingValue, match=re.escape("(2, 7)")):
+            table_only.value((2, 7))
+
+    @pytest.mark.parametrize("table,value", [
+        ({"1,2": 5, "01,2": 7}, 7), ({"01,2": 7, "1,2": 5}, 5)])
+    def test_the_last_key_for_a_member_wins(self, table, value):
+        f = superseq_from_dict({"front": {"schema": "uniform", "k": 2},
+                                "valuation": {"table": table}})
+        assert f.value((1, 2)) == value
+
+    def test_the_empty_key_is_the_empty_member(self):
+        f = superseq_from_dict({"front": {"schema": "trivial"},
+                                "valuation": {"table": {"": [1, 2]}}})
+        assert f.value(()) == (1, 2)
+
+    def test_checked_reads_the_table_through_the_check(self):
+        f = superseq_from_dict({"front": {"schema": "uniform", "k": 1},
+                                "valuation": {"table": {"0": [0, 1],
+                                                        "1": "x"}}},
+                               codomain=RADO)
+        g = f.checked()
+        assert g.value((0,)) == (0, 1)
+        with pytest.raises(NotAPair, match="'x' is not an increasing pair"):
+            g.value((1,))
+
+    def test_checked_without_a_codomain_is_a_value_error(self):
+        with pytest.raises(ValueError,
+                           match=r"^checked\(\) needs a quasi-order codomain$"):
+            identity_u2(None).checked()
 
 
 class TestValueCache:
