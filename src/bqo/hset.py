@@ -3,14 +3,19 @@
 An HSet is either an Atom wrapping a carrier element or a Node holding a
 nonempty, duplicate-free, canonically ordered tuple of child HSets.  Atoms
 are leaves: they contain no elements yet are distinct from the empty set,
-which is excluded altogether.  Canonical child ordering (a structural sort
-key) makes equality, hashing, and memo keys deterministic.
+which is excluded altogether.  Each HSet fixes its sort key ``canon_key``
+when it is built: ``(0, "type:repr")`` for an atom, so atoms of equal value
+but different type differ, and ``(1, *child keys)`` for a node, whose
+children are sorted by key.
 
-Each HSet fixes its hash and its sort key ``canon_key`` at construction
-from its value or its children's, so hashing, memo lookups and sorting read
-attributes; equality stays structural, and Node compares without recursion.
-The one bounded cache maps atom values to keys, so atoms of one value share
-a key; an evicted key is rebuilt from the value, so order never depends on it.
+HSets are hash-consed: construction returns the one live object for its
+key, so equality and hashing are identity and agree with ``canon_key``,
+and equal sets built apart, at any depth, are the same object.  An Atom is
+looked up by its key, a Node by its canonical child tuple.  Both tables
+hold weak references, so they keep only sets that are still in use, and a
+lock covers each lookup-or-insert, so construction is thread-safe: sets
+built in several threads are still one object each.  HSets are immutable,
+and unpickling interns again.
 
 The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
@@ -26,90 +31,81 @@ code may be nested deeper.
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
 from typing import Callable, Iterable, Union
 
 
-@dataclass(frozen=True, slots=True)
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Atom:
-    """Leaf wrapping one element of the base carrier."""
+    """Leaf wrapping one element of the base carrier: one object per key."""
 
-    value: object
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("value", "_key", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.value,)))
-        object.__setattr__(self, "_key", _atom_key(self.value))
+    def __new__(cls, value):
+        key = (0, f"{type(value).__name__}:{value!r}")
+        with _LOCK:
+            self = _ATOMS.get(key)
+            if self is None:
+                hash(value)     # an unhashable value raises TypeError
+                self = _ATOMS[key] = object.__new__(cls)
+                object.__setattr__(self, "value", value)
+                object.__setattr__(self, "_key", key)
+        return self
 
-    def __hash__(self):
-        return self._hash
+    def __repr__(self):
+        return f"Atom(value={self.value!r})"
 
     def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
+        # unpickling and copying build through the table, so they intern
         return Atom, (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
 class Node:
     """Nonempty finite set of distinct HSets, children canonically ordered.
 
-    Construction normalizes: children are deduplicated under structural
-    equality and sorted by the canonical structural key, so two Nodes built
-    from the same children in any order compare and hash equal.
+    Construction normalizes: children are deduplicated and sorted by the
+    canonical key, so Nodes built from the same children in any order are
+    one object.
     """
 
-    children: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("children", "_key", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        ordered = _canonical_children(self.children)
+    def __new__(cls, children):
+        ordered = _canonical_children(children)
         if not ordered:
             raise ValueError("Node requires at least one child")
-        object.__setattr__(self, "children", ordered)
-        object.__setattr__(self, "_hash", hash((ordered,)))
-        object.__setattr__(self, "_key", (1, *map(_stored_key, ordered)))
+        with _LOCK:
+            self = _NODES.get(ordered)
+            if self is None:
+                self = _NODES[ordered] = object.__new__(cls)
+                object.__setattr__(self, "children", ordered)
+                object.__setattr__(self, "_key",
+                                   (1, *map(_stored_key, ordered)))
+        return self
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        """Structural equality without recursion, so that two equal sets
-        built apart compare at any depth.  Nodes are settled by identity,
-        stored hash and child count, and each pair of children by identity,
-        type and stored hash, before the comparison goes deeper."""
-        if other.__class__ is not Node:
-            return NotImplemented
-        if self is other:
-            return True
-        if self._hash != other._hash:
-            return False
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            xs, ys = x.children, y.children
-            if len(xs) != len(ys):
-                return False
-            for a, b in zip(xs, ys):
-                if a is b:
-                    continue
-                if a.__class__ is not b.__class__ or a._hash != b._hash:
-                    return False
-                if a.__class__ is Node:
-                    stack.append((a, b))
-                elif a.value is not b.value and not a.value == b.value:
-                    return False    # two atoms, compared as Atom.__eq__ does
-        return True
+    def __repr__(self):
+        return f"Node(children={self.children!r})"
 
     def __reduce__(self):
         return Node, (self.children,)
 
 
 HSet = Union[Atom, Node]
+
+# The live HSets by atom key and by canonical child tuple.  Children are
+# interned, so a child tuple hashes and compares by identity in C.
+_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_LOCK = threading.Lock()
+_stored_key = operator.attrgetter("_key")
 
 
 def atom(value) -> Atom:
@@ -121,23 +117,12 @@ def node(children: Iterable) -> Node:
 
 
 def _canonical_children(children) -> tuple:
-    seen = {}   # deduplicates by hash, keeping first occurrences
+    seen = {}   # deduplicates by identity, which is equality
     for c in children:
         if not isinstance(c, (Atom, Node)):
             raise TypeError(f"HSet child expected, got {c!r}")
         seen[c] = None
     return tuple(sorted(seen, key=_stored_key))
-
-
-_stored_key = operator.attrgetter("_key")
-# Bound on the atom key cache: one pass of the games benchmark's seed-1 pool
-# keys 31 distinct atom values for 38,912 nodes and 43,643 atom objects.
-CANON_KEY_CACHE_SIZE = 1 << 16
-
-
-@functools.lru_cache(maxsize=CANON_KEY_CACHE_SIZE, typed=True)
-def _atom_key(value) -> tuple:
-    return (0, f"{type(value).__name__}:{value!r}")
 
 
 def canon_key(h: HSet) -> tuple:
@@ -318,21 +303,21 @@ def all_hsets(atom_values, max_depth: int) -> tuple:
     Counts grow doubly exponentially (2 atoms: 2, 5, 33, ... elements), so
     keep max_depth at 2 for exhaustive sweeps.
     """
-    layer = tuple(Atom(v) for v in atom_values)
-    if max_depth == 0:
-        return layer
-    prev = all_hsets(atom_values, max_depth - 1)
-    out = list(layer)
-    n = len(prev)
-    for mask in range(1, 1 << n):
-        out.append(node(prev[i] for i in range(n) if mask >> i & 1))
-    return tuple(dict.fromkeys(out))
+    atoms = tuple(Atom(v) for v in atom_values)
+    sets = atoms
+    for _ in range(max_depth):
+        n = len(sets)
+        nodes = (node(sets[i] for i in range(n) if mask >> i & 1)
+                 for mask in range(1, 1 << n))
+        sets = tuple(dict.fromkeys((*atoms, *nodes)))
+    return sets
 
 
 def random_hset(rng, atom_values, max_depth: int,
                 branch: int = 3) -> HSet:
     """Sample a random HSet of depth <= max_depth (atoms get likelier as
-    the depth budget shrinks); branch bounds the children drawn per node."""
+    the depth budget shrinks); branch bounds the children drawn per node.
+    It recurses max_depth deep."""
     values = list(atom_values)
     if max_depth == 0 or rng.random() < 0.3:
         return Atom(rng.choice(values))

@@ -243,17 +243,17 @@ def coloring_from_dict(data: dict) -> Coloring:
     from .fronts import _json_field, front_from_dict
 
     front = front_from_dict(data["front"])
-    r = int(data.get("r", 2))
+    r = _json_field(data.get("r", 2), int, "'r'")
     if "rule" in data:
         rule = _json_field(data["rule"], str, "'rule'")
         return Coloring(front, named_coloring(rule), r,
                         data.get("name", rule))
     rows = _json_field(data["table"], dict, "'table'")
-    table = {tuple(int(x) for x in key.split(",") if x != ""): int(v)
+    table = {_member_key(key): _json_field(v, int, f"color of {key!r}")
              for key, v in rows.items()}
     default = data.get("default")
     if default is not None:
-        default = int(default)
+        default = _json_field(default, int, "'default'")
 
     def color(s: tuple) -> int:
         s = tuple(s)
@@ -264,6 +264,14 @@ def coloring_from_dict(data: dict) -> Coloring:
         return default
 
     return Coloring(front, color, r, data.get("name", "table"))
+
+
+def _member_key(key: str) -> tuple:
+    """A table key "m,n,..." as a member; "" is the empty member."""
+    parts = key.split(",") if key else ()
+    if "" in parts:
+        raise ValueError(f"coloring table key {key!r} has an empty part")
+    return tuple(map(int, parts))
 
 
 def _points_and_members(front, window: int):

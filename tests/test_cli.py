@@ -220,6 +220,26 @@ class TestExitCodes:
         (["extract", "nw", "--target", "2", "--coloring"],
          {"front": {"schema": "uniform", "k": 2}, "table": {},
           "default": [1]}, "malformed coloring file"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": {"0,,1": 2}},
+         "malformed coloring file: coloring table key '0,,1' has an empty "
+         "part"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": {"0,1": 2.7}},
+         "malformed coloring file: color of '0,1' must be a JSON integer, "
+         "got 2.7"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": {"0,2": True}},
+         "malformed coloring file: color of '0,2' must be a JSON integer, "
+         "got True"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "table": {},
+          "default": 1.0},
+         "malformed coloring file: 'default' must be a JSON integer, got 1.0"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "rule": "sum-parity",
+          "r": "2"},
+         "malformed coloring file: 'r' must be a JSON integer, got '2'"),
         (["qo", "sum"], {"index": {"elements": [0], "pairs": [[0, 0]]},
                          "parts": 5},
          "sum file 'parts' must be a JSON object"),

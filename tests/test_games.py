@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -22,10 +23,9 @@ from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (CANON_KEY_CACHE_SIZE, MAX_SEXPR_DEPTH, Atom, Node,
-                      _atom_key, all_hsets, canon_key, depth, hset_to_sexpr,
-                      iter_atoms, node, parse_sexpr, parse_sexprs, random_hset,
-                      supp)
+from bqo.hset import (MAX_SEXPR_DEPTH, Atom, Node, all_hsets, canon_key,
+                      depth, hset_to_sexpr, iter_atoms, node, parse_sexpr,
+                      parse_sexprs, random_hset, supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
 from bqo.streams import omega
@@ -360,16 +360,16 @@ class TestCachedHash:
 
     @pytest.mark.parametrize("levels", [300, 3000])
     def test_a_deep_set_built_twice_compares_without_recursion(self, levels):
-        # the final == compares the two copies at every level
+        # each level of the second build finds the first build's node
         first = _chain_of_singletons(0, levels)
         second = _chain_of_singletons(0, levels)
-        assert first is not second
+        assert first is second
         assert first == second and hash(first) == hash(second)
         assert _chain_of_singletons(1, levels) != first
 
     def test_a_second_deep_build_compares_no_sets(self, monkeypatch):
-        # each node's key is fixed from its children's stored keys, so
-        # building an equal chain again never compares it with the first
+        # a node is looked up by its children's identities, so building
+        # an equal chain again never compares it with the first
         calls = []
         compare = Node.__eq__
         monkeypatch.setattr(Node, "__eq__", lambda self, other: (
@@ -380,10 +380,11 @@ class TestCachedHash:
         assert first == second and len(calls) == 1
 
     def test_deep_sets_with_equal_hashes_differ_at_the_bottom(self):
-        # hash(-1) == hash(-2) in CPython: the stored hashes agree at every
-        # level, so only the atoms at the bottom tell these apart
+        # the atom values hash alike (hash(-1) == hash(-2) in CPython), and
+        # the chains differ only at the bottom
         low, high = (_chain_of_singletons(v, 300) for v in (-1, -2))
-        assert hash(low) == hash(high) and low != high
+        assert low != high and low is not high
+        assert _chain_of_singletons(-1, 300) is low
 
     def test_hsets_are_immutable(self):
         h = node([Atom(0)])
@@ -398,7 +399,7 @@ class TestCachedHash:
         dump = head + f"sys.stdout.buffer.write(pickle.dumps({make}))"
         load = head + ("h = pickle.loads(sys.stdin.buffer.read())\n"
                        f"f = {make}\n"
-                       "print(h == f, hash(h) == hash(f), h in {f})")
+                       "print(h is f, h == f, hash(h) == hash(f), h in {f})")
         src = str(Path(bqo.hset.__file__).parents[1])
 
         def run(code, seed, data=b""):
@@ -407,35 +408,62 @@ class TestCachedHash:
                                   env=env, capture_output=True,
                                   check=True).stdout
 
-        assert run(load, "2", run(dump, "1")).split() == [b"True"] * 3
+        assert run(load, "2", run(dump, "1")).split() == [b"True"] * 4
 
 
-class TestCanonKeyCache:
-    def test_cache_is_bounded(self):
-        info = _atom_key.cache_info()
-        assert info.maxsize == CANON_KEY_CACHE_SIZE
-        assert 0 < info.maxsize < float("inf")
+class TestInterning:
+    def test_atoms_of_equal_value_and_different_type_differ(self):
+        assert Atom(1) is not Atom(True) and Atom(1) != Atom(True)
+        assert Atom(1) is Atom(1) and Atom(True) is Atom(True)
 
-    def test_order_after_eviction_matches_a_cold_cache(self):
-        _atom_key.cache_clear()
-        hs = all_hsets(("a", "b", 0), 1)
-        cold = [node(reversed(h.children)).children for h in hs
-                if isinstance(h, Node)]
-        cold_keys = [canon_key(h) for h in hs]
-        for i in range(CANON_KEY_CACHE_SIZE + 100):
-            Atom(i)
-        assert _atom_key.cache_info().currsize == CANON_KEY_CACHE_SIZE
-        warm = [node(reversed(h.children)).children for h in hs
-                if isinstance(h, Node)]
-        assert warm == cold
-        assert [canon_key(h) for h in hs] == cold_keys
-        assert [canon_key(rebuilt) for rebuilt in all_hsets(("a", "b", 0), 1)
-                ] == cold_keys
+    def test_sets_over_such_atoms_differ(self):
+        assert node([Atom(1), Atom(0.5)]) != node([Atom(True), Atom(0.5)])
+
+    def test_such_atoms_are_two_children_in_either_order(self):
+        one, other = node([Atom(1), Atom(True)]), node([Atom(True), Atom(1)])
+        assert one is other and len(one.children) == 2
+        assert hset_to_sexpr(one) == '(set (atom "True") (atom "1"))'
+
+    def test_tables_keep_only_live_sets(self):
+        before = len(bqo.hset._ATOMS), len(bqo.hset._NODES)
+        for i in range(70_000):
+            node([Atom(("unheld", i))])
+        assert len(bqo.hset._ATOMS) <= before[0] + 1
+        assert len(bqo.hset._NODES) <= before[1] + 1
+
+    def test_order_after_the_table_drops_entries_matches_a_fresh_build(self):
+        values = ("a-dropped", "b-dropped", 0)  # sets no other test holds
+        hs = all_hsets(values, 1)
+        keys = [canon_key(h) for h in hs]
+        texts = [hset_to_sexpr(h) for h in hs]
+        dropped = weakref.ref(hs[-1])
+        del hs
+        assert dropped() is None
+        fresh = all_hsets(values, 1)
+        assert [canon_key(h) for h in fresh] == keys
+        assert [hset_to_sexpr(h) for h in fresh] == texts
 
     def test_atoms_of_one_value_share_a_key_by_type(self):
         assert canon_key(Atom(5)) is canon_key(Atom(5))
         assert canon_key(Atom(1)) == (0, "int:1")
         assert canon_key(Atom(True)) == (0, "bool:True")
+
+    def test_sets_built_in_eight_threads_are_one_object_each(self):
+        values = ("threaded", -7, (8, 9))   # atoms no other test holds
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(all_hsets, values, 2)
+                           for _ in range(8)]
+                builds = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        first = builds[0]
+        assert len(first) == 1026
+        for other in builds[1:]:
+            assert len(other) == len(first)
+            assert all(a is b for a, b in zip(first, other))
 
 
 def _rado_sets_sharing_atoms(rng):

@@ -186,6 +186,23 @@ class TestColoring:
         with pytest.raises(KeyError):
             col.color((5,))
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"table": {"0,,1": 2}}, "coloring table key '0,,1' has an empty part"),
+        ({"table": {"0,": 2}}, "coloring table key '0,' has an empty part"),
+        ({"table": {"0,1": 2.7}}, "color of '0,1' must be a JSON integer"),
+        ({"table": {"0,2": True}}, "color of '0,2' must be a JSON integer"),
+        ({"table": {}, "default": 1.0}, "'default' must be a JSON integer"),
+        ({"table": {}, "default": "1"}, "'default' must be a JSON integer"),
+        ({"rule": "sum-parity", "r": 2.0}, "'r' must be a JSON integer"),
+        ({"table": {}, "r": True}, "'r' must be a JSON integer"),
+    ])
+    def test_from_dict_refuses_loose_keys_and_non_integer_colors(
+            self, extra, message):
+        error = ValueError if "key" in message else TypeError
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            coloring_from_dict({"front": {"schema": "uniform", "k": 2},
+                                **extra})
+
     def test_missing_table_color_is_a_domain_error_naming_the_member(self):
         col = coloring_from_dict({"front": {"schema": "uniform", "k": 1},
                                   "table": {"0": 1}})
