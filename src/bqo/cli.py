@@ -10,9 +10,9 @@ is byte-identical across runs for the same invocation: keys are sorted and
 every report carries ``report_version``, the subcommand, and the window
 and seed it was produced under.
 
-An invocation that names a group and one of its commands builds only that
-command's parser; any other argv builds them all, so help, version and
-usage errors list every choice.
+An invocation that names a group and one of its commands builds one flat
+parser for that command alone; any other argv builds the whole tree of
+parsers, so help, version and usage errors list every choice.
 
 Each handler returns its report payload and the text lines that show it
 (None for plain ``key: value`` lines in payload order), and routes every
@@ -960,17 +960,26 @@ HANDLERS = {(group, cmd): spec[0] for group, (_, cmds) in _COMMANDS.items()
 def build_parser(argv: Optional[list] = None) -> _Parser:
     """The ``bqo`` argument parser.
 
-    When ``argv`` starts with a group and one of its commands, only the
-    root, that group's and that command's parsers are built.  The root's
-    only positional is the group, so ``argv[0]`` names it unambiguously.
-    Any other ``argv`` (help, version, an unknown or missing group or
-    command, None) builds every parser, so messages list every choice.
+    When ``argv`` starts with a group and one of its commands, the parser
+    is that command's alone: its positionals ``group`` and ``cmd`` each
+    accept only that word, so it parses the whole ``argv`` and sets
+    ``group`` and ``cmd`` as the full tree does.  Any other ``argv`` (help,
+    version, an unknown or missing group or command, None) builds the root,
+    every group's and every command's parser, so messages list every
+    choice.  An ``argv`` whose third word is ``--`` builds the tree too:
+    the flat ``cmd`` positional would swallow that ``--``, where the tree
+    hands it to the command's parser.
     """
-    chosen = None
-    if argv is not None and len(argv) >= 2:
+    if argv is not None and len(argv) >= 2 and argv[2:3] != ["--"]:
         group, cmd = argv[0], argv[1]
         if group in _COMMANDS and cmd in _COMMANDS[group][1]:
-            chosen = group, cmd
+            parser = _Parser(prog=f"bqo {group} {cmd}")
+            parser.add_argument("group", choices=(group,),
+                                help=argparse.SUPPRESS)
+            parser.add_argument("cmd", choices=(cmd,), help=argparse.SUPPRESS)
+            for names, kw in _COMMON_FLAGS + _COMMANDS[group][1][cmd][2]:
+                parser.add_argument(*names, **kw)
+            return parser
 
     common = _Parser(add_help=False)
     for names, kw in _COMMON_FLAGS:
@@ -981,13 +990,9 @@ def build_parser(argv: Optional[list] = None) -> _Parser:
                         version=f"bqo {__version__}")
     groups = parser.add_subparsers(dest="group", metavar="GROUP")
     for group, (group_help, commands) in _COMMANDS.items():
-        if chosen and group != chosen[0]:
-            continue
         cmds = groups.add_parser(group, help=group_help).add_subparsers(
             dest="cmd", metavar="CMD")
         for cmd, (_, cmd_help, specs) in commands.items():
-            if chosen and cmd != chosen[1]:
-                continue
             p = cmds.add_parser(cmd, parents=[common], help=cmd_help)
             for names, kw in specs:
                 p.add_argument(*names, **kw)

@@ -26,11 +26,13 @@ explicit stack, and shares one Atom per distinct label, so ``parse_atom``
 runs once per label.  It refuses sets nested more than ``MAX_SEXPR_DEPTH``
 deep.  That limit bounds input only: the functions here that walk a given
 set, and the solver in ``games``, use explicit stacks, so sets built in
-code may be nested deeper.
+code may be nested deeper.  So does the sort of a node's children when
+their keys nest too deep for the C tuple comparison.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 import threading
@@ -122,7 +124,42 @@ def _canonical_children(children) -> tuple:
         if not isinstance(c, (Atom, Node)):
             raise TypeError(f"HSet child expected, got {c!r}")
         seen[c] = None
-    return tuple(sorted(seen, key=_stored_key))
+    try:
+        return tuple(sorted(seen, key=_stored_key))
+    except RecursionError:
+        # keys that first differ deep down overflow the recursive C tuple
+        # comparison (past about 1,000 levels on Python 3.10-3.12)
+        return tuple(sorted(seen, key=_deep_key))
+
+
+def _compare_keys(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as key ``a`` sorts before, with or after key ``b``.
+
+    This is Python's tuple order, found with an explicit stack of
+    (tuple, tuple, index) frames instead of recursion, so keys nested any
+    depth compare.  Interned sets share their keys, so equal subkeys are
+    usually one object and are skipped without a descent.
+    """
+    stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        n = min(len(x), len(y))
+        while i < n and x[i] is y[i]:
+            i += 1
+        if i == n:
+            if len(x) != len(y):
+                return -1 if len(x) < len(y) else 1
+            continue
+        u, v = x[i], y[i]
+        stack.append((x, y, i + 1))
+        if type(u) is tuple and type(v) is tuple:
+            stack.append((u, v, 0))
+        elif u != v:
+            return -1 if u < v else 1
+    return 0
+
+
+_deep_key = functools.cmp_to_key(lambda g, h: _compare_keys(g._key, h._key))
 
 
 def canon_key(h: HSet) -> tuple:

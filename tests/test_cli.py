@@ -11,8 +11,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bqo.qo
 from bqo import cli
@@ -1040,6 +1043,53 @@ def test_command_help_is_the_same_under_both_builds(group, cmd, monkeypatch):
     assert selected == _help_text(build_parser(), argv, monkeypatch)
 
 
+def _command_tokens(group, cmd):
+    """Words a drawn argv for one command is made of: its option strings,
+    their prefixes, ``--opt=value`` forms and a few stray values."""
+    specs = cli._COMMANDS[group][1][cmd][2]
+    options = ["-h", "--help"] + [
+        name for names, _ in cli._COMMON_FLAGS + specs for name in names
+        if name.startswith("-")]
+    longs = [o for o in options if o.startswith("--")]
+    prefixes = [o[:k] for o in longs for k in range(3, len(o))]
+    forms = [f"{o}={v}" for o in longs for v in ("0", "x")]
+    return sorted(set(options + prefixes + forms
+                      + ["--", "-1", "0", "x", "1,2", "--bogus"]))
+
+
+@st.composite
+def _command_argv(draw):
+    group, cmd = draw(st.sampled_from(ALL_SUBCOMMANDS))
+    tokens = _command_tokens(group, cmd)
+    return [group, cmd] + draw(st.lists(st.sampled_from(tokens), max_size=6))
+
+
+def _outcome(parser, argv):
+    """``_parse_outcome``, or the exit code and the text that -h printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return _parse_outcome(parser, argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_argv())
+def test_drawn_argv_parses_like_the_full_parser(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _outcome(build_parser(argv), argv) == \
+            _outcome(build_parser(), argv)
+
+
+def test_a_dash_dash_right_after_the_command_reaches_the_command():
+    argv = ["rado", "demo", "--"]
+    assert _parse_outcome(build_parser(argv), argv) == \
+        "CliUsageError: unrecognized arguments: --"
+    argv = ["qo", "validate", "--", "-x"]
+    assert build_parser(argv).parse_args(argv).path == "-x"
+
+
 def _parsers_built(monkeypatch, call):
     built = []
     init = cli._Parser.__init__
@@ -1054,14 +1104,13 @@ def _parsers_built(monkeypatch, call):
 
 
 @pytest.mark.parametrize("argv", COMMAND_ARGV)
-def test_a_named_command_builds_four_parsers(argv, monkeypatch):
-    # common flags, root, group, command
-    assert _parsers_built(monkeypatch, lambda: build_parser(argv)) == 4
+def test_a_named_command_builds_one_parser(argv, monkeypatch):
+    assert _parsers_built(monkeypatch, lambda: build_parser(argv)) == 1
 
 
-def test_main_builds_four_parsers_for_a_command(monkeypatch):
+def test_main_builds_one_parser_for_a_command(monkeypatch):
     assert _parsers_built(
-        monkeypatch, lambda: run_cli(["rado", "witness", "0", "1"])) == 4
+        monkeypatch, lambda: run_cli(["rado", "witness", "0", "1"])) == 1
 
 
 @pytest.mark.parametrize("argv", [None, [], ["--help"], ["qo"], ["qo", "-h"],

@@ -1,6 +1,7 @@
 """Hereditarily finite sets, the lifted-order game, stringing, and folding."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import itertools
 import os
@@ -23,9 +24,9 @@ from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (MAX_SEXPR_DEPTH, Atom, Node, all_hsets, canon_key,
-                      depth, hset_to_sexpr, iter_atoms, node, parse_sexpr,
-                      parse_sexprs, random_hset, supp)
+from bqo.hset import (MAX_SEXPR_DEPTH, Atom, Node, _compare_keys, all_hsets,
+                      canon_key, depth, hset_to_sexpr, iter_atoms, node,
+                      parse_sexpr, parse_sexprs, random_hset, supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
 from bqo.streams import omega
@@ -711,6 +712,22 @@ class TestDeepSets:
         down = game_leq(high, low, chain(3))
         assert up.winner == "II" and len(up.strategy) == self.LEVELS
         assert down.winner == "I" and len(down.strategy) == self.LEVELS
+
+    def test_sibling_chains_that_differ_at_the_bottom_sort(self):
+        # their keys first differ 20,000 levels down, past the recursion
+        # limit of the C tuple comparison
+        low, high = (_chain_of_singletons(v, 20_000) for v in (0, 1))
+        assert node([high, low]).children == (low, high)
+
+    def test_the_deep_key_comparison_is_the_tuple_order(self):
+        keys = [canon_key(h) for h in all_hsets([0, 1, "a"], 2)]
+        assert all(_compare_keys(a, b) == (a > b) - (a < b)
+                   for a in keys for b in keys)
+        # keys rebuilt apart are equal without being one object
+        copies = [ast.literal_eval(repr(k)) for k in keys]
+        assert all(_compare_keys(a, b) == 0 for a, b in zip(keys, copies))
+        assert all(_compare_keys(a, b) == (a > b) - (a < b)
+                   for a, b in zip(keys, copies[1:] + copies[:1]))
 
     def test_walkers_on_a_deep_chain(self):
         deep = _chain_of_singletons(1, self.LEVELS)
