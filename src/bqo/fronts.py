@@ -500,6 +500,9 @@ class ShiftPairs:
     every member t with t[0] > a.
 
     Members are front elements: strictly increasing tuples of naturals.
+    shift_pairs_within lists any such family through this index, and the
+    badness and perfection scans of superseq walk it on every front except
+    a uniform [X]^k with k >= 1, whose pairs they generate in closed form.
     """
 
     def __init__(self, members: Iterable):

@@ -9,6 +9,8 @@ diagnostic below a finite window computation. Each report echoes its window.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -282,14 +284,18 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
     or None, and the number of shift pairs in the window.
 
-    The scan walks ShiftPairs.buckets(), one sorted list of rank pairs per
-    largest entry, in a flat loop, and stops at the first hit, so buckets
-    past the witness are never built. Each member's value is read once, and
-    passed through check (when given) the first time it is read; values
-    read at the same pair are read s then t and then checked s then t, as
-    evaluating a checked leq(f(s), f(t)) would, so the first error raised
-    is the same.
+    A uniform front [X]^k with k >= 1 is scanned in closed form (see
+    _first_uniform_pair). Any other front walks ShiftPairs.buckets(), one
+    sorted list of rank pairs per largest entry, in a flat loop, and stops
+    at the first hit, so buckets past the witness are never built. Each
+    member's value is read once, and passed through check (when given) the
+    first time it is read; values read at the same pair are read s then t
+    and then checked s then t, as evaluating a checked leq(f(s), f(t))
+    would, so the first error raised is the same.
     """
+    schema = f.front.schema
+    if isinstance(schema, UniformSchema) and schema.k >= 1:
+        return _first_uniform_pair(f, schema.k, bound, hit, check)
     pairs = ShiftPairs(members_within(f.front, bound))
     members = pairs.members
     value = f.value
@@ -317,11 +323,52 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     return None, len(pairs)
 
 
+def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
+                        hit: Callable[[Any, Any], bool],
+                        check: Optional[Callable[[Any], Any]]):
+    """_first_pair on [X]^k, k >= 1, without listing or indexing members.
+
+    The shift partners of a k-subset s are s[1:] + (x,) for the points x
+    above s[-1], so the pairs whose largest entry is x are the k-subsets s
+    of the points below x, in lexicographic order, each with that partner:
+    witness order is a walk of combinations, and the n window points give
+    C(n, k + 1) pairs, one per (k + 1)-subset. Values are read and checked
+    in the same order as on the general path.
+    """
+    points = list(f.front.base.upto(bound))
+    count = math.comb(len(points), k + 1)
+    value = f.value
+    read: dict = {}   # values by member
+    get = read.get
+    for i in range(k, len(points)):
+        top = (points[i],)
+        for s in itertools.combinations(points[:i], k):
+            t = s[1:] + top
+            vs = get(s, _UNREAD)
+            vt = get(t, _UNREAD)
+            if vs is _UNREAD or vt is _UNREAD:
+                fresh_s = vs is _UNREAD
+                fresh_t = vt is _UNREAD
+                if fresh_s:
+                    read[s] = vs = value(s)
+                if fresh_t:
+                    read[t] = vt = value(t)
+                if check is not None:
+                    if fresh_s:
+                        check(vs)
+                    if fresh_t:
+                        check(vt)
+            if hit(vs, vt):
+                return (s, t), count
+    return None, count
+
+
 @dataclass(frozen=True)
 class BadnessReport:
     """good_witness is the least good pair in witness order, where the scan
     stopped; pairs_scanned counts the window's shift pairs, not the
-    comparisons made before the stop."""
+    comparisons made before the stop: C(n, k + 1) for n window points on a
+    uniform front [X]^k, k >= 1."""
 
     window: int
     good_witness: Optional[tuple]
@@ -334,8 +381,11 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     pairs within the window; its absence is badness on the window.
 
     Pairs are scanned in witness order (largest entry, then s, then t) and
-    the scan stops at the first good pair, the reported witness.
-    pairs_scanned is the number of shift pairs in the window either way.
+    the scan stops at the first good pair, the reported witness. A uniform
+    front [X]^k, k >= 1, is scanned in closed form, without listing its
+    members, so the window may be large when the witness comes early.
+    pairs_scanned is the number of shift pairs in the window either way,
+    C(n, k + 1) for n window points on [X]^k.
     Each value is checked against the codomain once and then compared raw
     (see CodedQO); an invalid value raises the error the codomain's leq
     would raise, at the same pair.
@@ -353,7 +403,8 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
 class PerfectReport:
     """violation is the least violating pair in witness order, where the
     scan stopped; pairs_scanned counts the window's shift pairs, not the
-    pairs tested before the stop."""
+    pairs tested before the stop: C(n, k + 1) for n window points on a
+    uniform front [X]^k, k >= 1."""
 
     window: int
     holds: bool
@@ -368,8 +419,10 @@ def perfect_check(f: SuperSeq, R: Callable[[Any, Any], bool],
                   bound: int) -> PerfectReport:
     """True when every shift-related member pair within the window satisfies
     R between its values. Pairs are scanned in witness order (largest entry,
-    then s, then t) and the scan stops at the first violation;
-    pairs_scanned is the number of shift pairs in the window either way."""
+    then s, then t), in closed form on a uniform front [X]^k, k >= 1, and
+    the scan stops at the first violation; pairs_scanned is the number of
+    shift pairs in the window either way, C(n, k + 1) for n window points
+    on [X]^k."""
     violation, count = _first_pair(f, bound, lambda a, b: not R(a, b))
     return PerfectReport(window=bound, holds=violation is None,
                          violation=violation, pairs_scanned=count)

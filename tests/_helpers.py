@@ -17,7 +17,7 @@ from bqo.games import _moves
 from bqo.hset import Atom, HSet, Node, node
 from bqo.ordinal import OrdinalCNF
 from bqo.qo import FiniteQO
-from bqo.streams import evens
+from bqo.streams import evens, parse_base
 
 
 def enumerate_preorders(n: int) -> list[FiniteQO]:
@@ -155,7 +155,8 @@ def witness_key(pair) -> tuple:
 
 # (front, bound) by name, for differential tests of shift-pair scans. The
 # sequence front mixes member lengths 2 to 4, so some partners t are
-# initial segments of s minus its least entry.
+# initial segments of s minus its least entry. The uniform fronts cover
+# k = 1 to 4 on three bases; u3-lone has one member and no shift pair.
 SHIFT_PAIR_FRONTS = {
     "u1": (uniform_front(1), 10),
     "u2": (uniform_front(2), 10),
@@ -165,6 +166,9 @@ SHIFT_PAIR_FRONTS = {
                       UniformSchema(2), OrdinalCNF.natural(4)), 9),
     "trivial": (trivial_front(), 4),
     "u2-evens": (uniform_front(2, evens()), 12),
+    "u4": (uniform_front(4), 8),
+    "u3-prefix": (uniform_front(3, parse_base("prefix:0,2+arith:5,3")), 20),
+    "u3-lone": (uniform_front(3), 3),
 }
 
 

@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bqo.fronts
+import bqo.superseq
 from bqo.errors import DifferentBase, MissingValue, NotAPair
 from bqo.fronts import (
     Front,
@@ -307,6 +315,13 @@ class TestScansMatchBruteForce:
         assert rep.pairs_scanned == len(pairs)
 
 
+def test_a_window_without_shift_pairs_is_bad():
+    F, bound = SHIFT_PAIR_FRONTS["u3-lone"]
+    rep = badness_check(constant(F, 0), bound)
+    assert rep.pairs_scanned == 0 and rep.bad_on_window
+    assert rep.good_witness is None
+
+
 class TestScanErrors:
     """A malformed rado value raises where a checked comparison of every
     pair in witness order would, and only if the scan gets there."""
@@ -380,6 +395,27 @@ class TestScanErrors:
             else:
                 assert result is None and member not in log
 
+    @pytest.mark.parametrize("front", SHIFT_PAIR_FRONTS)
+    def test_every_value_malformed_raises_at_the_first_read(self, front):
+        # each value names its member, so the error tells which check ran
+        # first where both values of a pair are read fresh
+        F, bound = SHIFT_PAIR_FRONTS[front]
+        pairs = sorted(shift_pairs_reference(members_within(F, bound)),
+                       key=witness_key)
+        outcomes = []
+        for scan in (lambda f: self.checked_reference(f, pairs),
+                     lambda f: badness_check(f, bound).good_witness):
+            log = []
+            f = SuperSeq(F, lambda s: log.append(s) or (s, 3), RADO)
+            try:
+                outcomes.append((scan(f), log))
+            except NotAPair as exc:
+                outcomes.append((str(exc), log))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][0] == (
+            f"({pairs[0][0]!r}, 3) is not an increasing pair of naturals"
+            if pairs else None)
+
     def test_good_pair_before_malformed_value(self):
         # f(1, 2) = f(0, 1) makes the first pair good; (5, 7) tops out at 7
         table = {(1, 2): (0, 1), (5, 7): (5, 3)}
@@ -397,12 +433,67 @@ class TestScanLaziness:
         bucket = ShiftPairs.bucket
         monkeypatch.setattr(ShiftPairs, "bucket", lambda pairs, top: (
             built.append(top) or bucket(pairs, top)))
-        # bucket 1 is empty on the pair front; ((0, 1), (1, 2)) is good
-        rep = badness_check(constant(uniform_front(2), 0), 40)
+        # the Schreier front takes the ShiftPairs scan; no member ends in 1,
+        # and ((0,), (1, 2)) is good
+        members = members_within(schreier_front(), 12)
+        rep = badness_check(constant(schreier_front(), 0), 12)
+        assert rep.good_witness == ((0,), (1, 2))
+        assert rep.pairs_scanned == len(shift_pairs_reference(members))
+        assert built == [0, 2] < sorted({m[-1] for m in members})
+
+    def test_uniform_scan_reads_no_member_past_its_witness(self,
+                                                           monkeypatch):
+        count = len(shift_pairs_reference(members_within(uniform_front(2),
+                                                         40)))
+
+        def refuse(*args):
+            raise AssertionError("the uniform scan indexes no members")
+        monkeypatch.setattr(ShiftPairs, "__init__", refuse)
+        monkeypatch.setattr(bqo.superseq, "members_within", refuse)
+        log = []
+        f = SuperSeq(uniform_front(2), lambda s: log.append(s) or 0, OMEGA)
+        rep = badness_check(f, 40)
         assert rep.good_witness == ((0, 1), (1, 2))
-        assert rep.pairs_scanned == len(
-            shift_pairs_reference(members_within(uniform_front(2), 40)))
-        assert built == [1, 2]
+        assert rep.pairs_scanned == count == math.comb(40, 3)
+        assert log == [(0, 1), (1, 2)]
+
+
+class TestWindowProbe:
+    """min@u2 into omega-leq at window 20000 has C(20000, 3), about 1.3e12,
+    shift pairs and about 2e8 members; its first pair is good."""
+
+    ARGV = ["seq", "bad", "--fixture", "min@u2", "--codomain", "omega-leq",
+            "--window", "20000"]
+
+    def test_uniform_scan_lists_no_member(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("members_within called")
+        monkeypatch.setattr(bqo.superseq, "members_within", refuse)
+        monkeypatch.setattr(bqo.fronts, "members_within", refuse)
+        f = SuperSeq(uniform_front(2), named_valuation("min"), OMEGA)
+        rep = badness_check(f, 20000)
+        assert rep.good_witness == ((0, 1), (1, 2))
+        assert rep.pairs_scanned == math.comb(20000, 3)
+        assert not rep.bad_on_window
+
+    def test_cli_exits_0_under_an_address_space_cap(self):
+        resource = pytest.importorskip("resource")
+        cap = 1_500_000_000
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(pathlib.Path(bqo.superseq.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + os.pathsep + path if path else src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bqo.cli", *self.ARGV, "--format", "json"],
+            env=env, preexec_fn=limit, capture_output=True, text=True,
+            timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["pairs_scanned"] == math.comb(20000, 3)
 
 
 class TestFiles:
