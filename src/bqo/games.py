@@ -43,8 +43,10 @@ from .fronts import members_within
 from .hset import Atom, HSet, Node, iter_atoms, node
 
 
-def _check_base(h: HSet, qo, seen: Optional[set] = None) -> None:
-    atoms = dict.fromkeys(iter_atoms(h))
+def _check_base(qo, *hs: HSet, seen: Optional[set] = None) -> None:
+    """Check each distinct atom of hs against the carrier of qo once, set
+    by set in canonical order, so an atom that hs share is checked once."""
+    atoms = dict.fromkeys(a for h in hs for a in iter_atoms(h))
     if seen is not None:        # atoms checked before are skipped
         atoms = [a for a in atoms if a not in seen]
         seen.update(atoms)
@@ -206,11 +208,11 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
 
     Winner II means x <= y in the lifted order.  The optional memo dict may
     be shared across calls that use the same base order.  Each distinct
-    atom is checked against the carrier once, up front, and the atoms are
-    then compared with the order's raw_leq.
+    atom of x and y is checked against the carrier once, up front, also
+    when it occurs in both, and the atoms are then compared with the
+    order's raw_leq.
     """
-    _check_base(x, qo)
-    _check_base(y, qo)
+    _check_base(qo, x, y)
     return _solve(x, y, qo, {} if memo is None else memo)
 
 
@@ -227,8 +229,7 @@ def game_leq_oracle(x: HSet, y: HSet, qo) -> str:
 
     Exists solely as an independent cross-check of game_leq.
     """
-    _check_base(x, qo)
-    _check_base(y, qo)
+    _check_base(qo, x, y)
 
     def i_wins(a: HSet, b: HSet) -> bool:
         for am in _moves(a):
@@ -283,8 +284,7 @@ def game_play(x: HSet, y: HSet, strat_I, strat_II, qo) -> PlayTranscript:
     consulted only when the mover's side is a Node (atom moves are forced).
     Player I sees positions (X, Y); Player II sees (X', Y) after I's move.
     """
-    _check_base(x, qo)
-    _check_base(y, qo)
+    _check_base(qo, x, y)
     rounds = []
     A, B = x, y
     while True:
@@ -393,7 +393,7 @@ def string_strategies(xs, qo, window: Optional[int] = None) -> StrungMultiSeq:
     for m in range(n):
         for k in range(m + 1, n):
             while checked <= k:
-                _check_base(xs[checked], qo, seen)
+                _check_base(qo, xs[checked], seen=seen)
                 checked += 1
             res = _solve(xs[m], xs[k], qo, memo)
             if res.winner != "I":

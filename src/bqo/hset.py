@@ -21,13 +21,18 @@ The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
 parsing is the identity on canonical trees.  ``parse_sexpr`` reads one
 expression and ``parse_sexprs`` every expression of a text, in order.  One
-parse tokenizes with one regular expression, builds each tree with an
-explicit stack, and shares one Atom per distinct label, so ``parse_atom``
-runs once per label.  It refuses sets nested more than ``MAX_SEXPR_DEPTH``
-deep.  That limit bounds input only: the functions here that walk a given
-set, and the solver in ``games``, use explicit stacks, so sets built in
-code may be nested deeper.  So does the sort of a node's children when
-their keys nest too deep for the C tuple comparison.
+reader serves both: one regular expression match is a whole atom, a set
+opening or any other character, and the reader builds each tree from these
+with an explicit stack of the open sets' children, sharing one Atom per
+distinct label, so ``parse_atom`` runs once per label.  Where the reader
+meets a match it does not expect, a set nested too deep or a label that
+``parse_atom`` refuses, it gives up, and a token parser reads the text
+again to raise the first error in token order.  Parsing refuses sets
+nested more than ``MAX_SEXPR_DEPTH`` deep.  That limit bounds input only:
+the functions here that walk a given set, and the solver in ``games``, use
+explicit stacks, so sets built in code may be nested deeper.  So does the
+sort of a node's children when their keys nest too deep for the C tuple
+comparison.
 """
 
 from __future__ import annotations
@@ -81,17 +86,14 @@ class Node:
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, children):
-        ordered = _canonical_children(children)
-        if not ordered:
+        seen = {}   # deduplicates by identity, which is equality
+        for c in children:
+            if not isinstance(c, (Atom, Node)):
+                raise TypeError(f"HSet child expected, got {c!r}")
+            seen[c] = None
+        if not seen:
             raise ValueError("Node requires at least one child")
-        with _LOCK:
-            self = _NODES.get(ordered)
-            if self is None:
-                self = _NODES[ordered] = object.__new__(cls)
-                object.__setattr__(self, "children", ordered)
-                object.__setattr__(self, "_key",
-                                   (1, *map(_stored_key, ordered)))
-        return self
+        return _interned_node(seen)
 
     def __repr__(self):
         return f"Node(children={self.children!r})"
@@ -118,18 +120,22 @@ def node(children: Iterable) -> Node:
     return Node(tuple(children))
 
 
-def _canonical_children(children) -> tuple:
-    seen = {}   # deduplicates by identity, which is equality
-    for c in children:
-        if not isinstance(c, (Atom, Node)):
-            raise TypeError(f"HSet child expected, got {c!r}")
-        seen[c] = None
+def _interned_node(distinct) -> Node:
+    """The one Node over ``distinct``, an iterable of distinct HSets: its
+    children sorted by key, looked up, and inserted on a miss."""
     try:
-        return tuple(sorted(seen, key=_stored_key))
+        ordered = tuple(sorted(distinct, key=_stored_key))
     except RecursionError:
         # keys that first differ deep down overflow the recursive C tuple
         # comparison (past about 1,000 levels on Python 3.10-3.12)
-        return tuple(sorted(seen, key=_deep_key))
+        ordered = tuple(sorted(distinct, key=_deep_key))
+    with _LOCK:
+        self = _NODES.get(ordered)
+        if self is None:
+            self = _NODES[ordered] = object.__new__(Node)
+            object.__setattr__(self, "children", ordered)
+            object.__setattr__(self, "_key", (1, *map(_stored_key, ordered)))
+    return self
 
 
 def _compare_keys(a: tuple, b: tuple) -> int:
@@ -221,9 +227,19 @@ def hset_to_sexpr(h: HSet, fmt: Callable[[object], str] = str) -> str:
 # One token per match; only whitespace is left between matches.  A quote
 # that opens no terminated string literal swallows the rest of the text, so
 # an unterminated literal is always the last token.
-_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 _TOKEN = re.compile(rf'[()]|{_STRING.pattern}|".*|[^\s()"]+', re.DOTALL)
 _ESCAPE = re.compile(r'\\(.)', re.DOTALL)
+
+# The reader's pattern.  A match is a whole atom, with its label token in
+# group 1, a set opening "(set", with "set" in group 2, or any other
+# character outside whitespace, in group 3, of which the reader expects only
+# ")"; whitespace between matches is skipped.  On text the reader accepts,
+# the matches cover the tokens _TOKEN finds: a symbol character right after
+# "(set" is a match the reader does not expect.
+_READ = re.compile(
+    rf'\(\s*(?:atom(?:\s+|(?="))({_STRING.pattern}|[^\s()"]+)\s*\)'
+    r'|(set))|(\S)', re.DOTALL)
 
 # The deepest set nesting parse_sexpr accepts: a bound on the size of
 # input, not a guard for the code that walks sets, which uses explicit
@@ -251,10 +267,15 @@ def parse_sexpr(text: str,
     """Parse the s-expression format back into an HSet.
 
     ``parse_atom`` decodes atom labels into carrier elements (default: keep
-    the label string); it runs once per distinct label, and every occurrence
-    of a label shares one Atom.  The result is re-canonicalized.  Sets
-    nested more than ``MAX_SEXPR_DEPTH`` deep raise ValueError.
+    the label string).  On text that parses it runs once per distinct
+    label, in order of first occurrence, and every occurrence of a label
+    shares one Atom; on text that raises it may run again on earlier
+    labels before the error.  The result is re-canonicalized.  Sets nested
+    more than ``MAX_SEXPR_DEPTH`` deep raise ValueError.
     """
+    read = _read(text, parse_atom, many=False)
+    if read is not None and len(read) == 1:
+        return read[0]
     tokens = _tokens(text)
     out, pos = _build(tokens, 0, parse_atom, {})
     if pos != len(tokens):
@@ -268,9 +289,13 @@ def parse_sexprs(text: str,
 
     As parse_sexpr, but the text may hold further expressions after the
     first, with or without whitespace between them, and all of them share
-    one Atom per distinct label.  Empty text raises ValueError, and so does
-    any expression that does not parse.
+    one Atom per distinct label, so ``parse_atom`` runs once per distinct
+    label of the whole text when it parses.  Empty text raises ValueError,
+    and so does any expression that does not parse.
     """
+    read = _read(text, parse_atom, many=True)
+    if read is not None:
+        return read
     tokens = _tokens(text)
     atoms: dict = {}
     out, pos = [], 0
@@ -279,6 +304,43 @@ def parse_sexprs(text: str,
         out.append(h)
         if pos == len(tokens):
             return out
+
+
+def _read(text: str, parse_atom, many: bool):
+    """The expressions of text, read one _READ match at a time with a stack
+    of the open sets' children, or None where _build may raise instead:
+    at a match it does not expect, at a set nested past MAX_SEXPR_DEPTH,
+    when parse_atom raises, and, unless many, at a new label after the
+    first expression.  Then _tokens and _build parse the text again and
+    raise the error in token order."""
+    out: list = []
+    kids = out      # the innermost open set's children, or out
+    stack: list = []    # the enclosing children lists, out first
+    atoms: dict = {}    # label -> Atom, as _build keeps them
+    for token, opened, other in _READ.findall(text):
+        if token:
+            label = _word(token)
+            h = atoms.get(label)
+            if h is None:
+                if out and not many:
+                    return None
+                try:
+                    h = atoms[label] = Atom(parse_atom(label))
+                except Exception:   # _build raises it, or an earlier error
+                    return None
+            kids.append(h)
+        elif opened:
+            if len(stack) == MAX_SEXPR_DEPTH:
+                return None
+            stack.append(kids)
+            kids = []
+        elif other == ")" and kids and stack:
+            h = _interned_node(dict.fromkeys(kids))
+            kids = stack.pop()
+            kids.append(h)
+        else:
+            return None
+    return out if out and not stack else None
 
 
 def _build(tokens: list, pos: int, parse_atom, atoms: dict) -> tuple:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import itertools
+import json
 import os
 import random
 import re
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqo.hset
+import bqo.qo
 from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
                         InsufficientPrefix, InvariantViolated, MixedBaseQO,
                         NotBad)
@@ -250,14 +252,21 @@ class TestParserMatchesReference:
                 parse_sexpr_reference, text), text
 
     def test_atom_errors_come_in_token_order(self):
-        # parse_atom raises on "x"; a syntax error before it wins
+        # parse_atom raises on "x"; a syntax error before it wins, and an
+        # unterminated literal anywhere wins over both
         for text in ['(set (atom "{0,1}") (atom "x"))',
                      '(set (atom "x") (pair "a"))',
                      '(set (pair "a") (atom "x"))',
                      '(set (atom "x"',
-                     '(set (atom "{0,1}") (atom "{0,1}") (set (atom "x")))']:
-            assert _outcome(parse_sexpr, text, RADO.parse) == _outcome(
-                parse_sexpr_reference, text, RADO.parse)
+                     '(set (atom "{0,1}") (atom "{0,1}") (set (atom "x")))',
+                     '(set (atom "x") (atom "{0,1}")) (atom "',
+                     '(set (atom "x") (set) (atom "{0,1}" "b"))',
+                     '(set (set) (atom "x"))',
+                     '(set (atom "{0,1}" "b") (atom "x"))']:
+            expected = _outcome(parse_sexpr_reference, text, RADO.parse)
+            assert isinstance(expected, tuple), text
+            for parse in (parse_sexpr, parse_sexprs):
+                assert _outcome(parse, text, RADO.parse) == expected, text
 
     def test_one_atom_and_one_parse_atom_call_per_label(self):
         labels = []
@@ -276,6 +285,39 @@ class TestParserMatchesReference:
 
 # labels that a paren-counting splitter or a naive quoting would break
 _TRICKY_LABELS = st.text(alphabet='ab()"\\ ', max_size=4)
+
+# whitespace the tokenizer skips, Unicode included, and the empty gap
+_GAPS = st.sampled_from(["", " ", "\n", "\t ", "\r\n", "\u00a0", "\u2003",
+                         "\u3000", "\x0b"])
+_SYMBOL_LABELS = st.one_of(
+    st.sampled_from(["atom", "set", "\\", "{0,1}"]),
+    st.text(alphabet="ab{},01\\", min_size=1, max_size=4))
+
+
+def _well_formed(draw, levels: int) -> tuple:
+    """One well-formed expression drawn in any form the tokenizer accepts,
+    with its atom labels left to right."""
+    def gap():
+        return draw(_GAPS)
+
+    if levels == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            label = draw(st.text(alphabet='ab()"\\ \n\u3000', max_size=4))
+            every = draw(st.booleans())     # escape every character
+            body = "".join("\\" + c if every or c in '"\\' else c
+                           for c in label)
+            head = f'atom{gap()}"{body}"'   # (atom"a") has no gap
+        else:
+            label = draw(_SYMBOL_LABELS)
+            head = f"atom{draw(_GAPS.filter(bool))}{label}"
+        return f"({gap()}{head}{gap()})", [label]
+    parts, labels = [f"({gap()}set"], []
+    for _ in range(draw(st.integers(1, 3))):
+        text, more = _well_formed(draw, levels - 1)
+        parts += (gap(), text)
+        labels += more
+    parts += (gap(), ")")
+    return "".join(parts), labels
 
 
 def _labelled_hsets():
@@ -311,6 +353,18 @@ class TestParseSexprs:
         assert labels == ["1", "2", "3"]
         assert y is x.children[0] and z.children[0] is x.children[1]
 
+    @pytest.mark.parametrize("text, error", [
+        ('(atom "{0,1}") (set (atom "x") (pair "a"))',
+         ("NotAPair", "cannot parse 'x' as a pair")),
+        ('(atom "{0,1}") (set (pair "a") (atom "x"))',
+         ("ValueError", "expected 'atom' or 'set', got 'pair'")),
+        ('(atom "{0,1}") (atom "x") (atom "', (
+            "ValueError", "unterminated string literal")),
+    ])
+    def test_atom_errors_in_a_later_expression_come_in_token_order(
+            self, text, error):
+        assert _outcome(parse_sexprs, text, RADO.parse) == error
+
     @pytest.mark.parametrize("text, message", [
         ("", "expected '(' at token 0"),
         (" \n", "expected '(' at token 0"),
@@ -322,6 +376,74 @@ class TestParseSexprs:
     def test_empty_or_cut_off_text_raises(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_sexprs(text)
+
+
+class TestReader:
+    """The one-match-per-atom reader gives the reference trees on every
+    well-formed form, and the token parser runs only on errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_well_formed_texts_read_as_the_reference_parses(self, data):
+        exprs, labels = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            text, more = _well_formed(data.draw, 3)
+            exprs.append(text)
+            labels += more
+        gaps = [data.draw(_GAPS) for _ in exprs]
+        text = "".join(g + e for g, e in zip(gaps, exprs)) + data.draw(_GAPS)
+        expected = [parse_sexpr_reference(e) for e in exprs]
+        log = []
+
+        def parse_atom(label):
+            log.append(label)
+            return label
+
+        def no_tokens(text):
+            raise AssertionError("the token parser ran on well-formed text")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bqo.hset, "_tokens", no_tokens)
+            assert parse_sexprs(text, parse_atom) == expected
+            assert log == list(dict.fromkeys(labels))
+            assert parse_sexpr(exprs[0], parse_atom) == expected[0]
+        if len(exprs) > 1:
+            assert _outcome(parse_sexpr, text) == _outcome(
+                parse_sexpr_reference, text)
+
+    def test_one_expression_decodes_no_label_after_it(self):
+        labels = []
+
+        def parse_atom(label):
+            labels.append(label)
+            return RADO.parse(label)
+
+        assert _outcome(parse_sexpr, '(atom "{0,1}") (atom "x")',
+                        parse_atom) == (
+            "ValueError", "trailing input after s-expression")
+        assert "x" not in labels
+
+    def test_well_formed_and_benchmark_texts_parse_without_the_token_parser(
+            self, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import workload_games
+        spec = json.loads((root / "perfbench" / "workloads.json").read_text(
+            encoding="utf-8"))["workloads"]["games"]["smoke"]
+        texts = [(text, lambda s: s) for text in WELL_FORMED]
+        for kind, x, y in workload_games.make_pool(random.Random("games-0"),
+                                                   spec):
+            parse_atom = int if kind == "chain" else RADO.parse
+            texts += [(x, parse_atom), (y, parse_atom)]
+
+        def no_build(*args):
+            raise AssertionError("the token parser ran on well-formed text")
+
+        monkeypatch.setattr(bqo.hset, "_build", no_build)
+        for text, parse_atom in texts:
+            tree = parse_sexpr_reference(text, parse_atom)
+            assert parse_sexpr(text, parse_atom) is tree
+            assert parse_sexprs(text, parse_atom) == [tree]
 
 
 def _rebuilt(rng, h):
@@ -506,9 +628,43 @@ class TestCheckedOnceComparedRaw:
         x = parse_sexpr('(set (atom "{0,1}") (set (atom "{0,1}") '
                         '(atom "{2,3}")) (atom "{1,2}"))', RADO.parse)
         game_leq(x, x, order)
-        # in canonical order, atoms before sets; each tree checked once
-        assert checks == [(0, 1), (1, 2), (2, 3)] * 2
+        # in canonical order, atoms before sets; an atom of both sides once
+        assert checks == [(0, 1), (1, 2), (2, 3)]
         assert compared
+
+    def test_an_atom_of_both_sides_is_checked_once(self, monkeypatch):
+        x = parse_sexpr('(set (atom "{0,1}") (atom "{2,5}"))', RADO.parse)
+        y = parse_sexpr('(set (atom "{0,1}") (atom "{1,4}"))', RADO.parse)
+        pairs = []
+        check = bqo.qo._check_rado_pair
+        monkeypatch.setattr(bqo.qo, "_check_rado_pair",
+                            lambda s: pairs.append(s) or check(s))
+        game_leq(x, y, RADO)
+        assert pairs == [(0, 1), (2, 5), (1, 4)]
+
+        # the oracle and the replay compare through the checked leq, so
+        # count the carrier checks made up front through check alone
+        checks = []
+        order = dataclasses.replace(
+            RADO, check=lambda v: checks.append(v) or RADO.check(v))
+        res = game_leq(x, y, order)
+        for play in (lambda: game_leq_oracle(x, y, order),
+                     lambda: game_play(x, y, res.strategy, _least_move_II,
+                                       order)):
+            checks.clear()
+            play()
+            assert checks == [(0, 1), (2, 5), (1, 4)]
+
+    def test_the_first_bad_atom_in_x_then_y_order_raises(self):
+        x = node([Atom((0, 1)), Atom((3, 1))])
+        y = node([Atom((0, 1)), Atom((5, 4)), node([Atom((3, 1))])])
+        for p, q, bad in ((x, y, "(3, 1)"), (y, x, "(5, 4)"),
+                          (node([Atom((1, 2))]), y, "(5, 4)")):
+            for play in (lambda: game_leq(p, q, RADO),
+                         lambda: game_leq_oracle(p, q, RADO),
+                         lambda: game_play(p, q, {}, {}, RADO)):
+                with pytest.raises(MixedBaseQO, match=re.escape(bad)):
+                    play()
 
     def test_every_order_has_check_and_raw_leq(self):
         # a finite order's raw_leq is its leq
