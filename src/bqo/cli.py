@@ -121,9 +121,20 @@ def _lines(args, payload: dict, *keys) -> list:
 # --- shared input helpers ---------------------------------------------------
 
 def _load_json(path: str) -> dict:
+    def unique(pairs: list) -> dict:
+        # JSON keeps the last of two equal keys; a file that repeats a key
+        # would lose a value without a word
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise CliUsageError(f"{path} repeats the key {key!r} in one "
+                                "object")
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise CliUsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -40,17 +40,15 @@ from .errors import (BadIndices, DomainError, EmptyTruncation, IllegalMove,
                      InsufficientPrefix, InvariantViolated, MixedBaseQO,
                      NotBad)
 from .fronts import members_within
-from .hset import Atom, HSet, Node, iter_atoms, node
+from .hset import Atom, HSet, Node, distinct_atoms, node
 
 
 def _check_base(qo, *hs: HSet, seen: Optional[set] = None) -> None:
     """Check each distinct atom of hs against the carrier of qo once, set
-    by set in canonical order, so an atom that hs share is checked once."""
-    atoms = dict.fromkeys(a for h in hs for a in iter_atoms(h))
-    if seen is not None:        # atoms checked before are skipped
-        atoms = [a for a in atoms if a not in seen]
-        seen.update(atoms)
-    for a in atoms:
+    by set in canonical order, so an atom that hs share is checked once.
+    Each distinct set is walked once; the sets in seen were walked by an
+    earlier call, and their atoms are skipped."""
+    for a in distinct_atoms(*hs, seen=seen):
         try:
             qo.check(a.value)
         except DomainError:

@@ -42,7 +42,7 @@ import operator
 import re
 import threading
 import weakref
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 def _immutable(self, *args):
@@ -188,7 +188,7 @@ def depth(h: HSet) -> int:
 
 def supp(h: HSet) -> frozenset:
     """Support: the set of carrier elements occurring as atom leaves."""
-    return frozenset(a.value for a in iter_atoms(h))
+    return frozenset(a.value for a in distinct_atoms(h))
 
 
 def iter_atoms(h: HSet):
@@ -197,6 +197,26 @@ def iter_atoms(h: HSet):
     stack = [h]
     while stack:
         h = stack.pop()
+        if isinstance(h, Atom):
+            yield h
+        else:
+            stack.extend(reversed(h.children))
+
+
+def distinct_atoms(*hs: HSet, seen: Optional[set] = None):
+    """Yield each distinct Atom leaf of hs once, in the order iter_atoms
+    first meets it, set by set. Each distinct set is walked once, so a set
+    that shares subtrees costs its number of distinct sets, not of
+    positions. Sets in seen, and so every set below them, are skipped, and
+    each set walked is added to seen."""
+    if seen is None:
+        seen = set()
+    stack = list(reversed(hs))
+    while stack:
+        h = stack.pop()
+        if h in seen:   # its atoms all came before, from its first walk
+            continue
+        seen.add(h)
         if isinstance(h, Atom):
             yield h
         else:

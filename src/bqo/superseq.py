@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -277,6 +280,7 @@ def sparsify(f: SuperSeq, bound: int) -> SuperSeq:
 # --- shift diagnostics ----------------------------------------------------
 
 _UNREAD = object()
+_TAIL = operator.itemgetter(slice(1, None))
 
 
 def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
@@ -284,14 +288,19 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
     or None, and the number of shift pairs in the window.
 
-    A uniform front [X]^k with k >= 1 is scanned in closed form (see
-    _first_uniform_pair). Any other front walks ShiftPairs.buckets(), one
-    sorted list of rank pairs per largest entry, in a flat loop, and stops
-    at the first hit, so buckets past the witness are never built. Each
-    member's value is read once, and passed through check (when given) the
-    first time it is read; values read at the same pair are read s then t
-    and then checked s then t, as evaluating a checked leq(f(s), f(t))
-    would, so the first error raised is the same.
+    A uniform front [X]^k with k >= 1 is scanned in closed form, one
+    bucket per largest entry x: its least-point block, the s that start at
+    the window's least point, is walked pair by pair and reads every value
+    the bucket reads fresh, and the rest of the bucket is compared in one
+    lazy pass over values read before (see _first_uniform_pair). Any other
+    front walks ShiftPairs.buckets(), one sorted list of rank pairs per
+    largest entry, in a flat loop, and stops at the first hit, so buckets
+    past the witness are never built. Either way hit is called pair by
+    pair in witness order, up to the first hit. Each member's value is
+    read once, and passed through check (when given) the first time it is
+    read; values read at the same pair are read s then t and then checked
+    s then t, as evaluating a checked leq(f(s), f(t)) would, so the first
+    error raised is the same.
     """
     schema = f.front.schema
     if isinstance(schema, UniformSchema) and schema.k >= 1:
@@ -332,35 +341,110 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
     above s[-1], so the pairs whose largest entry is x are the k-subsets s
     of the points below x, in lexicographic order, each with that partner:
     witness order is a walk of combinations, and the n window points give
-    C(n, k + 1) pairs, one per (k + 1)-subset. Values are read and checked
-    in the same order as on the general path.
+    C(n, k + 1) pairs, one per (k + 1)-subset.
+
+    Each such bucket splits in two. Its least-point block, the s that start
+    at the window's least point p0, holds every value the bucket reads
+    fresh: each t = s[1:] + (x,) there, and s itself when it ends at the
+    point just below x. It is walked pair by pair, reading and checking in
+    the same order as the general path. The rest of the bucket reads
+    nothing new, since its t lie in the block's t and its s in earlier
+    buckets, so it is compared in one lazy map of hit over values held by
+    position, in witness order, and stops at its first hit.
+
+    Values are held in rows: rows[h] lists the values of h + (p,) for the
+    points p above h[-1], in order, up to the last finished bucket. The
+    block's t values, grouped by t[:-2] in col, join the rows once the
+    bucket is done.
     """
     points = list(f.front.base.upto(bound))
-    count = math.comb(len(points), k + 1)
+    pairs = math.comb(len(points), k + 1)
     value = f.value
-    read: dict = {}   # values by member
-    get = read.get
+    if k == 1:
+        return _first_singleton_pair(points, value, hit, check), pairs
+    head = tuple(points[:1])   # (p0,)
+    rows: defaultdict = defaultdict(list)
     for i in range(k, len(points)):
-        top = (points[i],)
-        for s in itertools.combinations(points[:i], k):
-            t = s[1:] + top
-            vs = get(s, _UNREAD)
-            vt = get(t, _UNREAD)
-            if vs is _UNREAD or vt is _UNREAD:
-                fresh_s = vs is _UNREAD
-                fresh_t = vt is _UNREAD
-                if fresh_s:
-                    read[s] = vs = value(s)
-                if fresh_t:
-                    read[t] = vt = value(t)
+        x = points[i]
+        below = points[1:i - 1]   # the points of the rest's prefixes h
+        col: dict = {}
+        # least-point block: s = (p0,) + w + (p,), t = w + (p, x), one run
+        # of p per w; the row's values end just below the fresh s
+        for w in itertools.combinations(below, k - 2):
+            h = head + w
+            row = rows[h]
+            c = col[w] = []
+            ends = points[i - 1 - len(row):i]
+            for vs, p in zip(row, ends):
+                t = w + (p, x)
+                vt = value(t)
                 if check is not None:
-                    if fresh_s:
-                        check(vs)
-                    if fresh_t:
-                        check(vt)
+                    check(vt)
+                c.append(vt)
+                if hit(vs, vt):
+                    return (h + (p,), t), pairs
+            s = h + (ends[-1],)
+            t = w + (ends[-1], x)
+            vs = value(s)
+            vt = value(t)
+            if check is not None:
+                check(vs)
+                check(vt)
+            row.append(vs)
+            c.append(vt)
             if hit(vs, vt):
-                return (s, t), count
-    return None, count
+                return (s, t), pairs
+        # the rest: s = h + (p,) for h within the points p1 .. below x
+        vs_runs = map(rows.__getitem__, itertools.combinations(below, k - 1))
+        if k == 2:   # every t = (p, x) sits in one column, from p on
+            c = col[()]
+            vt_runs = (c[a:] for a in range(1, i - 1))
+        else:        # the t of s = h + (p,) are the column of h[1:]
+            vt_runs = map(col.__getitem__, map(
+                _TAIL, itertools.combinations(below, k - 1)))
+        found = next(itertools.compress(itertools.count(), map(
+            hit, itertools.chain.from_iterable(vs_runs),
+            itertools.chain.from_iterable(vt_runs))), None)
+        if found is not None:
+            s = next(itertools.islice(
+                itertools.combinations(points[1:i], k), found, None))
+            return (s, s[1:] + (x,)), pairs
+        # t = u + (x,) joins the row of u, for u in the block's order (any
+        # runs the appends, as each returns None)
+        any(map(list.append,
+                map(rows.__getitem__, itertools.combinations(points[1:i],
+                                                             k - 1)),
+                itertools.chain.from_iterable(col.values())))
+    return None, pairs
+
+
+def _first_singleton_pair(points: list, value, hit, check):
+    """_first_uniform_pair on [X]^1: the bucket of x is (p,) against (x,)
+    for the points p below x; (x,) is its one fresh read, and (p0,) is
+    read fresh in the first bucket."""
+    row = []   # the values of (p,) for the points p below x
+    for i in range(1, len(points)):
+        x = (points[i],)
+        if row:
+            vs = row[0]
+            vt = value(x)
+            if check is not None:
+                check(vt)
+        else:
+            vs = value((points[0],))
+            vt = value(x)
+            if check is not None:
+                check(vs)
+                check(vt)
+            row.append(vs)
+        if hit(vs, vt):
+            return (points[0],), x
+        found = next(itertools.compress(itertools.count(), map(
+            hit, itertools.islice(row, 1, None), itertools.repeat(vt))), None)
+        if found is not None:
+            return (points[1 + found],), x
+        row.append(vt)
+    return None
 
 
 @dataclass(frozen=True)
@@ -383,7 +467,11 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     Pairs are scanned in witness order (largest entry, then s, then t) and
     the scan stops at the first good pair, the reported witness. A uniform
     front [X]^k, k >= 1, is scanned in closed form, without listing its
-    members, so the window may be large when the witness comes early.
+    members, so the window may be large when the witness comes early: in
+    the bucket of each largest entry x, the pairs whose s starts at the
+    window's least point are compared one by one as their values are first
+    read, and the rest of the bucket, whose values were all read before,
+    in one pass that stops at its first good pair.
     pairs_scanned is the number of shift pairs in the window either way,
     C(n, k + 1) for n window points on [X]^k.
     Each value is checked against the codomain once and then compared raw
@@ -469,12 +557,22 @@ def named_valuation(rule: str,
 _NOT_DECIMAL = str.maketrans("", "", "0123456789,")
 
 
+# a table key: "" or naturals in canonical decimal (ASCII digits, no
+# leading zero) joined by commas, so that each member has one key; re
+# compiles it on first use, so importing this module does not
+_TABLE_KEY = r"(?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?"
+
+
 def _decode_entries(table_raw: dict) -> dict:
-    """The table decoded one entry at a time: each key split at commas
-    into ints, then each value, a list made a tuple, hashed. The first bad
-    entry in table order raises."""
+    """The table decoded one entry at a time: each key checked against the
+    key grammar and split at commas into ints, then each value, a list made
+    a tuple, hashed. The first bad entry in table order raises."""
     table = {}
     for key, v in table_raw.items():
+        if not (isinstance(key, str) and re.fullmatch(_TABLE_KEY, key)):
+            raise ValueError(
+                f"valuation table key {key!r} is not canonical: write \"\" "
+                f"or naturals without leading zeros joined by commas")
         s = tuple(map(int, key.split(","))) if key else ()
         if isinstance(v, list):
             v = tuple(v)
@@ -492,10 +590,11 @@ def _decode_table(table_raw: dict) -> dict:
 
     When every key holds only ASCII digits and commas (tested on the keys'
     own characters, so no key brings a bracket into the JSON text), all
-    keys parse in one json.loads, each key as one list. A key JSON refuses
-    (01, 1,,2, a digit string over the int limit), any other key, or an
-    unhashable value sends the whole table through _decode_entries, which
-    gives the same members and raises the same first error.
+    keys parse in one json.loads, each key as one list; JSON reads exactly
+    the canonical keys this way. A key JSON refuses (01, 1,,2, a digit
+    string over the int limit), any other key, or an unhashable value sends
+    the whole table through _decode_entries, which gives the same members
+    and raises the same first error.
     """
     import json   # here, so that importing this module does not load json
     keys = list(table_raw)
@@ -519,8 +618,10 @@ def _decode_table(table_raw: dict) -> dict:
 def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
     """Build a SuperSeq from file data: a front reference plus a valuation
     given as a named rule, a finite member table, or both (table with rule
-    fallback). Table keys are comma-joined entries; table values must be
-    hashable, and a list value becomes a tuple.
+    fallback). A table key is "" or the member's entries in canonical
+    decimal joined by commas, such as "0,12"; any other key, such as "01,2"
+    or "1, 2", is a ValueError that names it, so no two keys name one
+    member. Table values must be hashable, and a list value becomes a tuple.
 
     Keys and list values are decoded once, here, for the whole table, and
     the table is the value cache, so reading a table member does not

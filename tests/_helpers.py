@@ -372,11 +372,19 @@ def tilde_table_reference(f, window: int) -> dict:
 
 
 def decode_table_reference(table_raw: dict) -> dict:
-    """A valuation table decoded entry by entry, as superseq_from_dict did
-    before it decoded in bulk: same members, values, and first error."""
+    """A valuation table decoded entry by entry: same members, values, and
+    first error. A key is "" or naturals written without leading zeros in
+    ASCII digits, joined by commas; any other key is refused."""
     table = {}
     for key, v in table_raw.items():
-        s = tuple(map(int, key.split(","))) if key else ()
+        parts = key.split(",") if isinstance(key, str) and key else []
+        if not (key == "" or parts and all(
+                p == "0" or p[:1] in "123456789" and p.isascii()
+                and p.isdigit() for p in parts)):
+            raise ValueError(
+                f"valuation table key {key!r} is not canonical: write \"\" "
+                f"or naturals without leading zeros joined by commas")
+        s = tuple(map(int, parts))
         if isinstance(v, list):
             v = tuple(v)
         try:

@@ -214,6 +214,11 @@ class TestExitCodes:
          {"front": {"schema": "uniform", "k": 2},
           "valuation": {"table": []}},
          "malformed sequence file: valuation 'table' must be a JSON object"),
+        (["seq", "bad", "--file"],
+         {"front": {"schema": "uniform", "k": 2},
+          "valuation": {"table": {"1,2": 5, "01,2": 7}}},
+         "malformed sequence file: valuation table key '01,2' is not "
+         "canonical"),
         (["extract", "nw", "--target", "2", "--coloring"],
          {"front": {"schema": "uniform", "k": 2}, "table": []},
          "malformed coloring file: 'table' must be a JSON object"),
@@ -258,6 +263,26 @@ class TestExitCodes:
         errors = [line for line in err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and message in errors[0], err
+
+    # JSON keeps the last of two equal keys, so a repeated key would drop
+    # a value; the error names the key, at any depth of the file
+    @pytest.mark.parametrize("argv,text,key", [
+        (["seq", "bad", "--file"],
+         '{"front": {"schema": "uniform", "k": 2}, "valuation": {"table": '
+         '{"1,2": [0, 1], "0,1": [0, 2], "1,2": [0, 3]}}}', "1,2"),
+        (["front", "rank", "--front-file"],
+         '{"schema": "uniform", "k": 2, "k": 3}', "k"),
+    ])
+    def test_a_repeated_key_is_a_one_line_usage_error(self, tmp_path, argv,
+                                                      text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(argv + [str(path)])
+        assert code == 2 and out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {path} repeats the key {key!r} in one "
+                          "object"], err
 
     def test_usage_errors_list_subcommands(self):
         code, out, err = run_cli(["bogus"])

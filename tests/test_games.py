@@ -27,7 +27,8 @@ from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
 from bqo.hset import (MAX_SEXPR_DEPTH, Atom, Node, _compare_keys, all_hsets,
-                      canon_key, depth, hset_to_sexpr, iter_atoms, node,
+                      canon_key, depth, distinct_atoms, hset_to_sexpr,
+                      iter_atoms, node,
                       parse_sexpr, parse_sexprs, random_hset, supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
@@ -685,6 +686,34 @@ class TestCheckedOnceComparedRaw:
             assert order.fmt(member) == text
             # a text syntax, or None when elements are read as integers
             assert order.parse is None or order.parse(text) == member
+
+    def test_distinct_atoms_keep_the_first_occurrence_order(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            x, y = _rado_sets_sharing_atoms(rng)
+            for hs in ((x,), (x, y), (y, x), (x, node([x, y]))):
+                assert list(distinct_atoms(*hs)) == list(dict.fromkeys(
+                    a for h in hs for a in iter_atoms(h)))
+            # sets walked by an earlier call, and their atoms, are skipped
+            seen = set()
+            first = list(distinct_atoms(x, seen=seen))
+            assert list(distinct_atoms(y, seen=seen)) == [
+                a for a in dict.fromkeys(iter_atoms(y)) if a not in first]
+
+    def test_shared_subtrees_are_walked_once(self):
+        # h = {h, {h}} forty times over has 2^40 atom positions and 81
+        # distinct sets; the check and supp walk each distinct set once
+        h = Atom(0)
+        for _ in range(40):
+            h = node([h, node([h])])
+        omega_leq = resolve_qo("omega-leq")
+        checks = []
+        order = dataclasses.replace(
+            omega_leq, check=lambda v: checks.append(v) or omega_leq.check(v))
+        assert game_leq(h, h, order).winner == "II"
+        assert game_leq(h, h, chain(1)).winner == "II"
+        assert checks == [0]
+        assert supp(h) == frozenset({0})
 
     def test_non_carrier_atom_raises_before_any_comparison(self):
         compared = []

@@ -1,5 +1,7 @@
 """Every library module parses under the oldest supported grammar, Python
-3.10, so grammar from a newer release fails here on any interpreter."""
+3.10, so grammar from a newer release fails here on any interpreter; and no
+module holds an assert statement, so every check the library makes still
+runs under python -O."""
 from __future__ import annotations
 
 import ast
@@ -8,10 +10,18 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bqo"
+MODULES = sorted(SRC.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
               feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts at lines {lines}"

@@ -32,7 +32,7 @@ from bqo.fronts import (
     uniform_front,
 )
 from bqo.qo import OMEGA, RADO, chain, rado_leq
-from bqo.streams import InfSet, arithmetic, evens, omega
+from bqo.streams import InfSet, arithmetic, evens, omega, parse_base
 from bqo.superseq import (
     SuperSeq,
     _decode_table,
@@ -458,6 +458,147 @@ class TestScanLaziness:
         assert log == [(0, 1), (1, 2)]
 
 
+def first_pair_reference(value, pairs: list, hit, check=None):
+    """The first of pairs with hit(f(s), f(t)), read pair by pair: the
+    values a pair reads fresh are read s then t, then checked s then t,
+    and then compared."""
+    read = {}
+    for s, t in pairs:
+        fresh = [m for m in dict.fromkeys((s, t)) if m not in read]
+        for m in fresh:
+            read[m] = value(m)
+        if check is not None:
+            for m in fresh:
+                check(read[m])
+        if hit(read[s], read[t]):
+            return s, t
+    return None
+
+
+def _logged(v, log: list):
+    return lambda m: log.append(m) or v(m)
+
+
+def _scan_valuation(seed: int, style: str, log: list):
+    """Rado values by member, logged on each read. "mixed": small seeded
+    pairs, so good pairs come early; "bad": (s[0], 100), bad on every
+    shift pair, but for rare values (0, 1), good below each t with t[0] at
+    least 2; "malformed": "bad" with rare values outside the carrier;
+    "both": "mixed" with rare values outside the carrier."""
+    def v(s):
+        log.append(s)
+        r = random.Random(repr((seed, s)))
+        if style in ("malformed", "both") and r.random() < 0.03:
+            return (5, 3)
+        if style in ("bad", "malformed"):
+            return (0, 1) if r.random() < 0.05 else (s[0], 100)
+        m = r.randrange(6)
+        return (m, m + 1 + r.randrange(3))
+    return v
+
+
+def _scan_relation(seed: int, raising: bool, calls: list):
+    """A seeded relation on values, false on about one pair in twenty;
+    when raising, it raises on about one pair in thirty instead."""
+    def R(a, b):
+        calls.append((a, b))
+        x = random.Random(repr((seed, a, b))).random()
+        if raising and x < 0.03:
+            raise ValueError(f"R refuses {a}, {b}")
+        return x >= 0.05
+    return R
+
+
+_SCAN_BASES = (omega, evens, lambda: parse_base("prefix:0,2+arith:5,3"))
+_SCAN_STYLES = ("mixed", "bad", "malformed", "both")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("scan", ["badness", "perfect", "perfect-raising"])
+def test_uniform_scan_matches_the_per_pair_scan(k, scan):
+    """The uniform scan against a per-pair scan of the listed shift pairs
+    on windows 0 to 12 and three bases: same witness, pair count, first
+    error and read log, and, for perfect_check, the same calls of R."""
+    for window in range(13):
+        for seed in range(12):
+            F = uniform_front(k, _SCAN_BASES[seed // 4]())
+            pairs = sorted(shift_pairs_reference(members_within(F, window)),
+                           key=witness_key)
+            outcomes = []
+            for run in (_reference_scan, _uniform_scan):
+                log, calls = [], []
+                f = SuperSeq(F, _scan_valuation(seed, _SCAN_STYLES[seed % 4],
+                                                log), RADO)
+                R = _scan_relation(seed, scan == "perfect-raising", calls)
+                try:
+                    out = run(f, None if scan == "badness" else R, window,
+                              pairs)
+                except (NotAPair, ValueError) as exc:
+                    out = type(exc), str(exc)
+                outcomes.append((out, log, calls))
+            assert outcomes[0] == outcomes[1], (window, seed)
+
+
+def _reference_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
+    if R is None:
+        return first_pair_reference(f.value, pairs, RADO.raw_leq,
+                                    RADO.check), len(pairs)
+    return first_pair_reference(f.value, pairs,
+                                lambda a, b: not R(a, b)), len(pairs)
+
+
+def _uniform_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
+    if R is None:
+        rep = badness_check(f, window)
+        return rep.good_witness, rep.pairs_scanned
+    rep = perfect_check(f, R, window)
+    return rep.violation, rep.pairs_scanned
+
+
+class TestUniformScanBlocks:
+    """Each bucket of a uniform scan reads its fresh values in its
+    least-point block, the s starting at the window's least point, and
+    compares the rest of the bucket in one pass. On [omega]^2 at window 8,
+    (s[0], 100) into rado is bad on every shift pair, so one override
+    f(t) = f(s) places the witness."""
+
+    @staticmethod
+    def scan(witness):
+        s, t = witness
+        log = []
+
+        def v(m):
+            log.append(m)
+            return (s[0], 100) if m == t else (m[0], 100)
+        f = SuperSeq(uniform_front(2), v, RADO)
+        return badness_check(f, 8), log
+
+    def test_witness_inside_the_least_point_block(self):
+        # the block of x = 5 would read (1, 5), (2, 5), (3, 5), then (0, 4)
+        # and (4, 5); it stops at (2, 5)
+        rep, log = self.scan(((0, 2), (2, 5)))
+        assert rep.good_witness == ((0, 2), (2, 5))
+        pairs = sorted(shift_pairs_reference(members_within(
+            uniform_front(2), 8)), key=witness_key)
+        ref_log = []
+        first_pair_reference(
+            _logged(lambda m: (0, 100) if m == (2, 5) else (m[0], 100),
+                    ref_log), pairs, RADO.raw_leq)
+        assert log == ref_log
+        assert log[-2:] == [(1, 5), (2, 5)]
+        assert (3, 5) not in log and (0, 4) not in log
+
+    def test_witness_in_the_rest_of_a_bucket(self):
+        # ((2, 3), (3, 5)) lies past the block of x = 5, which reads every
+        # value the bucket needs and nothing of a later bucket
+        rep, log = self.scan(((2, 3), (3, 5)))
+        assert rep.good_witness == ((2, 3), (3, 5))
+        assert log[-5:] == [(1, 5), (2, 5), (3, 5), (0, 4), (4, 5)]
+        # (0, 5) is first read as an s, in the bucket of x = 6
+        assert sorted(log) == sorted(
+            set(itertools.combinations(range(6), 2)) - {(0, 5)})
+
+
 class TestWindowProbe:
     """min@u2 into omega-leq at window 20000 has C(20000, 3), about 1.3e12,
     shift pairs and about 2e8 members; its first pair is good."""
@@ -639,12 +780,29 @@ class TestTableDecode:
         with pytest.raises(MissingValue, match=re.escape("(2, 7)")):
             table_only.value((2, 7))
 
-    @pytest.mark.parametrize("table,value", [
-        ({"1,2": 5, "01,2": 7}, 7), ({"01,2": 7, "1,2": 5}, 5)])
-    def test_the_last_key_for_a_member_wins(self, table, value):
-        f = superseq_from_dict({"front": {"schema": "uniform", "k": 2},
+    # two spellings of one member, and keys int() would take: a leading
+    # zero, a sign, a space, an underscore, a non-ASCII digit
+    @pytest.mark.parametrize("table,key", [
+        ({"1,2": 5, "01,2": 7}, "01,2"), ({"01,2": 7, "1,2": 5}, "01,2"),
+        ({"0,1": 1, "+1,2": 2}, "+1,2"), ({"-0": 1}, "-0"),
+        ({"1, 2": 1}, "1, 2"), ({"1_0": 1}, "1_0"),
+        ({"\u0663": 1}, "\u0663"), ({"1,": 1}, "1,"), ({",": 1}, ","),
+        ({1: 1}, 1)])
+    def test_a_key_that_is_not_canonical_is_refused(self, table, key):
+        with pytest.raises(ValueError) as err:
+            superseq_from_dict({"front": {"schema": "uniform", "k": 2},
                                 "valuation": {"table": table}})
-        assert f.value((1, 2)) == value
+        assert str(err.value) == (
+            f"valuation table key {key!r} is not canonical: write \"\" or "
+            f"naturals without leading zeros joined by commas")
+
+    def test_canonical_keys_name_their_members(self):
+        f = superseq_from_dict({"front": {"schema": "uniform", "k": 2},
+                                "valuation": {"table": {
+                                    "0,10": 1, "1,2": 2, "": 3,
+                                    "120,3000": 4}}})
+        assert [f.value(s) for s in [(0, 10), (1, 2), (), (120, 3000)]] \
+            == [1, 2, 3, 4]
 
     def test_the_empty_key_is_the_empty_member(self):
         f = superseq_from_dict({"front": {"schema": "trivial"},
