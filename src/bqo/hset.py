@@ -25,19 +25,19 @@ reader serves both: one regular expression match is a whole atom, a set
 opening or any other character, and the reader builds each tree from these
 with an explicit stack of the open sets' children, sharing one Atom per
 distinct label, so ``parse_atom`` runs once per label.  Where the reader
-meets a match it does not expect, a set nested too deep or a label that
-``parse_atom`` refuses, it gives up, and a token parser reads the text
-again to raise the first error in token order.  Parsing refuses sets
-nested more than ``MAX_SEXPR_DEPTH`` deep.  That limit bounds input only:
-the functions here that walk a given set, and the solver in ``games``, use
-explicit stacks, so sets built in code may be nested deeper.  So does the
-sort of a node's children when their keys nest too deep for the C tuple
+meets a match it does not expect or a set nested too deep, it raises the
+first error in token order itself.  Parsing refuses sets nested more than
+``MAX_SEXPR_DEPTH`` deep.  That limit bounds input only: the functions
+here that walk a given set, and the solver in ``games``, use explicit
+stacks, so sets built in code may be nested deeper.  So does the sort of
+a node's children when their keys nest too deep for the C tuple
 comparison.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 import threading
@@ -96,13 +96,33 @@ class Node:
         return _interned_node(seen)
 
     def __repr__(self):
-        return f"Node(children={self.children!r})"
+        # with a stack, so deep sets repr, and cut off at _REPR_LIMIT
+        # characters, so sets that share subtrees repr at once
+        out, size = [], 0
+        stack: list = [self]    # sets still to write, and text between them
+        while stack and size <= _REPR_LIMIT:
+            h = stack.pop()
+            if isinstance(h, Node):
+                h, kids = "Node(children=(", h.children
+                stack.append(",))" if len(kids) == 1 else "))")
+                for c in reversed(kids):
+                    stack += (c, ", ")
+                stack.pop()     # no separator before the first child
+            elif isinstance(h, Atom):
+                h = repr(h)
+            out.append(h)
+            size += len(h)
+        text = "".join(out)
+        return text if size <= _REPR_LIMIT else text[:_REPR_LIMIT] + "..."
 
     def __reduce__(self):
         return Node, (self.children,)
 
 
 HSet = Union[Atom, Node]
+
+# the longest Node repr written out in full; a longer one ends in "..."
+_REPR_LIMIT = 1000
 
 # The live HSets by atom key and by canonical child tuple.  Children are
 # interned, so a child tuple hashes and compares by identity in C.
@@ -175,15 +195,19 @@ def canon_key(h: HSet) -> tuple:
 
 
 def depth(h: HSet) -> int:
-    """Nesting depth: 0 for atoms, 1 + max child depth for nodes."""
-    deepest, stack = 0, [(h, 0)]
+    """Nesting depth: 0 for atoms, 1 + max child depth for nodes. Each
+    distinct set is walked once, in post-order with a memo."""
+    depths: dict = {}
+    stack = [h]
     while stack:
-        h, d = stack.pop()
-        if isinstance(h, Node):
-            stack.extend((c, d + 1) for c in h.children)
-        elif d > deepest:
-            deepest = d
-    return deepest
+        top = stack.pop()
+        kids = () if isinstance(top, Atom) else top.children
+        todo = [c for c in kids if c not in depths]
+        if todo:    # back to top once its children are done
+            stack += (top, *todo)
+        elif top not in depths:
+            depths[top] = max((depths[c] + 1 for c in kids), default=0)
+    return depths[h]
 
 
 def supp(h: HSet) -> frozenset:
@@ -275,32 +299,18 @@ def _word(token: str) -> str:
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
-def _tokens(text: str) -> list:
-    tokens = _TOKEN.findall(text)
-    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
-        raise ValueError("unterminated string literal")
-    return tokens
-
-
 def parse_sexpr(text: str,
                 parse_atom: Callable[[str], object] = lambda s: s) -> HSet:
     """Parse the s-expression format back into an HSet.
 
     ``parse_atom`` decodes atom labels into carrier elements (default: keep
-    the label string).  On text that parses it runs once per distinct
-    label, in order of first occurrence, and every occurrence of a label
-    shares one Atom; on text that raises it may run again on earlier
-    labels before the error.  The result is re-canonicalized.  Sets nested
-    more than ``MAX_SEXPR_DEPTH`` deep raise ValueError.
+    the label string).  It runs once per distinct label, in order of first
+    occurrence, up to the first error or the end of the first expression,
+    and every occurrence of a label shares one Atom.  The result is
+    re-canonicalized.  Sets nested more than ``MAX_SEXPR_DEPTH`` deep raise
+    ValueError.
     """
-    read = _read(text, parse_atom, many=False)
-    if read is not None and len(read) == 1:
-        return read[0]
-    tokens = _tokens(text)
-    out, pos = _build(tokens, 0, parse_atom, {})
-    if pos != len(tokens):
-        raise ValueError("trailing input after s-expression")
-    return out
+    return _read(text, parse_atom, many=False)[0]
 
 
 def parse_sexprs(text: str,
@@ -310,48 +320,40 @@ def parse_sexprs(text: str,
     As parse_sexpr, but the text may hold further expressions after the
     first, with or without whitespace between them, and all of them share
     one Atom per distinct label, so ``parse_atom`` runs once per distinct
-    label of the whole text when it parses.  Empty text raises ValueError,
-    and so does any expression that does not parse.
+    label of the whole text.  Empty text raises ValueError, and so does any
+    expression that does not parse.
     """
-    read = _read(text, parse_atom, many=True)
-    if read is not None:
-        return read
-    tokens = _tokens(text)
-    atoms: dict = {}
-    out, pos = [], 0
-    while True:
-        h, pos = _build(tokens, pos, parse_atom, atoms)
-        out.append(h)
-        if pos == len(tokens):
-            return out
+    return _read(text, parse_atom, many=True)
 
 
-def _read(text: str, parse_atom, many: bool):
-    """The expressions of text, read one _READ match at a time with a stack
-    of the open sets' children, or None where _build may raise instead:
-    at a match it does not expect, at a set nested past MAX_SEXPR_DEPTH,
-    when parse_atom raises, and, unless many, at a new label after the
-    first expression.  Then _tokens and _build parse the text again and
-    raise the error in token order."""
+def _read(text: str, parse_atom, many: bool) -> list:
+    """The expressions of text, one unless many, read one _READ match at a
+    time with a stack of the open sets' children.  At a match it does not
+    expect, a set nested past MAX_SEXPR_DEPTH or, unless many, a new label
+    after the first expression, _fail raises the first error in token
+    order; an unterminated string literal wins over parse_atom's error."""
     out: list = []
     kids = out      # the innermost open set's children, or out
     stack: list = []    # the enclosing children lists, out first
-    atoms: dict = {}    # label -> Atom, as _build keeps them
-    for token, opened, other in _READ.findall(text):
+    atoms: dict = {}    # label -> Atom
+    matches = _READ.findall(text)
+    it = iter(matches)  # after a break, its length hint locates the match
+    for token, opened, other in it:
         if token:
             label = _word(token)
             h = atoms.get(label)
             if h is None:
                 if out and not many:
-                    return None
+                    break
                 try:
                     h = atoms[label] = Atom(parse_atom(label))
-                except Exception:   # _build raises it, or an earlier error
-                    return None
+                except Exception:
+                    _checked_tokens(text)
+                    raise
             kids.append(h)
         elif opened:
             if len(stack) == MAX_SEXPR_DEPTH:
-                return None
+                break
             stack.append(kids)
             kids = []
         elif other == ")" and kids and stack:
@@ -359,59 +361,55 @@ def _read(text: str, parse_atom, many: bool):
             kids = stack.pop()
             kids.append(h)
         else:
-            return None
-    return out if out and not stack else None
+            break
+    else:
+        if out and not stack and (many or len(out) == 1):
+            return out
+        _fail(text, len(matches), stack, bool(out) and not many)
+    _fail(text, len(matches) - operator.length_hint(it) - 1, stack,
+          bool(out) and not many)
 
 
-def _build(tokens: list, pos: int, parse_atom, atoms: dict) -> tuple:
-    """Build the s-expression that starts at tokens[pos] with an explicit
-    stack of the open sets' children, taking and recording shared Atoms in
-    atoms; returns it with the index of the next token."""
-    n = len(tokens)
-    if pos >= n or tokens[pos] != "(":
-        raise ValueError(f"expected '(' at token {pos}")
-    stack: list = []
-    while True:
-        # tokens[pos] opens an expression
-        pos += 1
-        if pos >= n or tokens[pos] in "()":
-            raise ValueError("expected 'atom' or 'set' head")
-        head = tokens[pos]
-        pos += 1
-        if head == "set":
-            if len(stack) == MAX_SEXPR_DEPTH:
-                raise ValueError(f"sets nested deeper than {MAX_SEXPR_DEPTH} "
-                                 f"at token {pos - 2}")
-            stack.append([])
-        elif head == "atom":
-            if pos >= n or tokens[pos] in "()":
-                raise ValueError("atom requires a label")
-            label = _word(tokens[pos])
-            pos += 1
-            if pos >= n or tokens[pos] != ")":
-                raise ValueError(f"expected ')' at token {pos}")
-            pos += 1
-            h = atoms.get(label)
-            if h is None:
-                h = atoms[label] = Atom(parse_atom(label))
-            if not stack:
-                return h, pos
-            stack[-1].append(h)
-        else:
-            raise ValueError(
-                f"expected 'atom' or 'set', got {_word(head)!r}")
-        # inside the innermost open set: open a child or close sets
-        while pos >= n or tokens[pos] != "(":
-            if pos >= n or tokens[pos] != ")":
-                raise ValueError(f"expected ')' at token {pos}")
-            pos += 1
-            children = stack.pop()
-            if not children:
-                raise ValueError("set requires at least one element")
-            h = Node(tuple(children))
-            if not stack:
-                return h, pos
-            stack[-1].append(h)
+def _checked_tokens(text: str) -> list:
+    """The tokens of text; ValueError if the last is an unterminated
+    string literal, an error that wins over every other."""
+    tokens = _TOKEN.findall(text)
+    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
+        raise ValueError("unterminated string literal")
+    return tokens
+
+
+def _fail(text: str, at: int, stack: list, trailing: bool):
+    """Raise the first error in token order, where the reader gave up at
+    its at-th _READ match (or at the end: at its match count) with the open
+    sets in stack; trailing once parse_sexpr's one expression is read.  The
+    matches before read as the tokens do, but "(set" run straight on into a
+    symbol, as in "(setx", is the one head token "setx"."""
+    tokens = _checked_tokens(text)
+    if trailing:
+        raise ValueError("trailing input after s-expression")
+    m = next(itertools.islice(_READ.finditer(text), at, None), None)
+    p = m.start() if m else len(text)
+    t = len(_TOKEN.findall(text, 0, p))     # tokens before the match
+    char = m.group(3) if m else None
+    if char and char not in '()"' and text.endswith("set", 0, p):
+        t -= 2      # back to the "(" before the head "set..."
+    elif char == ")" and stack:
+        raise ValueError("set requires at least one element")
+    elif char != "(" and not (m and m.group(2)):
+        raise ValueError(f"expected {')' if stack else '('!r} at token {t}")
+    # an expression opens at token t and the error is in its head
+    head = tokens[t + 1] if t + 1 < len(tokens) else ")"
+    if head in "()":
+        raise ValueError("expected 'atom' or 'set' head")
+    if head == "set":
+        raise ValueError(f"sets nested deeper than {MAX_SEXPR_DEPTH} "
+                         f"at token {t}")
+    if head != "atom":
+        raise ValueError(f"expected 'atom' or 'set', got {_word(head)!r}")
+    if t + 2 >= len(tokens) or tokens[t + 2] in "()":
+        raise ValueError("atom requires a label")
+    raise ValueError(f"expected ')' at token {t + 3}")
 
 
 # --- enumeration and sampling ---------------------------------------------

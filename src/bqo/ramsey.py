@@ -46,7 +46,7 @@ from .errors import (EmbeddingCheckFailed, InvariantViolated, MissingColor,
 from .fronts import Front, UniformSchema, members_within, uniform_front
 from .qo import RADO
 from .streams import omega
-from .superseq import SuperSeq, badness_check
+from .superseq import SuperSeq, _table_key, badness_check
 
 
 # --- the homogeneous-set search ---------------------------------------------
@@ -239,7 +239,9 @@ def named_coloring(name: str) -> Callable[[tuple], int]:
 
 def coloring_from_dict(data: dict) -> Coloring:
     """Build a Coloring from a file payload: a front reference plus either
-    a rule name or a finite member table {"m,n": color}."""
+    a rule name or a finite member table {"m,n": color}, whose keys follow
+    the valuation table grammar: a key that is not "" or canonical decimals
+    joined by commas is a ValueError, so no two keys name one member."""
     from .fronts import _json_field, front_from_dict
 
     front = front_from_dict(data["front"])
@@ -249,7 +251,8 @@ def coloring_from_dict(data: dict) -> Coloring:
         return Coloring(front, named_coloring(rule), r,
                         data.get("name", rule))
     rows = _json_field(data["table"], dict, "'table'")
-    table = {_member_key(key): _json_field(v, int, f"color of {key!r}")
+    table = {_table_key(key, "coloring"): _json_field(v, int,
+                                                     f"color of {key!r}")
              for key, v in rows.items()}
     default = data.get("default")
     if default is not None:
@@ -264,14 +267,6 @@ def coloring_from_dict(data: dict) -> Coloring:
         return default
 
     return Coloring(front, color, r, data.get("name", "table"))
-
-
-def _member_key(key: str) -> tuple:
-    """A table key "m,n,..." as a member; "" is the empty member."""
-    parts = key.split(",") if key else ()
-    if "" in parts:
-        raise ValueError(f"coloring table key {key!r} has an empty part")
-    return tuple(map(int, parts))
 
 
 def _points_and_members(front, window: int):

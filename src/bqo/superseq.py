@@ -556,24 +556,29 @@ def named_valuation(rule: str,
 # bulk decode sends to JSON
 _NOT_DECIMAL = str.maketrans("", "", "0123456789,")
 
-
-# a table key: "" or naturals in canonical decimal (ASCII digits, no
-# leading zero) joined by commas, so that each member has one key; re
-# compiles it on first use, so importing this module does not
+# the key of a valuation or colouring table: "" or naturals in canonical
+# decimal (ASCII digits, no leading zero) joined by commas, so each member
+# has one key; re compiles it on first use, not on import
 _TABLE_KEY = r"(?:(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)?"
 
 
+def _table_key(key, table: str) -> tuple:
+    """The member that one key of a member table names; a key outside the
+    _TABLE_KEY grammar is a ValueError that names it and the table."""
+    if not (isinstance(key, str) and re.fullmatch(_TABLE_KEY, key)):
+        raise ValueError(
+            f"{table} table key {key!r} is not canonical: write \"\" "
+            f"or naturals without leading zeros joined by commas")
+    return tuple(map(int, key.split(","))) if key else ()
+
+
 def _decode_entries(table_raw: dict) -> dict:
-    """The table decoded one entry at a time: each key checked against the
-    key grammar and split at commas into ints, then each value, a list made
-    a tuple, hashed. The first bad entry in table order raises."""
+    """The table decoded one entry at a time: each key read by _table_key,
+    then each value, a list made a tuple, hashed. The first bad entry in
+    table order raises."""
     table = {}
     for key, v in table_raw.items():
-        if not (isinstance(key, str) and re.fullmatch(_TABLE_KEY, key)):
-            raise ValueError(
-                f"valuation table key {key!r} is not canonical: write \"\" "
-                f"or naturals without leading zeros joined by commas")
-        s = tuple(map(int, key.split(","))) if key else ()
+        s = _table_key(key, "valuation")
         if isinstance(v, list):
             v = tuple(v)
         try:

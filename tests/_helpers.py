@@ -209,6 +209,16 @@ def parse_sexpr_reference(text: str, parse_atom=lambda s: s):
     """The s-expression parser as a character-by-character tokenizer and a
     recursive descent, kept as the reference for parse_sexpr: same trees,
     same ValueError messages."""
+    return _parse_reference(text, parse_atom, many=False)
+
+
+def parse_sexprs_reference(text: str, parse_atom=lambda s: s) -> list:
+    """parse_sexpr_reference on every expression of text, in order: the
+    reference for parse_sexprs."""
+    return _parse_reference(text, parse_atom, many=True)
+
+
+def _parse_reference(text: str, parse_atom, many: bool):
     tokens = _tokenize_reference(text)
     pos = 0
 
@@ -242,10 +252,12 @@ def parse_sexpr_reference(text: str, parse_atom=lambda s: s):
             raise ValueError("set requires at least one element")
         return node(children)
 
-    out = parse_one()
+    out = [parse_one()]
+    while many and pos < len(tokens):
+        out.append(parse_one())
     if pos != len(tokens):
         raise ValueError("trailing input after s-expression")
-    return out
+    return out if many else out[0]
 
 
 # --- the recursive game solver, kept as the reference for bqo.games --------

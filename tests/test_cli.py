@@ -230,8 +230,20 @@ class TestExitCodes:
           "default": [1]}, "malformed coloring file"),
         (["extract", "nw", "--target", "2", "--coloring"],
          {"front": {"schema": "uniform", "k": 2}, "table": {"0,,1": 2}},
-         "malformed coloring file: coloring table key '0,,1' has an empty "
-         "part"),
+         "malformed coloring file: coloring table key '0,,1' is not "
+         "canonical"),
+        # two spellings of (0, 1), which int() would read alike
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "default": 0,
+          "table": {"0,1": 0, "00,1": 1, "+0,2": 1, " 1,2": 0}},
+         "malformed coloring file: coloring table key '00,1' is not "
+         "canonical: write \"\" or naturals without leading zeros joined "
+         "by commas"),
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2}, "default": 0,
+          "table": {"0,1": 0, "-1,3": 1}},
+         "malformed coloring file: coloring table key '-1,3' is not "
+         "canonical"),
         (["extract", "nw", "--target", "2", "--coloring"],
          {"front": {"schema": "uniform", "k": 2}, "table": {"0,1": 2.7}},
          "malformed coloring file: color of '0,1' must be a JSON integer, "

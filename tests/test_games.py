@@ -36,8 +36,8 @@ from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import (enumerate_preorders, parse_sexpr_reference,
-                      solve_reference, strung_call_reference, subsets,
-                      tilde_table_reference)
+                      parse_sexprs_reference, solve_reference,
+                      strung_call_reference, subsets, tilde_table_reference)
 
 AC2 = antichain(2)
 A0, A1 = AC2.elements
@@ -354,6 +354,14 @@ class TestParseSexprs:
         assert labels == ["1", "2", "3"]
         assert y is x.children[0] and z.children[0] is x.children[1]
 
+    def test_seeded_token_soup(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            text = "".join(rng.choice(_PIECES)
+                           for _ in range(rng.randint(0, 14)))
+            assert _outcome(parse_sexprs, text) == _outcome(
+                parse_sexprs_reference, text), text
+
     @pytest.mark.parametrize("text, error", [
         ('(atom "{0,1}") (set (atom "x") (pair "a"))',
          ("NotAPair", "cannot parse 'x' as a pair")),
@@ -381,7 +389,7 @@ class TestParseSexprs:
 
 class TestReader:
     """The one-match-per-atom reader gives the reference trees on every
-    well-formed form, and the token parser runs only on errors."""
+    well-formed form."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -400,17 +408,36 @@ class TestReader:
             log.append(label)
             return label
 
-        def no_tokens(text):
-            raise AssertionError("the token parser ran on well-formed text")
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bqo.hset, "_tokens", no_tokens)
-            assert parse_sexprs(text, parse_atom) == expected
-            assert log == list(dict.fromkeys(labels))
-            assert parse_sexpr(exprs[0], parse_atom) == expected[0]
+        assert parse_sexprs(text, parse_atom) == expected
+        assert log == list(dict.fromkeys(labels))
+        assert parse_sexpr(exprs[0], parse_atom) == expected[0]
         if len(exprs) > 1:
             assert _outcome(parse_sexpr, text) == _outcome(
                 parse_sexpr_reference, text)
+
+    def test_parse_atom_runs_once_per_label_on_text_that_raises(self):
+        # labels RADO.parse takes and refuses, and the syntax around them
+        pieces = ['(set', '(atom "{0,1}")', '(atom "{1,2}")', '(atom "x")',
+                  '(atom {0,1})', '(atom', ')', ')', '"', ' ', '(', 'x']
+        rng = random.Random(12)
+        raised = 0
+        for _ in range(3000):
+            text = " ".join(rng.choice(pieces)
+                            for _ in range(rng.randint(1, 10)))
+            for parse in (parse_sexpr, parse_sexprs):
+                labels = []
+
+                def parse_atom(label):
+                    labels.append(label)
+                    return RADO.parse(label)
+
+                outcome = _outcome(parse, text, parse_atom)
+                raised += isinstance(outcome, tuple)
+                assert len(labels) == len(set(labels)), (text, labels)
+                assert outcome == _outcome(
+                    parse_sexpr_reference if parse is parse_sexpr
+                    else parse_sexprs_reference, text, RADO.parse), text
+        assert raised > 3000
 
     def test_one_expression_decodes_no_label_after_it(self):
         labels = []
@@ -436,11 +463,6 @@ class TestReader:
                                                    spec):
             parse_atom = int if kind == "chain" else RADO.parse
             texts += [(x, parse_atom), (y, parse_atom)]
-
-        def no_build(*args):
-            raise AssertionError("the token parser ran on well-formed text")
-
-        monkeypatch.setattr(bqo.hset, "_build", no_build)
         for text, parse_atom in texts:
             tree = parse_sexpr_reference(text, parse_atom)
             assert parse_sexpr(text, parse_atom) is tree
@@ -481,6 +503,27 @@ class TestCachedHash:
         assert repr(node([Atom(1), Atom(0)])) == (
             "Node(children=(Atom(value=0), Atom(value=1)))")
         assert Atom(3) != Atom(4) and node([Atom(3)]) != Atom(3)
+
+    def test_repr_is_the_tuple_repr_cut_off_at_the_limit(self):
+        def reference(h):
+            if isinstance(h, Atom):
+                return repr(h)
+            kids = ", ".join(map(reference, h.children))
+            comma = "," if len(h.children) == 1 else ""
+            return f"Node(children=({kids}{comma}))"
+
+        limit = bqo.hset._REPR_LIMIT
+        rng = random.Random(6)
+        cut = 0
+        for _ in range(300):
+            h = random_hset(rng, ["a", 1, (2, 3), "x" * 40], 5, branch=4)
+            full = reference(h)
+            cut += len(full) > limit
+            assert repr(h) == (full if len(full) <= limit
+                               else full[:limit] + "..."), full
+        assert 30 < cut < 270
+        deep = _chain_of_singletons(0, 3000)
+        assert repr(deep) == ("Node(children=(" * 3000)[:limit] + "..."
 
     @pytest.mark.parametrize("levels", [300, 3000])
     def test_a_deep_set_built_twice_compares_without_recursion(self, levels):
@@ -714,6 +757,19 @@ class TestCheckedOnceComparedRaw:
         assert game_leq(h, h, chain(1)).winner == "II"
         assert checks == [0]
         assert supp(h) == frozenset({0})
+
+    def test_depth_and_repr_of_shared_subtrees_finish_at_once(self):
+        # with 2^40 atom positions, a walk over positions would not finish
+        h = Atom(0)
+        for _ in range(40):
+            h = node([h, node([h])])
+        assert depth(h) == 80
+        text = repr(h)
+        assert len(text) == bqo.hset._REPR_LIMIT + 3 and str(h) == text
+        assert text.startswith("Node(children=(Node(children=(") and \
+            text.endswith("...")
+        result = repr(game_leq(h, h, chain(1)))
+        assert result.startswith("GameResult(winner='II', strategy={")
 
     def test_non_carrier_atom_raises_before_any_comparison(self):
         compared = []

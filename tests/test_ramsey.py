@@ -187,8 +187,12 @@ class TestColoring:
             col.color((5,))
 
     @pytest.mark.parametrize("extra, message", [
-        ({"table": {"0,,1": 2}}, "coloring table key '0,,1' has an empty part"),
-        ({"table": {"0,": 2}}, "coloring table key '0,' has an empty part"),
+        ({"table": {"0,,1": 2}}, "coloring table key '0,,1' is not canonical"),
+        ({"table": {"0,": 2}}, "coloring table key '0,' is not canonical"),
+        # int() reads "00,1" as (0, 1), a second key for one member
+        ({"table": {"0,1": 0, "00,1": 1, "+0,2": 1, " 1,2": 0}},
+         "coloring table key '00,1' is not canonical: write \"\" or "
+         "naturals without leading zeros joined by commas"),
         ({"table": {"0,1": 2.7}}, "color of '0,1' must be a JSON integer"),
         ({"table": {"0,2": True}}, "color of '0,2' must be a JSON integer"),
         ({"table": {}, "default": 1.0}, "'default' must be a JSON integer"),

@@ -32,6 +32,7 @@ from bqo.fronts import (
     uniform_front,
 )
 from bqo.qo import OMEGA, RADO, chain, rado_leq
+from bqo.ramsey import coloring_from_dict
 from bqo.streams import InfSet, arithmetic, evens, omega, parse_base
 from bqo.superseq import (
     SuperSeq,
@@ -823,6 +824,30 @@ class TestTableDecode:
         with pytest.raises(ValueError,
                            match=r"^checked\(\) needs a quasi-order codomain$"):
             identity_u2(None).checked()
+
+
+class TestKeyParity:
+    """Colouring and valuation tables share one key grammar."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ANY_KEYS, max_size=8, unique=True))
+    @example(["0,1", "00,1", "+0,2", " 1,2"])
+    @example(["-1,3"])
+    def test_a_key_set_decodes_alike_as_either_table(self, keys):
+        rows = {key: i for i, key in enumerate(keys)}
+        front = {"schema": "uniform", "k": 2}
+        try:
+            valuation = _decode_table(rows)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                coloring_from_dict({"front": front, "table": rows})
+            assert str(err.value) == str(e).replace("valuation", "coloring",
+                                                     1)
+            return
+        col = coloring_from_dict({"front": front, "table": rows})
+        # distinct keys name distinct members, so each table has them all
+        assert len(valuation) == len(keys)
+        assert all(col.color(s) == i for s, i in valuation.items())
 
 
 class TestValueCache:
