@@ -10,9 +10,12 @@ is byte-identical across runs for the same invocation: keys are sorted and
 every report carries ``report_version``, the subcommand, and the window
 and seed it was produced under.
 
-An invocation that names a group and one of its commands builds one flat
-parser for that command alone; any other argv builds the whole tree of
-parsers, so help, version and usage errors list every choice.
+An invocation that names a group and one of its commands, then gives only
+that command's exact long options, each with a value, and one run of its
+positionals, is read straight from the command table.  Any other argv
+goes through argparse's full tree of parsers, so help, version,
+abbreviations, ``--opt=value``, ``--`` and usage errors keep argparse's
+wording and list every choice.
 
 Each handler returns its report payload and the text lines that show it
 (None for plain ``key: value`` lines in payload order), and routes every
@@ -968,30 +971,12 @@ HANDLERS = {(group, cmd): spec[0] for group, (_, cmds) in _COMMANDS.items()
 
 # --- parser -----------------------------------------------------------------
 
-def build_parser(argv: Optional[list] = None) -> _Parser:
-    """The ``bqo`` argument parser.
+def build_parser() -> _Parser:
+    """The ``bqo`` argument parser: the root, every group's and every
+    command's parser, so help, version and usage errors list every choice.
 
-    When ``argv`` starts with a group and one of its commands, the parser
-    is that command's alone: its positionals ``group`` and ``cmd`` each
-    accept only that word, so it parses the whole ``argv`` and sets
-    ``group`` and ``cmd`` as the full tree does.  Any other ``argv`` (help,
-    version, an unknown or missing group or command, None) builds the root,
-    every group's and every command's parser, so messages list every
-    choice.  An ``argv`` whose third word is ``--`` builds the tree too:
-    the flat ``cmd`` positional would swallow that ``--``, where the tree
-    hands it to the command's parser.
+    ``main`` builds it only for an argv that ``_read_command`` leaves to it.
     """
-    if argv is not None and len(argv) >= 2 and argv[2:3] != ["--"]:
-        group, cmd = argv[0], argv[1]
-        if group in _COMMANDS and cmd in _COMMANDS[group][1]:
-            parser = _Parser(prog=f"bqo {group} {cmd}")
-            parser.add_argument("group", choices=(group,),
-                                help=argparse.SUPPRESS)
-            parser.add_argument("cmd", choices=(cmd,), help=argparse.SUPPRESS)
-            for names, kw in _COMMON_FLAGS + _COMMANDS[group][1][cmd][2]:
-                parser.add_argument(*names, **kw)
-            return parser
-
     common = _Parser(add_help=False)
     for names, kw in _COMMON_FLAGS:
         common.add_argument(*names, **kw)
@@ -1010,10 +995,94 @@ def build_parser(argv: Optional[list] = None) -> _Parser:
     return parser
 
 
+def _command_reading(specs) -> tuple:
+    """One command's specs, the common flags first, as ``_read_command``
+    reads them: each dest's default, each long option string's ``(dest,
+    keywords)``, the positionals' ``(dest, keywords)`` in order, and the
+    dests of the required options.  Dests are named as argparse names them.
+    """
+    defaults, options, positionals, required = {}, {}, [], set()
+    for names, kw in _COMMON_FLAGS + specs:
+        if not names[0].startswith("-"):
+            defaults[names[0]] = kw.get("default")
+            positionals.append((names[0], kw))
+            continue
+        longs = [name for name in names if name.startswith("--")]
+        dest = longs[0][2:].replace("-", "_")
+        defaults[dest] = kw.get("default")
+        options.update(dict.fromkeys(longs, (dest, kw)))
+        if kw.get("required"):
+            required.add(dest)
+    return defaults, options, positionals, required
+
+
+_READINGS = {(group, cmd): _command_reading(spec[2])
+             for group, (_, cmds) in _COMMANDS.items()
+             for cmd, spec in cmds.items()}
+
+
+def _read_command(argv: list) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read from
+    the command table, or None for an argv outside this grammar:
+
+    - ``argv[0]`` is a group and ``argv[1]`` one of its commands;
+    - each later token is an exact long option string of that command
+      followed by a value that does not start with ``-``, or a positional
+      that does not start with ``-`` or is exactly ``-``;
+    - the positionals form one run, no shorter than the required
+      positionals and no longer than all of them;
+    - each value passes the spec's ``type`` and then its ``choices``;
+    - every required option is given.
+
+    A stored option keeps its last value and an appended one collects its
+    values in a fresh list; what is not given takes its spec default.
+    Keeping the positionals in one run leaves aside how argparse matches
+    optional positionals across options.
+    """
+    reading = _READINGS.get(tuple(argv[:2]))
+    if reading is None:
+        return None
+    defaults, options, positionals, required = reading
+    given, run, run_ended = [], [], False
+    i = 2
+    while i < len(argv):
+        token = argv[i]
+        if token == "-" or not token.startswith("-"):
+            if run_ended:
+                return None
+            run.append(token)
+            i += 1
+        elif (token in options and i + 1 < len(argv)
+              and not argv[i + 1].startswith("-")):
+            given.append((*options[token], argv[i + 1]))
+            run_ended = bool(run)
+            i += 2
+        else:
+            return None
+    optional = sum(kw.get("nargs") == "?" for _, kw in positionals)
+    if not (len(positionals) - optional <= len(run) <= len(positionals)
+            and required <= {dest for dest, _, _ in given}):
+        return None
+    values = dict(defaults, group=argv[0], cmd=argv[1])
+    for dest, kw, text in given + [(dest, kw, text) for (dest, kw), text
+                                   in zip(positionals, run)]:
+        try:
+            value = kw["type"](text) if "type" in kw else text
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        values[dest] = ([*(values[dest] or ()), value]
+                        if kw.get("action") == "append" else value)
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[list] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _read_command(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         # a missing group leaves no 'cmd' attribute; a bare group leaves None
         if getattr(args, "cmd", None) is None:
             raise CliUsageError("missing subcommand")
