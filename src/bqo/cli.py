@@ -1096,6 +1096,10 @@ def main(argv: Optional[list] = None) -> int:
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("MemoryError: out of memory; try a smaller --window",
+              file=sys.stderr)
+        return 1
     _emit(args, f"{args.group} {args.cmd}", payload, lines)
     return 0
 

@@ -136,7 +136,8 @@ def _build_ii_strategy(x: HSet, y: HSet, leq, memo) -> dict:
     """II's winning strategy from (x, y): at each position reached under
     it, the first reply that wins against each move of I.  Positions are
     walked in preorder with an explicit stack; each probe reads memo,
-    which the solve at (x, y) filled, and solves only on a miss."""
+    which the solve at (x, y) filled, and solves only on a miss.  One call
+    walks each distinct position reached once, not each path to it."""
     strat: dict = {}
     visited = {(x, y)}
     stack = [(y, iter(_moves(x)))]
@@ -167,7 +168,8 @@ def _build_i_strategy(x: HSet, y: HSet, leq, memo) -> dict:
     """I's winning strategy from (x, y): at each position reached under
     it, the first move that no reply of II answers.  Positions are walked
     in preorder with an explicit stack; each probe reads memo, which the
-    solve at (x, y) filled, and solves only on a miss."""
+    solve at (x, y) filled, and solves only on a miss.  One call walks
+    each distinct position reached once, not each path to it."""
     strat: dict = {}
     visited: set = set()
     stack: list = []
@@ -315,6 +317,11 @@ class StrungMultiSeq:
     _strategies: dict = field(repr=False)
 
     def __call__(self, prefix) -> tuple:
+        """(value, modulus) at prefix.  One call plays a single line of
+        moves in each chained game it opens, and I's side drops a level
+        with each move, so the game over x ends within depth(x) + 1 moves:
+        the cost follows the depths of the sets played, not their number
+        of positions."""
         prefix = tuple(prefix)
         for i, v in enumerate(prefix):
             if not isinstance(v, int) or not 0 <= v < self.window:
@@ -424,7 +431,10 @@ class TildeResult:
 def tilde_build(f, window: int) -> TildeResult:
     """Fold the valuation f on its front into one HSet per tree node.
 
-    Raises EmptyTruncation when not a single member completes within the
+    One call walks each member within the window once and each distinct
+    prefix of one once, building one node() per prefix that is not a
+    member; it never walks the sets it builds, so equal subtrees, which
+    interning shares, cost nothing more.  Raises EmptyTruncation when not a single member completes within the
     window (entries are drawn below the exclusive bound).
     """
     F = f.front

@@ -21,23 +21,23 @@ The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
 parsing is the identity on canonical trees.  ``parse_sexpr`` reads one
 expression and ``parse_sexprs`` every expression of a text, in order.  One
-reader serves both: one regular expression match is a whole atom, a set
-opening or any other character, and the reader builds each tree from these
-with an explicit stack of the open sets' children, sharing one Atom per
-distinct label, so ``parse_atom`` runs once per label.  Where the reader
-meets a match it does not expect or a set nested too deep, it raises the
-first error in token order itself.  Parsing refuses sets nested more than
-``MAX_SEXPR_DEPTH`` deep.  That limit bounds input only: the functions
-here that walk a given set, and the solver in ``games``, use explicit
-stacks, so sets built in code may be nested deeper.  So does the sort of
-a node's children when their keys nest too deep for the C tuple
-comparison.
+reader serves both, and one regular expression is its only lexer: a match
+is a whole atom, a set opening or any other single token, and the reader
+builds each tree from these with an explicit stack of the open sets'
+children, sharing one Atom per distinct label, so ``parse_atom`` runs once
+per label.  Where the reader meets a match it does not expect or a set
+nested too deep, it raises the first error in token order itself, from the
+matches it already holds; the text is never scanned a second time.
+Parsing refuses sets nested more than ``MAX_SEXPR_DEPTH`` deep.  That
+limit bounds input only: the functions here that walk a given set, and the
+solver in ``games``, use explicit stacks, so sets built in code may be
+nested deeper.  So does the sort of a node's children when their keys nest
+deep: it compares them with an explicit stack too.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import re
 import threading
@@ -53,6 +53,7 @@ class Atom:
     """Leaf wrapping one element of the base carrier: one object per key."""
 
     __slots__ = ("value", "_key", "__weakref__")
+    _depth = 0
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, value):
@@ -82,7 +83,7 @@ class Node:
     one object.
     """
 
-    __slots__ = ("children", "_key", "__weakref__")
+    __slots__ = ("children", "_key", "_depth", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, children):
@@ -130,6 +131,15 @@ _ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _LOCK = threading.Lock()
 _stored_key = operator.attrgetter("_key")
+_stored_depth = operator.attrgetter("_depth")
+
+# Children this deep or deeper sort with the explicit-stack _deep_key from
+# the start.  The C tuple comparison of two keys that first differ d levels
+# down costs O(d^2), as it tests the subkeys for equality at every level;
+# _deep_key costs O(d) but runs in Python.  On two singleton chains that
+# differ at the bottom the two break even at about 30 levels (CPython
+# 3.11, in-process timing).
+_DEEP_SORT = 32
 
 
 def atom(value) -> Atom:
@@ -141,13 +151,16 @@ def node(children: Iterable) -> Node:
 
 
 def _interned_node(distinct) -> Node:
-    """The one Node over ``distinct``, an iterable of distinct HSets: its
-    children sorted by key, looked up, and inserted on a miss."""
+    """The one Node over ``distinct``, a collection of distinct HSets: its
+    children sorted by key, looked up, and inserted on a miss with its key
+    and depth."""
+    below = max(map(_stored_depth, distinct))
     try:
-        ordered = tuple(sorted(distinct, key=_stored_key))
+        ordered = tuple(sorted(distinct, key=_deep_key
+                               if below >= _DEEP_SORT else _stored_key))
     except RecursionError:
-        # keys that first differ deep down overflow the recursive C tuple
-        # comparison (past about 1,000 levels on Python 3.10-3.12)
+        # shallow keys compared in C on a Python stack already near its
+        # limit
         ordered = tuple(sorted(distinct, key=_deep_key))
     with _LOCK:
         self = _NODES.get(ordered)
@@ -155,6 +168,7 @@ def _interned_node(distinct) -> Node:
             self = _NODES[ordered] = object.__new__(Node)
             object.__setattr__(self, "children", ordered)
             object.__setattr__(self, "_key", (1, *map(_stored_key, ordered)))
+            object.__setattr__(self, "_depth", below + 1)
     return self
 
 
@@ -195,19 +209,9 @@ def canon_key(h: HSet) -> tuple:
 
 
 def depth(h: HSet) -> int:
-    """Nesting depth: 0 for atoms, 1 + max child depth for nodes. Each
-    distinct set is walked once, in post-order with a memo."""
-    depths: dict = {}
-    stack = [h]
-    while stack:
-        top = stack.pop()
-        kids = () if isinstance(top, Atom) else top.children
-        todo = [c for c in kids if c not in depths]
-        if todo:    # back to top once its children are done
-            stack += (top, *todo)
-        elif top not in depths:
-            depths[top] = max((depths[c] + 1 for c in kids), default=0)
-    return depths[h]
+    """Nesting depth: 0 for atoms, 1 + max child depth for nodes, fixed
+    when the set is interned."""
+    return h._depth
 
 
 def supp(h: HSet) -> frozenset:
@@ -268,22 +272,20 @@ def hset_to_sexpr(h: HSet, fmt: Callable[[object], str] = str) -> str:
     return "".join(out)
 
 
-# One token per match; only whitespace is left between matches.  A quote
-# that opens no terminated string literal swallows the rest of the text, so
-# an unterminated literal is always the last token.
 _STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
-_TOKEN = re.compile(rf'[()]|{_STRING.pattern}|".*|[^\s()"]+', re.DOTALL)
 _ESCAPE = re.compile(r'\\(.)', re.DOTALL)
 
-# The reader's pattern.  A match is a whole atom, with its label token in
-# group 1, a set opening "(set", with "set" in group 2, or any other
-# character outside whitespace, in group 3, of which the reader expects only
-# ")"; whitespace between matches is skipped.  On text the reader accepts,
-# the matches cover the tokens _TOKEN finds: a symbol character right after
-# "(set" is a match the reader does not expect.
+# The one lexer of the wire format.  A match is a whole atom, with its label
+# token in group 1 (4 tokens), a set opening "(set", with "set" in group 2
+# (2 tokens), or any other single token, in group 3: "(", ")", a string
+# literal, a symbol run, or a quote that opens no terminated literal, which
+# swallows the rest of the text, so an unterminated literal is always the
+# last match.  Only whitespace is left between matches.  "set" run straight
+# on into a symbol, as in "(setx", is no set opening but "(" and "setx".
 _READ = re.compile(
     rf'\(\s*(?:atom(?:\s+|(?="))({_STRING.pattern}|[^\s()"]+)\s*\)'
-    r'|(set))|(\S)', re.DOTALL)
+    rf'|(set)(?![^\s()"]))|([()]|{_STRING.pattern}|".*|[^\s()"]+)',
+    re.DOTALL)
 
 # The deepest set nesting parse_sexpr accepts: a bound on the size of
 # input, not a guard for the code that walks sets, which uses explicit
@@ -331,7 +333,8 @@ def _read(text: str, parse_atom, many: bool) -> list:
     time with a stack of the open sets' children.  At a match it does not
     expect, a set nested past MAX_SEXPR_DEPTH or, unless many, a new label
     after the first expression, _fail raises the first error in token
-    order; an unterminated string literal wins over parse_atom's error."""
+    order from the match list; an unterminated string literal wins over
+    parse_atom's error."""
     out: list = []
     kids = out      # the innermost open set's children, or out
     stack: list = []    # the enclosing children lists, out first
@@ -348,7 +351,7 @@ def _read(text: str, parse_atom, many: bool) -> list:
                 try:
                     h = atoms[label] = Atom(parse_atom(label))
                 except Exception:
-                    _checked_tokens(text)
+                    _check_terminated(matches)
                     raise
             kids.append(h)
         elif opened:
@@ -365,49 +368,50 @@ def _read(text: str, parse_atom, many: bool) -> list:
     else:
         if out and not stack and (many or len(out) == 1):
             return out
-        _fail(text, len(matches), stack, bool(out) and not many)
-    _fail(text, len(matches) - operator.length_hint(it) - 1, stack,
+        _fail(matches, len(matches), stack, bool(out) and not many)
+    _fail(matches, len(matches) - operator.length_hint(it) - 1, stack,
           bool(out) and not many)
 
 
-def _checked_tokens(text: str) -> list:
-    """The tokens of text; ValueError if the last is an unterminated
-    string literal, an error that wins over every other."""
-    tokens = _TOKEN.findall(text)
-    if tokens and tokens[-1][0] == '"' and not _STRING.fullmatch(tokens[-1]):
+def _check_terminated(matches: list) -> None:
+    """ValueError if the last _READ match is an unterminated string
+    literal, an error that wins over every other."""
+    last = matches[-1][2] if matches else ""
+    if last[:1] == '"' and not _STRING.fullmatch(last):
         raise ValueError("unterminated string literal")
-    return tokens
 
 
-def _fail(text: str, at: int, stack: list, trailing: bool):
+def _token(matches: list, i: int) -> Optional[str]:
+    """The first token of the i-th _READ match, or None past the last."""
+    return matches[i][2] or "(" if i < len(matches) else None
+
+
+def _fail(matches: list, at: int, stack: list, trailing: bool):
     """Raise the first error in token order, where the reader gave up at
     its at-th _READ match (or at the end: at its match count) with the open
-    sets in stack; trailing once parse_sexpr's one expression is read.  The
-    matches before read as the tokens do, but "(set" run straight on into a
-    symbol, as in "(setx", is the one head token "setx"."""
-    tokens = _checked_tokens(text)
+    sets in stack; trailing once parse_sexpr's one expression is read.  It
+    reads only the reader's matches: their widths in tokens give the token
+    index, and the matches after the at-th give the head and the label."""
+    _check_terminated(matches)
     if trailing:
         raise ValueError("trailing input after s-expression")
-    m = next(itertools.islice(_READ.finditer(text), at, None), None)
-    p = m.start() if m else len(text)
-    t = len(_TOKEN.findall(text, 0, p))     # tokens before the match
-    char = m.group(3) if m else None
-    if char and char not in '()"' and text.endswith("set", 0, p):
-        t -= 2      # back to the "(" before the head "set..."
-    elif char == ")" and stack:
+    t = sum(4 if label else 2 if opened else 1
+            for label, opened, _ in matches[:at])   # tokens before the match
+    char = _token(matches, at)
+    if char == ")" and stack:
         raise ValueError("set requires at least one element")
-    elif char != "(" and not (m and m.group(2)):
+    if char != "(":
         raise ValueError(f"expected {')' if stack else '('!r} at token {t}")
     # an expression opens at token t and the error is in its head
-    head = tokens[t + 1] if t + 1 < len(tokens) else ")"
-    if head in "()":
-        raise ValueError("expected 'atom' or 'set' head")
-    if head == "set":
+    if matches[at][1]:
         raise ValueError(f"sets nested deeper than {MAX_SEXPR_DEPTH} "
                          f"at token {t}")
+    head = _token(matches, at + 1)
+    if head in (None, "(", ")"):
+        raise ValueError("expected 'atom' or 'set' head")
     if head != "atom":
         raise ValueError(f"expected 'atom' or 'set', got {_word(head)!r}")
-    if t + 2 >= len(tokens) or tokens[t + 2] in "()":
+    if _token(matches, at + 2) in (None, "(", ")"):
         raise ValueError("atom requires a label")
     raise ValueError(f"expected ')' at token {t + 3}")
 

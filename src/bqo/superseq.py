@@ -572,52 +572,39 @@ def _table_key(key, table: str) -> tuple:
     return tuple(map(int, key.split(","))) if key else ()
 
 
-def _decode_entries(table_raw: dict) -> dict:
-    """The table decoded one entry at a time: each key read by _table_key,
-    then each value, a list made a tuple, hashed. The first bad entry in
-    table order raises."""
-    table = {}
-    for key, v in table_raw.items():
-        s = _table_key(key, "valuation")
-        if isinstance(v, list):
-            v = tuple(v)
-        try:
-            hash(v)   # values become HSet atoms and memo keys
-        except TypeError:
-            raise TypeError(f"valuation table value for {key!r} is not "
-                            f"hashable: {v!r}") from None
-        table[s] = v
-    return table
-
-
 def _decode_table(table_raw: dict) -> dict:
-    """The table decoded in bulk, as _decode_entries decodes it.
+    """The table's members, each key read as _table_key reads it, mapped to
+    its value, a list made a tuple; the one decoder of valuation tables.
 
     When every key holds only ASCII digits and commas (tested on the keys'
     own characters, so no key brings a bracket into the JSON text), all
     keys parse in one json.loads, each key as one list; JSON reads exactly
-    the canonical keys this way. A key JSON refuses (01, 1,,2, a digit
-    string over the int limit), any other key, or an unhashable value sends
-    the whole table through _decode_entries, which gives the same members
-    and raises the same first error.
+    the canonical keys this way. Values must be hashable, and are hashed
+    in one tuple. When this bulk read refuses the table (a key JSON
+    refuses, such as 01, 1,,2 or a digit string over the int limit, any
+    other key, or an unhashable value), the entries are walked in table
+    order only to raise the first bad one: its key through _table_key,
+    then its value.
     """
     import json   # here, so that importing this module does not load json
     keys = list(table_raw)
+    values = [tuple(v) if isinstance(v, list) else v
+              for v in table_raw.values()]
     try:
         members = None if "".join(keys).translate(_NOT_DECIMAL) else \
             json.loads("[[" + "],[".join(keys) + "]]")
-    except (TypeError, ValueError):   # a key that is not a string, or 01
+        hash(tuple(values))   # values become HSet atoms and memo keys
+    except (TypeError, ValueError):   # a key not a string, 01, or a dict value
         members = None
-    if members is not None:
-        values = [tuple(v) if isinstance(v, list) else v
-                  for v in table_raw.values()]
-        try:
-            hash(tuple(values))   # values become HSet atoms and memo keys
-        except TypeError:
-            pass
-        else:
-            return dict(zip(map(tuple, members), values))
-    return _decode_entries(table_raw)
+    if members is None:     # one entry is bad, and the walk raises it
+        for key, v in zip(keys, values):
+            _table_key(key, "valuation")
+            try:
+                hash(v)
+            except TypeError:
+                raise TypeError(f"valuation table value for {key!r} is not "
+                                f"hashable: {v!r}") from None
+    return dict(zip(map(tuple, members), values))
 
 
 def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:

@@ -316,6 +316,17 @@ class TestExitCodes:
         assert code == 1, f"{argv} gave exit {code} ({err})"
         assert err.strip(), "domain errors must explain themselves on stderr"
 
+    def test_running_out_of_memory_is_one_line_and_exit_one(
+            self, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.HANDLERS, ("seq", "bad"), exhausted)
+        code, out, err = run_cli(["seq", "bad", "--fixture", "min@schreier",
+                                  "--codomain", "omega-leq"])
+        assert (code, out) == (1, "")
+        assert err == "MemoryError: out of memory; try a smaller --window\n"
+
 
 # --- JSON report envelope ---------------------------------------------------
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -26,16 +27,17 @@ from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (MAX_SEXPR_DEPTH, Atom, Node, _compare_keys, all_hsets,
-                      canon_key, depth, distinct_atoms, hset_to_sexpr,
-                      iter_atoms, node,
+from bqo.hset import (_DEEP_SORT, _READ, MAX_SEXPR_DEPTH, Atom, Node,
+                      _compare_keys, all_hsets, canon_key, depth,
+                      distinct_atoms, hset_to_sexpr, iter_atoms, node,
                       parse_sexpr, parse_sexprs, random_hset, supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
 from bqo.streams import omega
 from bqo.superseq import SuperSeq, named_valuation
 
-from _helpers import (enumerate_preorders, parse_sexpr_reference,
+from _helpers import (_tokenize_reference, enumerate_preorders,
+                      parse_sexpr_reference,
                       parse_sexprs_reference, solve_reference,
                       strung_call_reference, subsets, tilde_table_reference)
 
@@ -268,6 +270,41 @@ class TestParserMatchesReference:
             assert isinstance(expected, tuple), text
             for parse in (parse_sexpr, parse_sexprs):
                 assert _outcome(parse, text, RADO.parse) == expected, text
+
+    def test_the_reader_matches_are_the_tokens(self):
+        # each match expanded: a whole atom is "(", atom, its label and
+        # ")", a set opening is "(" and set, any other match is one token;
+        # where the reference raises, the last match is the unterminated
+        # quote and the matches before it are the tokens before it
+        rng = random.Random(11)
+        soup = ["".join(rng.choice(_PIECES)
+                        for _ in range(rng.randint(0, 14)))
+                for _ in range(3000)]
+        unterminated = 0
+        for text in MALFORMED + WELL_FORMED + soup:
+            matches = list(_READ.finditer(text))
+            try:
+                expected = _tokenize_reference(text)
+            except ValueError:
+                unterminated += 1
+                last = matches.pop()
+                assert last.group(3)[0] == '"' and \
+                    last.end() == len(text), text
+                with pytest.raises(ValueError,
+                                   match="^unterminated string literal$"):
+                    _tokenize_reference(last.group(3))
+                expected = _tokenize_reference(text[:last.start()])
+            tokens = []
+            for label, opened, other in (m.groups() for m in matches):
+                if label:
+                    tokens += ["(", ("sym", "atom"),
+                               *_tokenize_reference(label), ")"]
+                elif opened:
+                    tokens += ["(", ("sym", "set")]
+                else:
+                    tokens += _tokenize_reference(other)
+            assert tokens == expected, text
+        assert 0 < unterminated < len(soup)
 
     def test_one_atom_and_one_parse_atom_call_per_label(self):
         labels = []
@@ -959,6 +996,23 @@ class TestDeepSets:
         # limit of the C tuple comparison
         low, high = (_chain_of_singletons(v, 20_000) for v in (0, 1))
         assert node([high, low]).children == (low, high)
+
+    @pytest.mark.parametrize("levels",
+                             [_DEEP_SORT - 1, _DEEP_SORT, _DEEP_SORT + 1])
+    def test_siblings_either_side_of_the_deep_sort_take_the_key_order(
+            self, levels):
+        # chains whose keys first differ at the bottom, one a level short,
+        # and an atom: the stored keys sort below _DEEP_SORT levels, the
+        # explicit-stack comparison at and above it
+        kids = [_chain_of_singletons(v, levels) for v in (2, "a", 0, 1)]
+        kids += [_chain_of_singletons(0, levels - 1), Atom(3),
+                 node([Atom(1), _chain_of_singletons(0, levels - 1)])]
+        expected = sorted(kids, key=functools.cmp_to_key(
+            lambda g, h: _compare_keys(canon_key(g), canon_key(h))))
+        got = node(reversed(kids))
+        assert got.children == tuple(expected)
+        assert depth(got) == levels + 1
+        assert node(kids) is got
 
     def test_the_deep_key_comparison_is_the_tuple_order(self):
         keys = [canon_key(h) for h in all_hsets([0, 1, "a"], 2)]
