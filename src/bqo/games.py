@@ -434,8 +434,9 @@ def tilde_build(f, window: int) -> TildeResult:
     One call walks each member within the window once and each distinct
     prefix of one once, building one node() per prefix that is not a
     member; it never walks the sets it builds, so equal subtrees, which
-    interning shares, cost nothing more.  Raises EmptyTruncation when not a single member completes within the
-    window (entries are drawn below the exclusive bound).
+    interning shares, cost nothing more.  Raises EmptyTruncation when not
+    a single member completes within the window (entries are drawn below
+    the exclusive bound).
     """
     F = f.front
     members = members_within(F, window)

@@ -32,7 +32,7 @@ Parsing refuses sets nested more than ``MAX_SEXPR_DEPTH`` deep.  That
 limit bounds input only: the functions here that walk a given set, and the
 solver in ``games``, use explicit stacks, so sets built in code may be
 nested deeper.  So does the sort of a node's children when their keys nest
-deep: it compares them with an explicit stack too.
+too deep for the C tuple comparison.
 """
 
 from __future__ import annotations
@@ -133,14 +133,6 @@ _LOCK = threading.Lock()
 _stored_key = operator.attrgetter("_key")
 _stored_depth = operator.attrgetter("_depth")
 
-# Children this deep or deeper sort with the explicit-stack _deep_key from
-# the start.  The C tuple comparison of two keys that first differ d levels
-# down costs O(d^2), as it tests the subkeys for equality at every level;
-# _deep_key costs O(d) but runs in Python.  On two singleton chains that
-# differ at the bottom the two break even at about 30 levels (CPython
-# 3.11, in-process timing).
-_DEEP_SORT = 32
-
 
 def atom(value) -> Atom:
     return Atom(value)
@@ -154,13 +146,11 @@ def _interned_node(distinct) -> Node:
     """The one Node over ``distinct``, a collection of distinct HSets: its
     children sorted by key, looked up, and inserted on a miss with its key
     and depth."""
-    below = max(map(_stored_depth, distinct))
     try:
-        ordered = tuple(sorted(distinct, key=_deep_key
-                               if below >= _DEEP_SORT else _stored_key))
+        ordered = tuple(sorted(distinct, key=_stored_key))
     except RecursionError:
-        # shallow keys compared in C on a Python stack already near its
-        # limit
+        # keys that first differ deep down overflow the recursive C tuple
+        # comparison (past about 1,000 levels on Python 3.10-3.12)
         ordered = tuple(sorted(distinct, key=_deep_key))
     with _LOCK:
         self = _NODES.get(ordered)
@@ -168,7 +158,8 @@ def _interned_node(distinct) -> Node:
             self = _NODES[ordered] = object.__new__(Node)
             object.__setattr__(self, "children", ordered)
             object.__setattr__(self, "_key", (1, *map(_stored_key, ordered)))
-            object.__setattr__(self, "_depth", below + 1)
+            object.__setattr__(self, "_depth",
+                               1 + max(map(_stored_depth, ordered)))
     return self
 
 

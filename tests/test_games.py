@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import itertools
 import json
 import os
@@ -27,9 +26,9 @@ from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
 from bqo.fronts import schreier_front, uniform_front
 from bqo.games import (GameResult, game_leq, game_leq_oracle, game_play,
                        string_strategies, tilde_build)
-from bqo.hset import (_DEEP_SORT, _READ, MAX_SEXPR_DEPTH, Atom, Node,
-                      _compare_keys, all_hsets, canon_key, depth,
-                      distinct_atoms, hset_to_sexpr, iter_atoms, node,
+from bqo.hset import (_READ, MAX_SEXPR_DEPTH, Atom, Node, _compare_keys,
+                      all_hsets, canon_key, depth, distinct_atoms,
+                      hset_to_sexpr, iter_atoms, node,
                       parse_sexpr, parse_sexprs, random_hset, supp)
 from bqo.qo import (RADO, CodedQO, antichain, chain, domination_leq, rado_leq,
                     rado_window_qo, resolve_qo)
@@ -996,23 +995,6 @@ class TestDeepSets:
         # limit of the C tuple comparison
         low, high = (_chain_of_singletons(v, 20_000) for v in (0, 1))
         assert node([high, low]).children == (low, high)
-
-    @pytest.mark.parametrize("levels",
-                             [_DEEP_SORT - 1, _DEEP_SORT, _DEEP_SORT + 1])
-    def test_siblings_either_side_of_the_deep_sort_take_the_key_order(
-            self, levels):
-        # chains whose keys first differ at the bottom, one a level short,
-        # and an atom: the stored keys sort below _DEEP_SORT levels, the
-        # explicit-stack comparison at and above it
-        kids = [_chain_of_singletons(v, levels) for v in (2, "a", 0, 1)]
-        kids += [_chain_of_singletons(0, levels - 1), Atom(3),
-                 node([Atom(1), _chain_of_singletons(0, levels - 1)])]
-        expected = sorted(kids, key=functools.cmp_to_key(
-            lambda g, h: _compare_keys(canon_key(g), canon_key(h))))
-        got = node(reversed(kids))
-        assert got.children == tuple(expected)
-        assert depth(got) == levels + 1
-        assert node(kids) is got
 
     def test_the_deep_key_comparison_is_the_tuple_order(self):
         keys = [canon_key(h) for h in all_hsets([0, 1, "a"], 2)]
