@@ -12,10 +12,11 @@ HSets are hash-consed: construction returns the one live object for its
 key, so equality and hashing are identity and agree with ``canon_key``,
 and equal sets built apart, at any depth, are the same object.  An Atom is
 looked up by its key, a Node by its canonical child tuple.  Both tables
-hold weak references, so they keep only sets that are still in use, and a
-lock covers each lookup-or-insert, so construction is thread-safe: sets
-built in several threads are still one object each.  HSets are immutable,
-and unpickling interns again.
+hold weak references, so they keep only sets that are still in use.  A
+lookup that finds a live set is one dict lookup and one reference call,
+with no lock; only a miss takes the lock, looks again and inserts, so
+construction is thread-safe: sets built in several threads are still one
+object each.  HSets are immutable, and unpickling interns again.
 
 The s-expression wire format is ``(atom "a")`` for atoms and
 ``(set e1 e2 ...)`` for nodes; parsing re-canonicalizes, so formatting then
@@ -42,6 +43,7 @@ import operator
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from typing import Callable, Iterable, Optional, Union
 
 
@@ -50,7 +52,10 @@ def _immutable(self, *args):
 
 
 class Atom:
-    """Leaf wrapping one element of the base carrier: one object per key."""
+    """Leaf wrapping one element of the base carrier: one object per key.
+    The key is the value's type name and repr, so equal values that differ
+    in either are other atoms: ``Atom(1)`` and ``Atom(True)``, ``Atom(0.0)``
+    and ``Atom(-0.0)``, or equal frozensets whose reprs differ in order."""
 
     __slots__ = ("value", "_key", "__weakref__")
     _depth = 0
@@ -58,13 +63,16 @@ class Atom:
 
     def __new__(cls, value):
         key = (0, f"{type(value).__name__}:{value!r}")
-        with _LOCK:
-            self = _ATOMS.get(key)
-            if self is None:
-                hash(value)     # an unhashable value raises TypeError
-                self = _ATOMS[key] = object.__new__(cls)
-                object.__setattr__(self, "value", value)
-                object.__setattr__(self, "_key", key)
+        self = _ATOMS.get(key, _NO_REF)()
+        if self is None:
+            hash(value)     # an unhashable value raises TypeError
+            with _LOCK:
+                self = _ATOMS.get(key, _NO_REF)()
+                if self is None:
+                    self = object.__new__(cls)
+                    object.__setattr__(self, "value", value)
+                    object.__setattr__(self, "_key", key)
+                    _ATOMS[key] = weakref.KeyedRef(self, _DROP_ATOM, key)
         return self
 
     def __repr__(self):
@@ -87,14 +95,13 @@ class Node:
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, children):
-        seen = {}   # deduplicates by identity, which is equality
+        children = list(children)
         for c in children:
             if not isinstance(c, (Atom, Node)):
                 raise TypeError(f"HSet child expected, got {c!r}")
-            seen[c] = None
-        if not seen:
+        if not children:
             raise ValueError("Node requires at least one child")
-        return _interned_node(seen)
+        return _interned_node(children)
 
     def __repr__(self):
         # with a stack, so deep sets repr, and cut off at _REPR_LIMIT
@@ -125,11 +132,21 @@ HSet = Union[Atom, Node]
 # the longest Node repr written out in full; a longer one ends in "..."
 _REPR_LIMIT = 1000
 
-# The live HSets by atom key and by canonical child tuple.  Children are
-# interned, so a child tuple hashes and compares by identity in C.
-_ATOMS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The live HSets by atom key and by canonical child tuple, as weak
+# references.  Children are interned, so a child tuple hashes and compares
+# by identity in C.  Lookups take no lock, so a set is stored once complete;
+# a dying set's callback drops its entry only while the entry is dead.
+_ATOMS: dict = {}
+_NODES: dict = {}
 _LOCK = threading.Lock()
+_NO_REF = type(None)    # called in place of a missing reference: None
+
+
+def _dropper(table: dict, remove=_remove_dead_weakref):
+    return lambda ref: remove(table, ref.key)
+
+
+_DROP_ATOM, _DROP_NODE = _dropper(_ATOMS), _dropper(_NODES)
 _stored_key = operator.attrgetter("_key")
 _stored_depth = operator.attrgetter("_depth")
 
@@ -139,27 +156,34 @@ def atom(value) -> Atom:
 
 
 def node(children: Iterable) -> Node:
-    return Node(tuple(children))
+    return Node(children)
 
 
-def _interned_node(distinct) -> Node:
-    """The one Node over ``distinct``, a collection of distinct HSets: its
-    children sorted by key, looked up, and inserted on a miss with its key
-    and depth."""
+def _interned_node(children: list) -> Node:
+    """The one Node over ``children``, a nonempty list of HSets it sorts by
+    key in place.  A hit is the sort, one dict lookup and one reference
+    call, with no lock; a repeated child always misses.  A miss drops
+    repeats, then under _LOCK looks again and inserts with key and depth."""
     try:
-        ordered = tuple(sorted(distinct, key=_stored_key))
+        children.sort(key=_stored_key)
     except RecursionError:
         # keys that first differ deep down overflow the recursive C tuple
         # comparison (past about 1,000 levels on Python 3.10-3.12)
-        ordered = tuple(sorted(distinct, key=_deep_key))
-    with _LOCK:
-        self = _NODES.get(ordered)
-        if self is None:
-            self = _NODES[ordered] = object.__new__(Node)
-            object.__setattr__(self, "children", ordered)
-            object.__setattr__(self, "_key", (1, *map(_stored_key, ordered)))
-            object.__setattr__(self, "_depth",
-                               1 + max(map(_stored_depth, ordered)))
+        children.sort(key=_deep_key)
+    ordered = tuple(children)
+    self = _NODES.get(ordered, _NO_REF)()
+    if self is None:
+        ordered = tuple(dict.fromkeys(ordered))
+        with _LOCK:
+            self = _NODES.get(ordered, _NO_REF)()
+            if self is None:
+                self = object.__new__(Node)
+                object.__setattr__(self, "children", ordered)
+                object.__setattr__(self, "_key",
+                                   (1, *map(_stored_key, ordered)))
+                object.__setattr__(self, "_depth",
+                                   1 + max(map(_stored_depth, ordered)))
+                _NODES[ordered] = weakref.KeyedRef(self, _DROP_NODE, ordered)
     return self
 
 
@@ -351,7 +375,7 @@ def _read(text: str, parse_atom, many: bool) -> list:
             stack.append(kids)
             kids = []
         elif other == ")" and kids and stack:
-            h = _interned_node(dict.fromkeys(kids))
+            h = _interned_node(kids)
             kids = stack.pop()
             kids.append(h)
         else:

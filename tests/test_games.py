@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -668,6 +669,85 @@ class TestInterning:
             assert len(other) == len(first)
             assert all(a is b for a, b in zip(first, other))
 
+    def test_sets_rebuilt_while_others_die_are_one_object_each(self):
+        # each round, eight threads build the same sets at once and hold
+        # them until all have built, then drop them.  In even rounds all
+        # sets die before the next round, so its lookups miss together; in
+        # odd rounds threads rebuild while others still drop theirs.
+        values = ("rebuilt", -9, (10, 11), 12.5, b"13")   # held nowhere else
+        text = '(set (atom "rebuilt") (set (atom "rebuilt") (atom "anew")))'
+        workers = 8
+        barrier = threading.Barrier(workers)
+        held: list = [None] * workers
+        split = []  # (round, index) of each set alive as two objects
+
+        def work(i):
+            for r in range(200):
+                held[i] = (*all_hsets(values, 1), parse_sexpr(text))
+                barrier.wait(timeout=60)
+                if i == 0:
+                    split.extend((r, k) for k, h in enumerate(held[0])
+                                 if any(o[k] is not h for o in held))
+                barrier.wait(timeout=60)
+                held[i] = None
+                if r % 2 == 0:
+                    barrier.wait(timeout=60)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for f in [pool.submit(work, i) for i in range(workers)]:
+                    f.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == []
+
+    @pytest.mark.parametrize("table", ["_ATOMS", "_NODES"])
+    def test_a_set_rebuilt_while_its_entry_is_dead_stays(self, table):
+        # a set dies, and before its own callback drops its table entry,
+        # a newer reference's callback (CPython runs those first) looks the
+        # set up, finds the dead entry and builds the set again; the old
+        # set's callback must then leave the new entry in place
+        leaf = Atom(("held", table))
+        build = ((lambda: Atom(("dying", table))) if table == "_ATOMS"
+                 else (lambda: node([leaf])))
+        found_dead, rebuilt = [], []
+
+        def rebuild(_):
+            found_dead.append(key in getattr(bqo.hset, table))
+            rebuilt.append(build())
+
+        h = build()
+        key = h._key if table == "_ATOMS" else h.children
+        probe = weakref.ref(h, rebuild)
+        del h
+        assert probe() is None and found_dead == [True]
+        assert build() is rebuilt[0]
+
+    @pytest.mark.parametrize("alive", [False, True])
+    def test_repeated_children_count_once(self, alive):
+        a, b = Atom("1"), Atom("2")
+        held = node([a, b]) if alive else None
+        assert (bqo.hset._NODES.get((a, b)) is None) is not alive
+        builds = (lambda: parse_sexpr('(set (atom "1") (atom "1") '
+                                      '(atom "2"))'),
+                  lambda: node([a, a, b]),
+                  lambda: node([b, a, b, a]))
+        for build in builds:
+            h = build()
+            assert h.children == (a, b) and h is node([a, b])
+            assert held is None or h is held
+            del h   # so that, when not alive, the next build misses too
+
+    def test_atoms_are_keyed_by_type_name_and_repr(self):
+        # equal values whose reprs differ are two atoms
+        assert 0.0 == -0.0 and Atom(0.0) is not Atom(-0.0)
+        one, other = frozenset([1, 9]), frozenset([9, 1])
+        assert one == other and repr(one) != repr(other)
+        assert Atom(one) is not Atom(other)
+        assert Atom(frozenset([1, 9])) is Atom(one)
+
 
 def _rado_sets_sharing_atoms(rng):
     """Two rado sets over few pairs, parsed together so that they share
@@ -995,6 +1075,17 @@ class TestDeepSets:
         # limit of the C tuple comparison
         low, high = (_chain_of_singletons(v, 20_000) for v in (0, 1))
         assert node([high, low]).children == (low, high)
+
+    def test_the_deep_key_retry_finds_the_same_node(self, monkeypatch):
+        low, high = (_chain_of_singletons(v, 20_000) for v in (0, 1))
+        deep_key, retries = bqo.hset._deep_key, []
+        monkeypatch.setattr(bqo.hset, "_deep_key",
+                            lambda h: retries.append(1) or deep_key(h))
+        both = node([high, low])
+        assert retries   # the C tuple comparison overflowed
+        assert node([low, high]) is both
+        assert node([high, low, high, low]) is both
+        assert both.children == (low, high)
 
     def test_the_deep_key_comparison_is_the_tuple_order(self):
         keys = [canon_key(h) for h in all_hsets([0, 1, "a"], 2)]
