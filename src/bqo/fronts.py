@@ -219,9 +219,17 @@ def check_front_element(s) -> tuple:
 # --- membership, stepping, rays ------------------------------------------
 
 def front_member(F: Front, s) -> bool:
-    """Whether s walks the front's rays to a trivial front."""
-    res = residual_front(F, s)
-    return res is not None and res.schema.trivial
+    """Whether s walks the front's rays to a trivial front.
+
+    The schema's rays are walked first, so a tuple of the wrong shape is
+    refused without enumerating the base; only a tuple of the right shape
+    enumerates the base, up to its largest entry."""
+    schema = F.schema
+    for x in check_front_element(s):
+        if schema.trivial:
+            return False
+        schema = schema.ray(x)
+    return schema.trivial and residual_front(F, s) is not None
 
 
 @dataclass(frozen=True)

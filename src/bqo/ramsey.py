@@ -156,7 +156,7 @@ def member_colours(colour_of: dict):
     return colours
 
 
-def largest(points: Sequence[int], colours, side: int) -> tuple:
+def largest(points: Sequence[int], colours, side: Optional[int]) -> tuple:
     """The lexicographically least of the largest sets one-sided for side."""
     return max(Homogeneous(points, colours, side), key=len, default=())
 
@@ -241,8 +241,9 @@ def coloring_from_dict(data: dict) -> Coloring:
     """Build a Coloring from a file payload: a front reference plus either
     a rule name or a finite member table {"m,n": color}, whose keys follow
     the valuation table grammar: a key that is not "" or canonical decimals
-    joined by commas is a ValueError, so no two keys name one member."""
-    from .fronts import _json_field, front_from_dict
+    joined by commas is a ValueError, so no two keys name one member, and
+    so is a key that names no member of the front."""
+    from .fronts import _json_field, front_from_dict, front_member
 
     front = front_from_dict(data["front"])
     r = _json_field(data.get("r", 2), int, "'r'")
@@ -254,6 +255,12 @@ def coloring_from_dict(data: dict) -> Coloring:
     table = {_table_key(key, "coloring"): _json_field(v, int,
                                                      f"color of {key!r}")
              for key, v in rows.items()}
+    # canonical keys name distinct members, so rows and table align; an
+    # unsorted key is refused before front_member raises its own error
+    for key, s in zip(rows, table):
+        if s != tuple(sorted(set(s))) or not front_member(front, s):
+            raise ValueError(
+                f"coloring table key {key!r} names no member of the front")
     default = data.get("default")
     if default is not None:
         default = _json_field(default, int, "'default'")
@@ -398,10 +405,12 @@ def dichotomy_extract(phi: SuperSeq, R: Callable, window: int,
     such set, on the complement side (index 0) when both sides reach the
     largest size.
 
-    One search finds the largest complement-side set and a second must
-    beat its size on the relation side.  Every join node inside Z is then
-    compared again; a relation that answers differently the second time
-    raises InvariantViolated.
+    One search over both sides finds the largest one-sided size L and the
+    lexicographically least L-set with its side.  When that set is on the
+    relation side, a second search asks only for an L-set on the
+    complement side, and returns the first one it enters.  Every join node
+    inside Z is then compared again; a relation that answers differently
+    the second time raises InvariantViolated.
     """
     joins = join_nodes(phi.front, window)
     if not joins:
@@ -410,10 +419,13 @@ def dichotomy_extract(phi: SuperSeq, R: Callable, window: int,
             for (u, s, t) in joins}
     points = sorted({x for u in cmap for x in u})
     colours = member_colours(cmap)
-    Z, side_index = largest(points, colours, 0), 0
-    Z1 = largest(points, colours, 1)
-    if len(Z1) > len(Z):
-        Z, side_index = Z1, 1
+    both = Homogeneous(points, colours)
+    for _ in both:
+        pass
+    Z, side_index = both.best, 0
+    if both.best_side == 1:
+        Z0 = next(iter(Homogeneous(points, colours, 0, len(Z))), None)
+        Z, side_index = (Z, 1) if Z0 is None else (Z0, 0)
     side = relation_name if side_index == 1 else f"{relation_name}-complement"
     inside = frozenset(Z)
     verified = 0

@@ -329,6 +329,10 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
     battery of composed injections.  When no candidate survives but the
     complement coloring owns a homogeneous window, the failure is evidence
     of badness in the codomain and raises NotBQOEvidence.
+
+    Verifying one candidate h resolves, for each battery injection f, the
+    value at h o f once and the value at h o f o g once per shift g, up to
+    the first comparison that fails.
     """
     from .ramsey import Homogeneous, join_nodes, largest, member_colours
     if phi.codomain is None:
@@ -353,8 +357,8 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
         checks = 0
         for f in battery:
             hf = compose(h, f)
+            a = _resolve_value(phi, hf, window)
             for g in gs:
-                a = _resolve_value(phi, hf, window)
                 b = _resolve_value(phi, compose(hf, g), window)
                 if a is None or b is None:
                     continue

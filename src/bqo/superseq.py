@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 import re
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -158,7 +159,13 @@ def spare_check(f: SuperSeq, bound: int) -> SpareReport:
     is complete: for every member t and proper prefix s of t some other
     member extending s takes a different value. The witness search reaches
     slightly past the window (echoed search bound) so that edge members
-    still see their alternative extensions. Window-sound."""
+    still see their alternative extensions. Window-sound.
+
+    One call reads the value of each window member t in lexicographic
+    order and, for each proper prefix s of t, the values of the pool
+    members that extend s, in lexicographic order up to the first that
+    differs from t's. The pool is sorted, so these members are one run of
+    it, found by bisection (the whole pool for s = ())."""
     members = members_within(f.front, bound)
     search = _search_bound(members, bound)
     pool = members_within(f.front, search)
@@ -166,9 +173,12 @@ def spare_check(f: SuperSeq, bound: int) -> SpareReport:
         vt = f.value(t)
         for cut in range(len(t)):
             s = t[:cut]
-            found = any(
-                len(tp) > cut and tp[:cut] == s and f.value(tp) != vt
-                for tp in pool)
+            # pool[lo:hi] is the members extending s; none equals s, as
+            # no member is a proper prefix of another
+            lo = bisect_left(pool, s)
+            hi = bisect_left(pool, s[:-1] + (s[-1] + 1,), lo) if s \
+                else len(pool)
+            found = any(f.value(pool[i]) != vt for i in range(lo, hi))
             if not found:
                 return SpareReport(window=bound, search_bound=search,
                                    holds=False, failure=(t, s))

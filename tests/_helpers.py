@@ -4,7 +4,8 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from bqo.errors import InsufficientPrefix
+from bqo.errors import (InsufficientPrefix, InvariantViolated,
+                        WindowExhausted)
 from bqo.fronts import (
     UniformSchema,
     members_within,
@@ -17,7 +18,9 @@ from bqo.games import _moves
 from bqo.hset import Atom, HSet, Node, node
 from bqo.ordinal import OrdinalCNF
 from bqo.qo import FiniteQO
+from bqo.ramsey import DichotomyReport, join_nodes, largest, member_colours
 from bqo.streams import evens, parse_base
+from bqo.superseq import SpareReport, _search_bound
 
 
 def enumerate_preorders(n: int) -> list[FiniteQO]:
@@ -144,6 +147,55 @@ def join_nodes_reference(front, window: int, g=lambda i: i + 1) -> list:
 
     rec((), 0)
     return out
+
+
+def dichotomy_extract_reference(phi, R, window: int,
+                                relation_name: str = "R"):
+    """dichotomy_extract by two full largest-set searches, one per side,
+    the relation side taken only when strictly larger; kept as the
+    reference for the one search over both sides."""
+    joins = join_nodes(phi.front, window)
+    if not joins:
+        raise WindowExhausted("no shift pair is determined within the window")
+    cmap = {u: (1 if R(phi.value(s), phi.value(t)) else 0)
+            for (u, s, t) in joins}
+    points = sorted({x for u in cmap for x in u})
+    colours = member_colours(cmap)
+    Z, side_index = largest(points, colours, 0), 0
+    Z1 = largest(points, colours, 1)
+    if len(Z1) > len(Z):
+        Z, side_index = Z1, 1
+    side = relation_name if side_index == 1 else f"{relation_name}-complement"
+    inside = frozenset(Z)
+    verified = 0
+    for (u, s, t) in joins:
+        if inside.issuperset(u):
+            if (1 if R(phi.value(s), phi.value(t)) else 0) != side_index:
+                raise InvariantViolated(
+                    f"join node {u} is off side {side!r} when compared again")
+            verified += 1
+    return DichotomyReport(Z, side, side_index, window, len(joins), verified,
+                           True)
+
+
+def spare_check_reference(f, bound: int):
+    """spare_check scanning the whole search pool for every member and
+    proper prefix; kept as the reference for the scan over sorted runs."""
+    members = members_within(f.front, bound)
+    search = _search_bound(members, bound)
+    pool = members_within(f.front, search)
+    for t in members:
+        vt = f.value(t)
+        for cut in range(len(t)):
+            s = t[:cut]
+            found = any(
+                len(tp) > cut and tp[:cut] == s and f.value(tp) != vt
+                for tp in pool)
+            if not found:
+                return SpareReport(window=bound, search_bound=search,
+                                   holds=False, failure=(t, s))
+    return SpareReport(window=bound, search_bound=search, holds=True,
+                       failure=None)
 
 
 def witness_key(pair) -> tuple:

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqo.qo
+import bqo.ramsey
+import bqo.shifts
 from bqo import cli
 from bqo.cli import CliUsageError, build_parser, main
 from bqo.hset import MAX_SEXPR_DEPTH
@@ -243,6 +245,12 @@ class TestExitCodes:
           "table": {"0,1": 0, "-1,3": 1}},
          "malformed coloring file: coloring table key '-1,3' is not "
          "canonical"),
+        # keys that name no member of the front
+        (["extract", "nw", "--target", "2", "--coloring"],
+         {"front": {"schema": "uniform", "k": 2},
+          "table": {"1,0": 1, "0,1,2": 1, "5": 1}, "default": 0},
+         "malformed coloring file: coloring table key '1,0' names no member "
+         "of the front"),
         (["extract", "nw", "--target", "2", "--coloring"],
          {"front": {"schema": "uniform", "k": 2}, "table": {"0,1": 2.7}},
          "malformed coloring file: color of '0,1' must be a JSON integer, "
@@ -770,6 +778,23 @@ class TestExtractCommands:
         assert data["side"] == "leq"
         assert data["pairs_verified"] > 0
 
+    def test_dichotomy_goldens_enter_few_search_nodes(self, monkeypatch):
+        # one search over both sides finds the 16-point set; under leq a
+        # second search looks for a complement-side set of that size and
+        # dies at the first join node (two full searches entered 1,390)
+        searches = []
+
+        class Counted(bqo.ramsey.Homogeneous):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searches.append(self)
+
+        monkeypatch.setattr(bqo.ramsey, "Homogeneous", Counted)
+        for relation in ([], ["--relation", "eq"]):
+            run_json(["extract", "dichotomy", "--fixture", "min@u2",
+                      *relation])
+        assert sum(search.explored for search in searches) <= 40
+
     @pytest.mark.parametrize("cmd", [["extract", "dichotomy"],
                                      ["seq", "perfect"]])
     def test_leq_checks_each_value_once(self, cmd, monkeypatch):
@@ -836,6 +861,22 @@ class TestExtractCommands:
 # --- shift group ------------------------------------------------------------
 
 class TestShiftCommands:
+    def test_two_shift_perfect_resolves_each_battery_value_once(
+            self, monkeypatch):
+        # the one candidate meets 13 battery injections f; each resolves
+        # h o f once and h o f o g once per shift (resolving h o f again
+        # for each shift made 52 calls)
+        calls = []
+        resolve = bqo.shifts._resolve_value
+        monkeypatch.setattr(bqo.shifts, "_resolve_value",
+                            lambda *args: calls.append(args) or
+                            resolve(*args))
+        data = run_json(["shift", "perfect", "--fixture", "min@u2",
+                         "--shift", "succ", "--shift", "affine:1,2",
+                         "--window", "12"])
+        assert data["candidates_tried"] == 1
+        assert len(calls) <= 39
+
     def test_critical_point_of_translation(self):
         data = run_json(["shift", "critical", "affine:1,3"])
         assert data["critical_point"] == 0

@@ -131,6 +131,15 @@ class TestMembership:
         assert front_member(F, (1, 4, 5))
         assert not front_member(F, (1, 4))
 
+    @pytest.mark.parametrize("s, member", [
+        ((40,), False), ((3, 7, 40), False), ((3, 40), True)])
+    def test_enumerates_the_base_only_for_a_tuple_of_the_right_shape(
+            self, s, member):
+        asked = []
+        base = InfSet(lambda i: asked.append(i) or i, name="counted")
+        assert front_member(uniform_front(2, base), s) is member
+        assert bool(asked) is member
+
     def test_element_validation(self):
         with pytest.raises(ValueError):
             front_member(uniform_front(2), (3, 3))

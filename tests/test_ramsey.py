@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import re
 
@@ -22,6 +23,7 @@ from bqo.errors import (
 from bqo.fronts import (
     Front,
     front_member,
+    members_within,
     schreier_front,
     trivial_front,
     uniform_front,
@@ -45,7 +47,8 @@ from bqo.shifts import parse_inj
 from bqo.streams import InfSet, odds
 from bqo.superseq import SuperSeq, badness_check, named_valuation, perfect_check
 
-from _helpers import SHIFT_PAIR_FRONTS, join_nodes_reference
+from _helpers import (SHIFT_PAIR_FRONTS, dichotomy_extract_reference,
+                      join_nodes_reference)
 
 OMEGA_EQ = CodedQO(
     name="omega-eq",
@@ -193,6 +196,12 @@ class TestColoring:
         ({"table": {"0,1": 0, "00,1": 1, "+0,2": 1, " 1,2": 0}},
          "coloring table key '00,1' is not canonical: write \"\" or "
          "naturals without leading zeros joined by commas"),
+        ({"table": {"0,1": 0, "0,1,2": 1}},
+         "coloring table key '0,1,2' names no member of the front"),
+        ({"table": {"0,1": 0, "5": 1}},
+         "coloring table key '5' names no member of the front"),
+        ({"table": {"2,1": 0}},
+         "coloring table key '2,1' names no member of the front"),
         ({"table": {"0,1": 2.7}}, "color of '0,1' must be a JSON integer"),
         ({"table": {"0,2": True}}, "color of '0,2' must be a JSON integer"),
         ({"table": {}, "default": 1.0}, "'default' must be a JSON integer"),
@@ -532,6 +541,57 @@ class TestDichotomy:
         rep = dichotomy_extract(phi, R, window)
         assert (rep.Z, rep.side_index, rep.pairs_verified) == \
             brute_dichotomy(phi, R, window)
+
+
+    @pytest.mark.parametrize("front", ["u1", "u2", "u3", "schreier"])
+    def test_matches_the_two_search_reference_on_random_valuations(
+            self, front):
+        front = SHIFT_PAIR_FRONTS[front][0]
+        rng = random.Random(f"dichotomy {front}")
+        for window in range(12):
+            for colours in (2, 3, 3):
+                table = {m: rng.randrange(colours)
+                         for m in members_within(front, window)}
+                for R in (operator.le, operator.eq, operator.lt):
+                    phi = SuperSeq(front=front, valuation=table.__getitem__,
+                                   name="random")
+                    assert dichotomy_outcome(dichotomy_extract, phi, R,
+                                             window) == \
+                        dichotomy_outcome(dichotomy_extract_reference, phi,
+                                          R, window)
+
+    # the fixture sweep: u3 and schreier at windows 8 and 12 only
+    @pytest.mark.parametrize("front", ["u1", "u2", "u3", "schreier"])
+    @pytest.mark.parametrize("rule", ["min", "span", "minmod2", "identity"])
+    def test_matches_the_two_search_reference_on_fixtures(self, rule, front):
+        windows = (8, 12, 16) if front in ("u1", "u2") else (8, 12)
+        codomain = {"identity": RADO, "minmod2": antichain(2)}.get(rule,
+                                                                   OMEGA)
+        outcomes = []
+        for window in windows:
+            for relation in ("leq", "eq"):
+                for extract in (dichotomy_extract,
+                                dichotomy_extract_reference):
+                    # as the CLI reads a fixture and its --relation
+                    phi = SuperSeq(front=SHIFT_PAIR_FRONTS[front][0],
+                                   valuation=named_valuation(rule),
+                                   codomain=codomain, name=rule)
+                    R = operator.eq
+                    if relation == "leq":
+                        phi, R = phi.checked(), codomain.raw_leq
+                    outcomes.append(dichotomy_outcome(
+                        extract, phi, R, window, relation))
+        assert outcomes[::2] == outcomes[1::2]
+
+
+def dichotomy_outcome(extract, phi, R, window: int, name: str = "R"):
+    """What a dichotomy extraction reports, or the error it raises."""
+    try:
+        rep = extract(phi, R, window, name)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return (rep.Z, rep.side, rep.side_index, rep.joins_colored,
+            rep.pairs_verified)
 
 
 def brute_dichotomy(phi, R, window: int):

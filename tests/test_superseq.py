@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,7 @@ from bqo.streams import InfSet, arithmetic, evens, omega, parse_base
 from bqo.superseq import (
     SuperSeq,
     _decode_table,
+    _search_bound,
     badness_check,
     eval_up,
     named_valuation,
@@ -51,6 +53,7 @@ from _helpers import (
     SHIFT_PAIR_FRONTS,
     decode_table_reference,
     shift_pairs_reference,
+    spare_check_reference,
     witness_key,
 )
 
@@ -143,6 +146,71 @@ class TestSpare:
         assert not rep.holds
         t, s = rep.failure
         assert len(s) == 1
+
+
+@dataclass(frozen=True)
+class LoggedSeq(SuperSeq):
+    """A super-sequence that logs every value read, cached or not."""
+
+    log: list = field(default_factory=list, compare=False, repr=False)
+
+    def value(self, s: tuple):
+        self.log.append(tuple(s))
+        return super().value(s)
+
+
+def spare_outcome(check, f: SuperSeq, bound: int):
+    """The report of check, or the MissingValue it raises, with the log of
+    every value it read, on a copy of f with a copy of its value cache."""
+    seq = LoggedSeq(f.front, f.valuation, f.codomain, f.name, dict(f._cache))
+    try:
+        result = check(seq, bound)
+    except MissingValue as exc:
+        result = str(exc)
+    return result, seq.log
+
+
+def spare_pool(front, bound: int) -> list:
+    return members_within(front, _search_bound(members_within(front, bound),
+                                               bound))
+
+
+class TestSpareRuns:
+    """spare_check reads the run of the sorted pool that extends each
+    prefix: the same values, in the same order, as a whole-pool scan."""
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_PAIR_FRONTS))
+    def test_reads_what_the_whole_pool_scan_reads(self, name):
+        front = SHIFT_PAIR_FRONTS[name][0]
+        rng = random.Random(f"spare {name}")
+        for bound in range(0, 13, 3):
+            pool = spare_pool(front, bound)
+            assert pool == sorted(pool)
+            valuations = [{m: rng.randrange(k) for m in pool}.__getitem__
+                          for k in (1, 2, 3, 3)]
+            if not front.schema.trivial:
+                valuations += [named_valuation(rule)
+                               for rule in ("min", "span", "identity")]
+            for valuation in valuations:
+                f = SuperSeq(front=front, valuation=valuation)
+                assert spare_outcome(spare_check, f, bound) == \
+                    spare_outcome(spare_check_reference, f, bound)
+
+    @pytest.mark.parametrize("name", ["u1", "u2", "u3", "schreier", "seq"])
+    def test_a_missing_table_entry_raises_at_the_same_read(self, name):
+        front = SHIFT_PAIR_FRONTS[name][0]
+        rng = random.Random(f"spare table {name}")
+        pool = spare_pool(front, 9)
+        raised = 0
+        for missing in (0.0, 0.01, 0.05, 0.2, 0.6):
+            table = {",".join(map(str, m)): rng.randrange(3) for m in pool
+                     if rng.random() >= missing}
+            f = superseq_from_dict({"front": front_to_dict(front),
+                                    "valuation": {"table": table}})
+            new = spare_outcome(spare_check, f, 9)
+            assert new == spare_outcome(spare_check_reference, f, 9)
+            raised += isinstance(new[0], str)
+        assert raised >= 2
 
 
 class TestSparsify:
@@ -843,6 +911,15 @@ class TestKeyParity:
                 coloring_from_dict({"front": front, "table": rows})
             assert str(err.value) == str(e).replace("valuation", "coloring",
                                                      1)
+            return
+        # a colouring table also refuses its first key that names no
+        # member of its front; a valuation table does not check this
+        strays = [key for key, s in zip(rows, valuation)
+                  if not (len(s) == 2 and s[0] < s[1])]
+        if strays:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"coloring table key {strays[0]!r} names no member")):
+                coloring_from_dict({"front": front, "table": rows})
             return
         col = coloring_from_dict({"front": front, "table": rows})
         # distinct keys name distinct members, so each table has them all
