@@ -11,8 +11,9 @@ A front is walked as a tree, one ray at a time (Nash-Williams' barrier
 view). Each schema's ray(n) says how it steps, and carries its own rank and
 file form; ray(F, n) is the one entry point for walkers, so membership,
 stepping, window enumeration and the truncated tree all go through it. The
-only shortcut is members_within's closed form for a residual uniform front,
-whose members in a window are the k-subsets.
+only shortcuts are the closed forms of a residual uniform front [X]^k:
+members_within lists its members in a window as the k-subsets, and
+front_step reads its member as the next k entries.
 """
 from __future__ import annotations
 
@@ -246,23 +247,32 @@ _STEP_CEILING = 100_000
 def front_step(F: Front, Y: InfSet) -> StepResult:
     """The unique member of the front that begins the enumeration Y.
 
-    Walks the rays along Y until the residual front is trivial. Consumption
-    is bounded by the schema (k for uniform, 1 + first element for
-    Schreier, and through the rays for sequence nodes); exceeding the
-    ceiling means the front data is broken and raises NoMemberWithinBound.
+    Walks the rays along Y until the residual front is uniform, [X]^k;
+    the member then ends with Y's next k entries, each checked against X
+    (Y increases, so X's tails need not be built). Consumption is bounded
+    by the schema (k for uniform, 1 + first element for Schreier, and
+    through the rays for sequence nodes); exceeding the ceiling means the
+    front data is broken and raises NoMemberWithinBound.
     """
     member: list = []
     cur = F
-    while not cur.schema.trivial:
-        if len(member) >= _STEP_CEILING:
-            raise NoMemberWithinBound(
-                f"consumed {len(member)} elements without completing a member")
-        v = Y.nth(len(member))
-        if not cur.base.contains(v):
-            raise NotInBase(f"element {v} of the argument is outside the base")
-        member.append(v)
-        cur = ray(cur, v)
+    while not isinstance(cur.schema, UniformSchema):
+        cur = ray(cur, _step_entry(Y, member, cur.base))
+    for _ in range(cur.schema.k):
+        _step_entry(Y, member, cur.base)
     return StepResult(member=tuple(member), modulus=len(member))
+
+
+def _step_entry(Y: InfSet, member: list, base: InfSet) -> int:
+    """Y's next entry after member, appended once it is found in the base."""
+    if len(member) >= _STEP_CEILING:
+        raise NoMemberWithinBound(
+            f"consumed {len(member)} elements without completing a member")
+    v = Y.nth(len(member))
+    if not base.contains(v):
+        raise NotInBase(f"element {v} of the argument is outside the base")
+    member.append(v)
+    return v
 
 
 def ray(F: Front, n: int) -> Front:

@@ -596,9 +596,12 @@ def rado_antichain_witness(m: int, n: int) -> RadoWitnessReport:
     """
     if not (isinstance(m, int) and isinstance(n, int)) or not 0 <= m < n:
         raise BadIndices(f"need naturals m < n, got {m!r}, {n!r}")
+    _check_rado_pair((m, n))    # a bool index is not a pair entry
 
     def in_downset(pair, k, bound) -> bool:
-        return any(rado_leq(pair, (k, l)) for l in range(k + 1, bound + 1))
+        # every generator (k, l) is an increasing pair of naturals
+        return any(_rado_leq_raw(pair, (k, l))
+                   for l in range(k + 1, bound + 1))
 
     bound = max(n, m) + 2
     member = in_downset((m, n), m, bound)

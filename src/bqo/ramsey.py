@@ -6,10 +6,12 @@ colour, the finite shadow of the Nash-Williams / Galvin-Prikry partition
 argument.  Z grows in ascending order, so a constraint is completed exactly
 when its largest point is added; the kernel asks only for the colours of
 the constraints the newest point completes.  For k-subsets these are
-generated lazily; for a family of members they come from an index of
-member bitmasks keyed by each member's largest point.  Points are tried in
-ascending order, so the first set of any size found is the
-lexicographically least of that size.
+generated lazily.  A coloured family of front members or join nodes is
+read the same way on a uniform front [X]^k, k >= 1, where the family of
+each length L is every L-subset of the window points; on other fronts it
+comes from an index of member bitmasks keyed by each member's largest
+point.  Points are tried in ascending order, so the first set of any size
+found is the lexicographically least of that size.
 
 finite_ramsey finds a largest (or target-sized) subset of [0, N) all of
 whose k-subsets share one color.  nw_extract specializes to 2-colorings of
@@ -18,8 +20,9 @@ such that every member realized inside Z has one color side (side 0 tried
 before side 1).
 
 join_nodes lists the minimal prefixes that determine a member and its
-shift member, for the plain shift or any generalized shift g, in one
-pruned walk.
+shift member, for the plain shift or any generalized shift g: on a
+uniform front, in closed form as the L-subsets of the window points; on
+other fronts, in one pruned walk over the window members.
 dichotomy_extract colors each join node by whether a decidable relation R
 holds between the value at the member and at its shift member, extracts a
 largest one-sided Z, and reports whether the valuation is a homomorphism
@@ -38,13 +41,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (EmbeddingCheckFailed, InvariantViolated, MissingColor,
                      NotBadOnWindow, NotBadPowersetSeq, RamseyStageFailed,
                      WindowExhausted)
 from .fronts import Front, UniformSchema, members_within, uniform_front
-from .qo import RADO
 from .streams import omega
 from .superseq import SuperSeq, _table_key, badness_check
 
@@ -154,6 +157,27 @@ def member_colours(colour_of: dict):
                 if mask & inside == mask:
                     yield c
     return colours
+
+
+def _uniform(front) -> bool:
+    """Whether front is a uniform [X]^k with k >= 1, whose members, join
+    nodes and colours have closed forms."""
+    return (isinstance(front, Front) and isinstance(front.schema, UniformSchema)
+            and front.schema.k > 0)
+
+
+def family_colours(front, colour_of: dict):
+    """Colours of a coloured family of front's members or join nodes, for
+    Homogeneous over the window points.  On a uniform front the family
+    holds, for each of its lengths L, every L-subset of the points, so
+    _subset_colours looks them up; elsewhere member_colours indexes them."""
+    if not _uniform(front):
+        return member_colours(colour_of)
+    parts = [_subset_colours(n, colour_of.__getitem__)
+             for n in sorted(set(map(len, colour_of)))]
+    if len(parts) == 1:
+        return parts[0]
+    return lambda cur: itertools.chain.from_iterable(p(cur) for p in parts)
 
 
 def largest(points: Sequence[int], colours, side: Optional[int]) -> tuple:
@@ -305,6 +329,12 @@ def nw_extract(col: Coloring, window: int, target: int) -> ExtractReport:
     A partial set is abandoned as soon as it contains a member of the
     wrong color.  Raises WindowExhausted when neither side admits a
     qualifying set within the window.
+
+    One call lists every member below the window and colours each, in
+    listing order, before it searches, so the first bad colour raises
+    first.  On a uniform front [X]^k the search looks colours up by
+    k-subset and the witnesses are the k-subsets of Z; on other fronts
+    and raw families it indexes the members as bitmasks and filters them.
     """
     if col.r != 2:
         raise ValueError("extraction needs a 2-coloring")
@@ -317,13 +347,14 @@ def nw_extract(col: Coloring, window: int, target: int) -> ExtractReport:
         if not 0 <= c < 2:
             raise ValueError(f"color {c} of member {s} out of range")
         colors[s] = c
-    colours = member_colours(colors)
+    colours = family_colours(col.front, colors)
     for side in (0, 1):
         Z = next(iter(Homogeneous(points, colours, side, target)), None)
         if Z is not None:
-            inside = frozenset(Z)
-            witnesses = tuple((s, colors[s]) for s in members
-                              if frozenset(s) <= inside)
+            inside = (itertools.combinations(Z, col.front.schema.k)
+                      if _uniform(col.front)
+                      else filter(frozenset(Z).issuperset, members))
+            witnesses = tuple((s, colors[s]) for s in inside)
             return ExtractReport(Z, side, window, target, True,
                                  len(members), witnesses)
     raise WindowExhausted(
@@ -349,6 +380,13 @@ def join_nodes(front: Front, window: int,
     resolved, or None while it is a proper prefix of a member, and drops a
     branch where either is neither.  g must be increasing and non-negative
     below the window, else ValueError.
+
+    On a uniform [X]^k with k >= 1 one call lists, without a walk, every
+    L-subset u of the window points in lexicographic order, L = max(k,
+    g(k-1) + 1), with s = u[:k] and t = (u[g(0)], ..., u[g(k-1)]); it is
+    empty when g(k-1) falls past the window.  On other fronts one call
+    lists the window members and walks the tuples u that are prefixes of
+    a member and whose g-subsequence is a prefix of one.
     """
     points = list(front.base.upto(window))
     picks: list = []            # g(0) < g(1) < ... below len(points)
@@ -357,6 +395,15 @@ def join_nodes(front: Front, window: int,
             raise ValueError(f"g must be increasing and non-negative, but "
                              f"g({len(picks)}) = {j}")
         picks.append(j)
+    if _uniform(front):
+        # s is u[:k] and t is u at the first k picks, for every u of the
+        # least length that holds both
+        k = front.schema.k
+        if len(picks) < k:
+            return []
+        us = list(itertools.combinations(points, max(k, picks[k - 1] + 1)))
+        ts = zip(*(map(itemgetter(j), us) for j in picks[:k]))
+        return list(zip(us, map(itemgetter(slice(k)), us), ts))
     # u and its g-subsequence hold window points only, so their member
     # prefixes are window members; state maps proper prefixes to None
     members = members_within(front, window)
@@ -418,7 +465,7 @@ def dichotomy_extract(phi: SuperSeq, R: Callable, window: int,
     cmap = {u: (1 if R(phi.value(s), phi.value(t)) else 0)
             for (u, s, t) in joins}
     points = sorted({x for u in cmap for x in u})
-    colours = member_colours(cmap)
+    colours = family_colours(phi.front, cmap)
     both = Homogeneous(points, colours)
     for _ in both:
         pass
@@ -487,6 +534,11 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     both directions of the embedding are verified on every pair over X.
     Each value is read once, checked against the codomain then and
     compared raw after (see CodedQO).
+
+    One call compares values along the badness scan and the two stages'
+    searches, then every ordered pair of pairs over X, p-major, one row of
+    codomain comparisons at a time against the pair order's row, which is
+    built in closed form (see _pair_order_violations).
     """
     _require_bad_pairs(f, window, "embedding extraction")
     leq, check = f.codomain.raw_leq, f.codomain.check
@@ -528,20 +580,35 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
             f"quadruple stage keeps only {len(N2)} points below {window}; "
             f"need {need}")
     X = tuple(N2[1:])
-    violations = []
     pairs = list(itertools.combinations(X, 2))
-    read = [(p, value(p)) for p in pairs]
-    for p, vp in read:
-        for q, vq in read:
-            left = RADO.raw_leq(p, q)
-            right = leq(vp, vq)
-            if left != right:
-                violations.append((p, q, left, right))
+    violations = _pair_order_violations(X, [value(p) for p in pairs], leq)
     if violations:
         raise EmbeddingCheckFailed(
             f"{len(violations)} pair comparisons disagree with the pair "
             f"order, first at {violations[0][:2]}", pairs=violations)
     return LaverReport(X, window, stage1, stage2, len(pairs) ** 2)
+
+
+def _pair_order_violations(X: Sequence[int], vals: list, leq) -> list:
+    """(p, q, p <= q in the pair order, leq(vals of p, q)) wherever the
+    two disagree, over the pairs of X in lexicographic order with their
+    values vals, p-major.  The row of p = (X[i], X[j]) in the pair order
+    is two runs of the pair list, (X[i], X[j:]) and every pair past X[j];
+    it is compared whole with the row of leq, called p-major, q-minor."""
+    pairs = list(itertools.combinations(X, 2))
+    # starts[i]: where the pairs beginning at X[i] start in pairs
+    starts = list(itertools.accumulate(range(len(X) - 1, -1, -1), initial=0))
+    violations: list = []
+    ij = itertools.combinations(range(len(X)), 2)
+    for (i, j), p, vp in zip(ij, pairs, vals):
+        at, end, past = starts[i] + j - i - 1, starts[i + 1], starts[j + 1]
+        left = ([False] * at + [True] * (end - at) + [False] * (past - end)
+                + [True] * (len(pairs) - past))
+        right = list(map(leq, itertools.repeat(vp), vals))
+        if left != right:
+            violations.extend((p, q, a, b) for q, a, b
+                              in zip(pairs, left, right) if a != b)
+    return violations
 
 
 # --- witness conversions ----------------------------------------------------

@@ -334,7 +334,7 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
     value at h o f once and the value at h o f o g once per shift g, up to
     the first comparison that fails.
     """
-    from .ramsey import Homogeneous, join_nodes, largest, member_colours
+    from .ramsey import Homogeneous, family_colours, join_nodes, largest
     if phi.codomain is None:
         raise ValueError("perfection extraction needs a quasi-order codomain")
     gs = list(gs)
@@ -348,9 +348,11 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
     joins = []
     for g in gs:
         joins.extend(join_nodes(phi.front, window, g))
-    colors = {u: (1 if leq(phi.value(s), phi.value(t)) else 0)
-              for (u, s, t) in joins}
-    colours = member_colours(colors)
+    holds = [leq(phi.value(s), phi.value(t)) for _, s, t in joins]
+    # a join node of several shifts is coloured by all their comparisons
+    colors = dict.fromkeys((u for u, _, _ in joins), 1)
+    colors.update((u, 0) for (u, _, _), h in zip(joins, holds) if not h)
+    colours = family_colours(phi.front, colors)
     battery = _sample_battery(window)
 
     def verify(h: IncInj) -> int:

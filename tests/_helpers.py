@@ -4,11 +4,15 @@ from __future__ import annotations
 import bisect
 import itertools
 
+import bqo.fronts
+import bqo.ramsey
 from bqo.errors import (InsufficientPrefix, InvariantViolated,
-                        WindowExhausted)
+                        NoMemberWithinBound, NotInBase, WindowExhausted)
 from bqo.fronts import (
+    StepResult,
     UniformSchema,
     members_within,
+    ray,
     schreier_front,
     seq_front,
     trivial_front,
@@ -17,8 +21,10 @@ from bqo.fronts import (
 from bqo.games import _moves
 from bqo.hset import Atom, HSet, Node, node
 from bqo.ordinal import OrdinalCNF
-from bqo.qo import FiniteQO
-from bqo.ramsey import DichotomyReport, join_nodes, largest, member_colours
+from bqo.qo import RADO, FiniteQO
+from bqo.ramsey import (DichotomyReport, ExtractReport, Homogeneous,
+                        _points_and_members, largest,
+                        member_colours)
 from bqo.streams import evens, parse_base
 from bqo.superseq import SpareReport, _search_bound
 
@@ -113,6 +119,25 @@ def segment_violation_reference(members):
     return None
 
 
+def front_step_reference(F, Y) -> StepResult:
+    """front_step by one ray per entry of Y until the residual front is
+    trivial, each entry checked against the residual base first; kept as
+    the reference for the closed form on a residual uniform front. The
+    ceiling is read from bqo.fronts at each call."""
+    member: list = []
+    cur = F
+    while not cur.schema.trivial:
+        if len(member) >= bqo.fronts._STEP_CEILING:
+            raise NoMemberWithinBound(
+                f"consumed {len(member)} elements without completing a member")
+        v = Y.nth(len(member))
+        if not cur.base.contains(v):
+            raise NotInBase(f"element {v} of the argument is outside the base")
+        member.append(v)
+        cur = ray(cur, v)
+    return StepResult(member=tuple(member), modulus=len(member))
+
+
 def join_nodes_reference(front, window: int, g=lambda i: i + 1) -> list:
     """Join nodes by an unpruned walk over every increasing tuple u of
     window points, slicing each prefix of u and of its g-subsequence and
@@ -149,12 +174,62 @@ def join_nodes_reference(front, window: int, g=lambda i: i + 1) -> list:
     return out
 
 
+def nw_extract_reference(col, window: int, target: int) -> ExtractReport:
+    """nw_extract with the colours of every family, uniform or not, read
+    from member_colours' bitmask index, and the witnesses filtered from
+    the members; kept as the reference for the closed form on uniform
+    fronts."""
+    if col.r != 2:
+        raise ValueError("extraction needs a 2-coloring")
+    if target < 0:
+        raise ValueError("extraction needs a target size >= 0")
+    points, members = _points_and_members(col.front, window)
+    colors = {}
+    for s in members:
+        c = int(col.color(s))
+        if not 0 <= c < 2:
+            raise ValueError(f"color {c} of member {s} out of range")
+        colors[s] = c
+    colours = member_colours(colors)
+    for side in (0, 1):
+        Z = next(iter(Homogeneous(points, colours, side, target)), None)
+        if Z is not None:
+            inside = frozenset(Z)
+            witnesses = tuple((s, colors[s]) for s in members
+                              if frozenset(s) <= inside)
+            return ExtractReport(Z, side, window, target, True,
+                                 len(members), witnesses)
+    raise WindowExhausted(
+        f"no one-sided set of size {target} below {window}")
+
+
+def member_colours_path(monkeypatch) -> None:
+    """Send bqo.ramsey's join nodes through join_nodes_reference and its
+    family colourings through member_colours' bitmask index, on every
+    front: the path a uniform front took before its closed forms, for
+    the extractions that look both up in bqo.ramsey at call time."""
+    monkeypatch.setattr(bqo.ramsey, "join_nodes", join_nodes_reference)
+    monkeypatch.setattr(bqo.ramsey, "family_colours",
+                        lambda front, colour_of: member_colours(colour_of))
+
+
+def pair_order_violations_reference(X, vals, leq) -> list:
+    """The pair-order check of laver_embed by one RADO.raw_leq and one leq
+    per ordered pair of pairs over X, p-major; kept as the reference for
+    the rows built in closed form."""
+    pairs = list(itertools.combinations(X, 2))
+    return [(p, q, left, right)
+            for p, vp in zip(pairs, vals) for q, vq in zip(pairs, vals)
+            if (left := RADO.raw_leq(p, q)) != (right := leq(vp, vq))]
+
+
 def dichotomy_extract_reference(phi, R, window: int,
                                 relation_name: str = "R"):
     """dichotomy_extract by two full largest-set searches, one per side,
     the relation side taken only when strictly larger; kept as the
-    reference for the one search over both sides."""
-    joins = join_nodes(phi.front, window)
+    reference for the one search over both sides. Join nodes come from
+    the unpruned walk and colours from member_colours on every front."""
+    joins = join_nodes_reference(phi.front, window)
     if not joins:
         raise WindowExhausted("no shift pair is determined within the window")
     cmap = {u: (1 if R(phi.value(s), phi.value(t)) else 0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqo.errors import (
+    DomainError,
     EmptyTruncation,
     NoMemberWithinBound,
     NotInBase,
@@ -45,11 +46,13 @@ from bqo.fronts import (
 from bqo.games import tilde_build
 from bqo.hset import Atom, node
 from bqo.ordinal import OMEGA_ORD, OrdinalCNF
-from bqo.streams import InfSet, arithmetic, evens, odds, omega, parse_base
+from bqo.streams import (InfSet, arithmetic, evens, odds, omega, parse_base,
+                         prefix_then_arithmetic)
 from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import (
     SHIFT_PAIR_FRONTS,
+    front_step_reference,
     segment_violation_reference,
     shift_pairs_reference,
     shift_witness_oracle,
@@ -173,6 +176,65 @@ class TestStep:
             res = front_step(F, Y)
             assert front_member(F, res.member)
             assert Y.prefix(len(res.member)) == res.member
+
+
+STEP_BASES = ("omega", "evens", "prefix:0,2+arith:5,3")
+
+
+def step_fronts(base: InfSet) -> list:
+    """Uniform fronts k = 0 to 4, the Schreier front and a sequence front
+    mixing member lengths 2 to 4, on one base."""
+    seq = SHIFT_PAIR_FRONTS["seq"][0].schema
+    return [*(uniform_front(k, base) for k in range(5)),
+            schreier_front(base), Front(seq, base)]
+
+
+def step_arguments(base: InfSet) -> list:
+    """Sets inside the base (the base, a tail, every other element), and
+    for each position 0 to 5 one that follows the base up to it and leaves
+    it there; then one whose enumeration stops increasing at index 2."""
+    ys = [base, base.after(base.nth(2)),
+          InfSet(lambda i: base.nth(2 * i), name="alternate")]
+    for i in range(6):
+        head = base.prefix(i)
+        out = next(x for x in range(head[-1] + 1 if head else 0, 10**6)
+                   if not base.contains(x)) if base.name != "omega" else None
+        if out is not None:
+            ys.append(prefix_then_arithmetic(head + (out,), out + 1, 1))
+    ys.append(InfSet(lambda i: (base.nth(0), base.nth(2), base.nth(1))[i]
+                     if i < 3 else base.nth(i), name="broken"))
+    return ys
+
+
+def step_outcome(step, F, Y):
+    try:
+        res = step(F, Y)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    return res.member, res.modulus
+
+
+class TestStepClosedForm:
+    """front_step against the one-ray-per-entry reference walk."""
+
+    @pytest.mark.parametrize("ceiling", [None, 0, 1, 3])
+    @pytest.mark.parametrize("base", STEP_BASES)
+    def test_matches_the_ray_walk(self, base, ceiling, monkeypatch):
+        if ceiling is not None:
+            monkeypatch.setattr(bqo.fronts, "_STEP_CEILING", ceiling)
+        for F in step_fronts(parse_base(base)):
+            for Y in step_arguments(parse_base(base)):
+                want = step_outcome(front_step_reference, F, Y)
+                assert step_outcome(front_step, F, Y) == want, (F, Y.name)
+
+    def test_every_kind_of_outcome_is_covered(self, monkeypatch):
+        monkeypatch.setattr(bqo.fronts, "_STEP_CEILING", 3)
+        kinds = {step_outcome(front_step, F, Y)[0]
+                 for base in STEP_BASES
+                 for F in step_fronts(parse_base(base))
+                 for Y in step_arguments(parse_base(base))}
+        assert {NotInBase, NoMemberWithinBound, ValueError} <= kinds
+        assert any(isinstance(kind, tuple) for kind in kinds)
 
 
 class TestRays:

@@ -465,9 +465,22 @@ class TestRadoAntichainWitness:
             rado_antichain_witness(5, 2)
 
     def test_broken_relation_is_an_invariant_violation(self, monkeypatch):
-        monkeypatch.setattr(bqo.qo, "rado_leq", lambda s, t: True)
+        monkeypatch.setattr(bqo.qo, "_rado_leq_raw", lambda s, t: True)
         with pytest.raises(InvariantViolated):
             rado_antichain_witness(0, 1)
+
+    @pytest.mark.parametrize("m, n", [(True, 2), (False, 1), (0, True)])
+    def test_bool_index_is_not_a_pair(self, m, n):
+        with pytest.raises(NotAPair, match=r"is not an increasing pair"):
+            rado_antichain_witness(m, n)
+
+    def test_the_pair_is_checked_once(self, monkeypatch):
+        checked = []
+        check = bqo.qo._check_rado_pair
+        monkeypatch.setattr(bqo.qo, "_check_rado_pair",
+                            lambda s: checked.append(s) or check(s))
+        rado_antichain_witness(2, 7)
+        assert checked == [(2, 7)]
 
     def test_separation_against_brute_downsets(self):
         # membership via explicit generator enumeration with a generous bound

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqo.ramsey
 from bqo.errors import (
     DomainError,
     EmbeddingCheckFailed,
@@ -23,6 +24,7 @@ from bqo.errors import (
 from bqo.fronts import (
     Front,
     front_member,
+    front_to_dict,
     members_within,
     schreier_front,
     trivial_front,
@@ -42,13 +44,15 @@ from bqo.ramsey import (
     named_coloring,
     nw_extract,
     powerset_badseq_to_f2,
+    _pair_order_violations,
 )
 from bqo.shifts import parse_inj
-from bqo.streams import InfSet, odds
+from bqo.streams import InfSet, odds, parse_base
 from bqo.superseq import SuperSeq, badness_check, named_valuation, perfect_check
 
 from _helpers import (SHIFT_PAIR_FRONTS, dichotomy_extract_reference,
-                      join_nodes_reference)
+                      join_nodes_reference, nw_extract_reference,
+                      pair_order_violations_reference)
 
 OMEGA_EQ = CodedQO(
     name="omega-eq",
@@ -310,6 +314,49 @@ class TestNWExtract:
                 assert table[s] == rep.side
 
 
+def nw_outcome(extract, col, window: int, target: int):
+    """What a window extraction reports, or the error it raises."""
+    try:
+        rep = extract(col, window, target)
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (rep.Z, rep.side, rep.window, rep.target, rep.exhaustive,
+            rep.members_checked, rep.witnesses)
+
+
+def nw_colorings(front, rng: random.Random) -> list:
+    """The named rules, a rule that leaves the colour range, and random
+    tables over the members below 7, with a default and without."""
+    cols = [Coloring(front, named_coloring(rule)) for rule in
+            ("sum-parity", "size-parity", "min-parity", "max-parity",
+             "constant:0", "constant:1", "constant:2")]
+    for default in (0, None):
+        rows = {",".join(map(str, s)): rng.randrange(2)
+                for s in members_within(front, 7) if rng.random() < 0.7}
+        data = {"front": front_to_dict(front), "table": rows}
+        if default is not None:
+            data["default"] = default
+        cols.append(coloring_from_dict(data))
+    return cols
+
+
+class TestNWExtractClosedForm:
+    """nw_extract against the member_colours path on every front."""
+
+    @pytest.mark.parametrize("front", [
+        "trivial", "u1", "u2", "u3", "u2-evens", "u3-prefix", "schreier",
+        "seq"])
+    def test_matches_the_member_colours_path(self, front):
+        front = SHIFT_PAIR_FRONTS[front][0]
+        rng = random.Random(f"nw {front}")
+        for col in nw_colorings(front, rng):
+            for window in (0, 1, 3, 5, 8, 10, 12):
+                for target in range(6):
+                    assert nw_outcome(nw_extract, col, window, target) == \
+                        nw_outcome(nw_extract_reference, col, window,
+                                   target), (col.color, window, target)
+
+
 def one_sided(Z, family: dict, side: int) -> bool:
     """Every member of the family inside Z has colour side."""
     return all(c == side for s, c in family.items() if set(s) <= set(Z))
@@ -404,6 +451,24 @@ class TestJoinNodes:
     def test_g_not_increasing_and_non_negative_is_refused(self, g):
         with pytest.raises(ValueError, match="increasing and non-negative"):
             join_nodes(uniform_front(2), 8, g)
+
+    # windows holding 0, 3, 7 and 10 points of each base
+    @pytest.mark.parametrize("shift", ["succ", "affine:1,2", "affine:2,0",
+                                       "affine:2,1", "past"])
+    @pytest.mark.parametrize("base, windows", [
+        ("omega", (0, 3, 7, 10)), ("evens", (0, 6, 14, 20)),
+        ("prefix:0,2+arith:5,3", (0, 6, 18, 27))])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_uniform_closed_form_matches_the_reference_walk(
+            self, k, base, windows, shift):
+        front = uniform_front(k, parse_base(base))
+        g = (lambda i: 5 + i) if shift == "past" else parse_inj(shift)
+        for window in windows:
+            joins = join_nodes(front, window, g)
+            assert joins == join_nodes_reference(front, window, g), window
+            if joins:
+                assert {len(u) for u, _, _ in joins} == \
+                    {max(k, g(k - 1) + 1)}
 
     def test_g_beyond_the_window_gives_no_g_subsequence(self):
         # no pick below the window: t is never resolved on a nonempty front
@@ -561,7 +626,8 @@ class TestDichotomy:
                                           R, window)
 
     # the fixture sweep: u3 and schreier at windows 8 and 12 only
-    @pytest.mark.parametrize("front", ["u1", "u2", "u3", "schreier"])
+    @pytest.mark.parametrize("front", ["u1", "u2", "u3", "schreier",
+                                       "u2-evens", "u3-prefix", "u4"])
     @pytest.mark.parametrize("rule", ["min", "span", "minmod2", "identity"])
     def test_matches_the_two_search_reference_on_fixtures(self, rule, front):
         windows = (8, 12, 16) if front in ("u1", "u2") else (8, 12)
@@ -706,6 +772,63 @@ class TestLaverEmbed:
         after_scan = checked[len(scanned):]
         assert after_scan
         assert len(after_scan) == len(set(after_scan))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_pair_order_check_matches_the_reference_on_seeded_tables(
+            self, seed):
+        # a random relation on five values, logged call by call
+        rng = random.Random(seed)
+        X = tuple(sorted(rng.sample(range(20), rng.randrange(8))))
+        relation = {(a, b): rng.random() < 0.5
+                    for a in range(5) for b in range(5)}
+        pairs = list(itertools.combinations(X, 2))
+        vals = [rng.randrange(5) for _ in pairs]
+        logs: list = [[], []]
+
+        def logged(log):
+            return lambda a, b: log.append((a, b)) or relation[a, b]
+
+        got = _pair_order_violations(X, vals, logged(logs[0]))
+        assert got == pair_order_violations_reference(X, vals,
+                                                      logged(logs[1]))
+        assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_violations_match_the_reference_end_to_end(self, seed,
+                                                       monkeypatch):
+        # rado with seeded flips of same-first-entry comparisons, and the
+        # loose order: both pass the stages, and the check lists where
+        # they disagree with the pair order
+        rng = random.Random(seed)
+        flips = {(a, b, c) for a in range(12) for b in range(a + 1, 12)
+                 for c in range(a + 1, 12) if rng.random() < 0.05}
+
+        def flipped(x, y):
+            return rado_leq(x, y) != ((x[0] == y[0]) and (x[0], x[1], y[1])
+                                      in flips)
+
+        orders = [CodedQO(name="flipped", check=RADO.check, leq=flipped,
+                          raw_leq=flipped, key=RADO.key, fmt=RADO.fmt),
+                  CodedQO(name="loose", check=lambda x: x,
+                          leq=lambda a, b: a[1] != b[0],
+                          raw_leq=lambda a, b: a[1] != b[0],
+                          key=lambda x: x, fmt=str, parse=lambda s: s)]
+        outcomes = []
+        for check in (bqo.ramsey._pair_order_violations,
+                      pair_order_violations_reference):
+            monkeypatch.setattr(bqo.ramsey, "_pair_order_violations", check)
+            for order in orders:
+                f = SuperSeq(front=uniform_front(2),
+                             valuation=lambda s: tuple(s), codomain=order,
+                             name="seeded")
+                try:
+                    rep = laver_embed(f, 12)
+                    outcomes.append((rep.X, rep.pairs_checked))
+                except EmbeddingCheckFailed as exc:
+                    outcomes.append((str(exc), exc.pairs))
+                except DomainError as exc:
+                    outcomes.append((type(exc), str(exc)))
+        assert outcomes[:2] == outcomes[2:]
 
     def test_violations_match_a_reference_loop(self):
         # the perturbation makes some same-first-entry pairs comparable

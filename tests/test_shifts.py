@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqo
-from bqo.errors import (InvariantViolated, LooksLikeIdentity, NotBQOEvidence,
-                        WindowExhausted)
+from bqo.errors import (DomainError, InvariantViolated, LooksLikeIdentity,
+                        NotBQOEvidence, WindowExhausted)
 from bqo.fronts import schreier_front, uniform_front
 from bqo.qo import OMEGA, RADO, antichain
 from bqo.ramsey import join_nodes
@@ -33,6 +33,8 @@ from bqo.shifts import (
 )
 from bqo.streams import arithmetic, evens, omega
 from bqo.superseq import SuperSeq, named_valuation
+
+from _helpers import SHIFT_PAIR_FRONTS, member_colours_path
 
 
 def random_inj(rng: random.Random, allow_identity: bool = True) -> IncInj:
@@ -378,3 +380,61 @@ class TestGPerfectExtract:
                       codomain=OMEGA, name="min")
         with pytest.raises(ValueError):
             g_perfect_extract(mn, [], 8)
+
+
+def perfect_outcome(phi, shifts, window: int):
+    """What g_perfect_extract reports for the shift descriptors, or the
+    error it raises."""
+    try:
+        rep = g_perfect_extract(phi, map(parse_inj, shifts), window)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return (rep.Z, rep.h_set.name, rep.h.values(12), rep.joins_colored,
+            rep.checks_passed, rep.candidates_tried)
+
+
+PERFECT_CODOMAIN = {"identity": RADO, "minmod2": antichain(2)}
+PERFECT_SHIFTS = [["succ"], ["affine:1,2"], ["affine:2,0"],
+                  ["succ", "affine:1,2"], ["affine:1,2", "affine:2,1"],
+                  ["affine:2,0", "affine:1,3"]]
+
+
+def perfect_fixture(rule: str, front: str) -> SuperSeq:
+    return SuperSeq(front=SHIFT_PAIR_FRONTS[front][0],
+                    valuation=named_valuation(rule),
+                    codomain=PERFECT_CODOMAIN.get(rule, OMEGA), name=rule)
+
+
+class TestGPerfectClosedForm:
+    @pytest.mark.parametrize("front", ["u1", "u2", "u3", "u2-evens",
+                                       "schreier"])
+    @pytest.mark.parametrize("rule", ["min", "span", "minmod2", "identity"])
+    def test_matches_the_member_colours_path(self, rule, front, monkeypatch):
+        cases = [(shifts, window) for shifts in PERFECT_SHIFTS
+                 for window in (6, 9)]
+        got = [perfect_outcome(perfect_fixture(rule, front), *case)
+               for case in cases]
+        member_colours_path(monkeypatch)
+        want = [perfect_outcome(perfect_fixture(rule, front), *case)
+                for case in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("front", ["u2", "u3", "schreier"])
+    @pytest.mark.parametrize("rule", ["min", "span", "minmod2", "identity"])
+    def test_either_order_of_two_shifts_gives_one_report(self, rule, front):
+        for a, b in (("affine:1,2", "affine:2,1"), ("succ", "affine:1,2"),
+                     ("affine:2,0", "affine:2,1")):
+            for window in (8, 10):
+                phi = perfect_fixture(rule, front)
+                assert perfect_outcome(phi, [a, b], window) == \
+                    perfect_outcome(perfect_fixture(rule, front), [b, a],
+                                    window), (a, b, window)
+
+    def test_a_shared_join_node_holds_every_shift_comparison(self):
+        # affine:1,2 and affine:2,1 both resolve pair-front join nodes at
+        # length 4; the node's colour holds only where both comparisons do
+        phi = perfect_fixture("identity", "u2")
+        for shifts in (["affine:1,2", "affine:2,1"],
+                       ["affine:2,1", "affine:1,2"]):
+            with pytest.raises(NotBQOEvidence, match="210 witnesses"):
+                g_perfect_extract(phi, map(parse_inj, shifts), 10)
