@@ -223,8 +223,9 @@ def front_member(F: Front, s) -> bool:
     """Whether s walks the front's rays to a trivial front.
 
     The schema's rays are walked first, so a tuple of the wrong shape is
-    refused without enumerating the base; only a tuple of the right shape
-    enumerates the base, up to its largest entry."""
+    refused without reading the base. A tuple of the right shape reads a
+    descriptor base in closed form, and enumerates a generator base up to
+    its largest entry."""
     schema = F.schema
     for x in check_front_element(s):
         if schema.trivial:

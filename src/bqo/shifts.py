@@ -1,10 +1,11 @@
 """Increasing injections of the naturals and shift transport.
 
-IncInj wraps a total evaluator n -> f(n) validated to be strictly
-increasing on every evaluated window.  The module provides the composition
-monoid, critical points and orbit maps of non-identity members, and the
-two transport constructions rho and sigma that exchange the plain shift
-with an arbitrary right-composition shift:
+IncInj is a strictly increasing injection n -> f(n): a descriptor
+injection reads a set's enumeration in closed form, and any other
+evaluator is checked on every window it evaluates.  The module provides
+the composition monoid, critical points and orbit maps of non-identity
+members, and the two transport constructions rho and sigma that exchange
+the plain shift with an arbitrary right-composition shift:
 
     rho(f o g) = rho(f) o successor        (rho(f) = f o orbit(g))
     sigma(f o successor) = sigma(f) o g    (piecewise orbit exponents)
@@ -13,12 +14,11 @@ sigma's strict monotonicity is checked at run time across every piece
 boundary it evaluates, by replaying the two inequality chains that prove
 it; a failed link raises InvariantViolated.  g_perfect_extract searches a
 window for a restriction h making a valuation monotone along every
-requested shift simultaneously.  Its join nodes and candidate sets come
-from bqo.ramsey (join_nodes and the one homogeneous-set search), and each
-candidate is verified against a deterministic battery of sampled
-injections before it is accepted.  The front and extraction modules are
-imported where g_perfect_extract needs them, so the injection code alone
-loads only bqo.streams and bqo.errors.
+requested shift at once: its join nodes and candidate sets come from
+bqo.ramsey, and each candidate must pass a deterministic battery of
+sampled injections.  It imports the front and extraction modules where
+it needs them, so the injection code alone loads only bqo.streams and
+bqo.errors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
 
 from .errors import (InvariantViolated, LooksLikeIdentity, NoMemberWithinBound,
                      NotBQOEvidence, NotInBase, WindowExhausted)
-from .streams import InfSet, parse_base, prefix_then_arithmetic
+from .streams import InfSet, _closed, parse_base, prefix_then_arithmetic
 
 if TYPE_CHECKING:
     from .superseq import SuperSeq
@@ -40,17 +40,23 @@ if TYPE_CHECKING:
 class IncInj:
     """A strictly increasing injection of the naturals, given by evaluator.
 
-    Values are cached; every evaluation is checked against its cached
-    neighbours, so filling a window validates strict monotonicity on it.
+    Descriptor injections and enum_of_set read a set's enumeration as it
+    stands (_cache=None), which is checked or closed-form already. Other
+    values are cached, unbounded and sparse: each evaluation is checked
+    against its evaluated neighbours only, so a lone value below the
+    identity passes, and sigma's own f(n) >= n check catches it.
     """
 
     evaluator: Callable[[int], int]
     name: str = "f"
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: Optional[dict] = field(default_factory=dict, compare=False,
+                                   repr=False)
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("increasing injections are defined on naturals")
+        if self._cache is None:
+            return self.evaluator(n)
         v = self._cache.get(n)
         if v is None:
             v = int(self.evaluator(n))
@@ -75,11 +81,11 @@ class IncInj:
 
 
 def identity_inj() -> IncInj:
-    return IncInj(lambda n: n, name="id")
+    return IncInj(_closed((), 0, 1, "id").nth, "id", _cache=None)
 
 
 def successor() -> IncInj:
-    return IncInj(lambda n: n + 1, name="succ")
+    return IncInj(_closed((), 1, 1, "succ").nth, "succ", _cache=None)
 
 
 def affine(a: int, b: int) -> IncInj:
@@ -87,7 +93,8 @@ def affine(a: int, b: int) -> IncInj:
         raise ValueError("affine slope must be at least 1")
     if b < 0:
         raise ValueError("affine offset must be a natural")
-    return IncInj(lambda n: a * n + b, name=f"affine:{a},{b}")
+    name = f"affine:{a},{b}"
+    return IncInj(_closed((), b, a, name).nth, name, _cache=None)
 
 
 def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
@@ -102,17 +109,14 @@ def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
         raise ValueError("tail slope must be at least 1")
     if a * len(table) + b <= table[-1]:
         raise ValueError("tail must continue above the table")
-
-    def ev(n: int) -> int:
-        return table[n] if n < len(table) else a * n + b
-
-    head = ",".join(str(x) for x in table)
-    return IncInj(ev, name=f"table:{head}+tail:affine:{a},{b}")
+    name = f"table:{','.join(map(str, table))}+tail:affine:{a},{b}"
+    return IncInj(_closed(table, a * len(table) + b, a, name).nth, name,
+                  _cache=None)
 
 
 def enum_of_set(X: InfSet) -> IncInj:
     """The injection enumerating an infinite set in increasing order."""
-    return IncInj(X.nth, name=f"enum-of-set:{X.name}")
+    return IncInj(X.nth, name=f"enum-of-set:{X.name}", _cache=None)
 
 
 def parse_inj(descriptor: str) -> IncInj:
@@ -180,8 +184,7 @@ def rho(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     """Transport along the orbit: rho(f) = f o orbit(g), which turns
     right-composition by g into right-composition by the successor."""
     G = orbit_map(g, probe)
-    out = compose(f, G)
-    return IncInj(out.evaluator, name=f"rho({f.name};{g.name})")
+    return IncInj(lambda n: f(G(n)), name=f"rho({f.name};{g.name})")
 
 
 def _require(holds: bool, what: str) -> None:
@@ -244,31 +247,18 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
 def factor_enumeration(X: InfSet, Y: InfSet, window: int) -> Optional[IncInj]:
     """The injection h with enum(X) = enum(Y) o h, when X sits inside Y.
 
-    Positions are matched on [0, window); returns None as soon as an X
-    element is missed by Y's enumeration, witnessing non-containment.
+    h(n) is the position in Y of X's n-th element. Containment is checked
+    on X's first `window` elements, and None returned at the first one Y
+    misses; past the window, a missed element raises ValueError.
     """
-    positions = []
-    j = 0
-    for i in range(window):
-        x = X.nth(i)
-        while Y.nth(j) < x:
-            j += 1
-        if Y.nth(j) != x:
-            return None
-        positions.append(j)
+    if not all(Y.contains(X.nth(i)) for i in range(window)):
+        return None
 
     def ev(n: int) -> int:
-        if n < len(positions):
-            return positions[n]
-        # beyond the verified window, keep matching (may raise if it fails)
-        target = X.nth(n)
-        k = positions[-1] if positions else 0
-        while Y.nth(k) < target:
-            k += 1
-        if Y.nth(k) != target:
+        if not Y.contains(X.nth(n)):
             raise ValueError(
                 f"{X.name} is not inside {Y.name} at position {n}")
-        return k
+        return Y._position(X.nth(n))
 
     return IncInj(ev, name=f"factor({X.name}<={Y.name})")
 
@@ -281,16 +271,6 @@ def _sample_battery(window: int) -> List[IncInj]:
     battery += [affine(2, b) for b in (0, 1, 2)]
     battery += [affine(3, b) for b in (0, 1)]
     return battery
-
-
-def _extend_listing(Z: Sequence[int]) -> InfSet:
-    """Infinite set continuing a finite listing by its final stride."""
-    Z = tuple(Z)
-    if len(Z) >= 2:
-        step = Z[-1] - Z[-2]
-    else:
-        step = 1
-    return prefix_then_arithmetic(Z, Z[-1] + step, step)
 
 
 def _resolve_value(phi: SuperSeq, h: IncInj, limit: int):
@@ -374,7 +354,8 @@ def g_perfect_extract(phi: SuperSeq, gs: Iterable[IncInj],
         # at most 256 candidates of each size are extended and verified
         for Z in itertools.islice(Homogeneous(points, colours, 1, size), 256):
             tried += 1
-            h_set = _extend_listing(Z)
+            step = Z[-1] - Z[-2] if len(Z) >= 2 else 1
+            h_set = prefix_then_arithmetic(Z, Z[-1] + step, step)
             h = enum_of_set(h_set)
             checks = verify(h)
             if checks:

@@ -1,10 +1,13 @@
 """Infinite subsets of omega as total increasing enumerations.
 
-An InfSet is a strictly increasing enumeration n -> x_n with a materialised
-prefix cache, never a bare membership predicate: that way density arguments
-terminate with explicit moduli. Tails (after, shift) are offsets into their
-root set: they share its enumeration and cache, a tail of a tail composes
-the offsets, and no chain of tails nests generators.
+An InfSet is a strictly increasing enumeration n -> x_n, never a bare
+membership predicate: that way density arguments terminate with explicit
+moduli. Every descriptor set is a finite head and then an arithmetic tail,
+read in closed form with nothing cached. A set built from a generator
+keeps a checked prefix cache, unbounded because such a set answers
+contains(x) only by listing every element below x. Tails (after, shift)
+are offsets into their root set: they share its enumeration, a tail of a
+tail composes the offsets, and no chain of tails nests generators.
 """
 from __future__ import annotations
 
@@ -15,11 +18,12 @@ from typing import Callable, Sequence
 class InfSet:
     """Infinite subset of the naturals, presented by its enumeration."""
 
-    __slots__ = ("_gen", "_cache", "_root", "_offset", "name")
+    __slots__ = ("_gen", "_cache", "_start", "_step", "_root", "_offset",
+                 "name")
 
     def __init__(self, gen: Callable[[int], int], name: str = "set"):
         self._gen = gen
-        self._cache: list = []
+        self._cache: Sequence[int] = []
         self._root = self
         self._offset = 0
         self.name = name
@@ -30,6 +34,10 @@ class InfSet:
         root = self._root
         cache = root._cache
         i += self._offset
+        if i < len(cache):
+            return cache[i]
+        if root._gen is None:
+            return root._start + root._step * (i - len(cache))
         while len(cache) <= i:
             k = len(cache)
             v = int(root._gen(k))
@@ -42,14 +50,16 @@ class InfSet:
             cache.append(v)
         return cache[i]
 
-    def _index(self, x: int) -> int:
-        """Root cache index of this set's first element >= x, materialising
-        the root up to that element."""
-        root = self._root
-        cache = root._cache
-        while len(cache) <= self._offset or cache[-1] < x:
-            root.nth(len(cache))
-        return bisect.bisect_left(cache, x, self._offset)
+    def _position(self, x: int) -> int:
+        """Position in this set of its first element >= x."""
+        root, cache = self._root, self._root._cache
+        if root._gen is not None:
+            while len(cache) <= self._offset or cache[-1] < x:
+                root.nth(len(cache))
+        i = bisect.bisect_left(cache, x)
+        if i == len(cache):     # past a closed form's head
+            i += max(0, -((root._start - x) // root._step))
+        return max(i - self._offset, 0)
 
     def _tail(self, offset: int, name: str) -> "InfSet":
         tail = object.__new__(InfSet)
@@ -61,14 +71,20 @@ class InfSet:
 
     def upto(self, bound: int) -> tuple:
         """All elements strictly below the bound."""
-        return tuple(self._root._cache[self._offset:self._index(bound)])
+        n = self._position(bound)
+        root, lo = self._root, self._offset
+        head = tuple(root._cache[lo:lo + n])
+        if len(head) == n:
+            return head
+        return head + tuple(range(self.nth(len(head)), bound, root._step))
 
     def contains(self, x: int) -> bool:
-        return x >= 0 and self._root._cache[self._index(x)] == x
+        return x >= 0 and self.nth(self._position(x)) == x
 
     def after(self, n: int) -> "InfSet":
         """The tail {x in this set | x > n}."""
-        return self._tail(self._index(n + 1), f"{self.name}/{n}")
+        return self._tail(self._offset + self._position(n + 1),
+                          f"{self.name}/{n}")
 
     def shift(self) -> "InfSet":
         """Drop the least element."""
@@ -86,14 +102,23 @@ class InfSet:
         return f"InfSet({self.name})"
 
 
+def _closed(head: tuple, start: int, step: int, name: str) -> InfSet:
+    """The one constructor of descriptor sets: a head, then start + step*i."""
+    if (head[0] if head else start) < 0:
+        raise ValueError(f"{name}: enumeration left the naturals")
+    s = InfSet(None, name)
+    s._cache, s._start, s._step = head, start, step
+    return s
+
+
 def omega() -> InfSet:
-    return InfSet(lambda i: i, name="omega")
+    return _closed((), 0, 1, "omega")
 
 
 def arithmetic(start: int, step: int) -> InfSet:
     if step < 1:
         raise ValueError("arithmetic progression needs positive step")
-    return InfSet(lambda i: start + step * i, name=f"arith:{start},{step}")
+    return _closed((), start, step, f"arith:{start},{step}")
 
 
 def evens() -> InfSet:
@@ -114,14 +139,8 @@ def prefix_then_arithmetic(prefix: Sequence[int], start: int,
         raise ValueError("tail must start above the prefix")
     if step < 1:
         raise ValueError("tail needs positive step")
-
-    def gen(i: int) -> int:
-        if i < len(prefix):
-            return prefix[i]
-        return start + step * (i - len(prefix))
-
     head = ",".join(str(x) for x in prefix)
-    return InfSet(gen, name=f"prefix:{head}+arith:{start},{step}")
+    return _closed(prefix, start, step, f"prefix:{head}+arith:{start},{step}")
 
 
 def parse_base(descriptor: str) -> InfSet:
@@ -139,7 +158,7 @@ def parse_base(descriptor: str) -> InfSet:
         return odds()
     if d.startswith("omega/"):
         k = int(d.split("/", 1)[1])
-        return InfSet(lambda i, k=k: k + 1 + i, name=f"omega/{k}")
+        return _closed((), k + 1, 1, f"omega/{k}")
     if d.startswith("prefix:"):
         head, _, tail = d.partition("+")
         if not tail.startswith("arith:"):

@@ -81,6 +81,18 @@ USAGE_ERROR_ARGV = [
     ["seq", "bad", "--fixture", "identity@uniform:x"],
 ]
 
+# a descriptor entry below 0 is refused when its set is built
+NEGATIVE_DESCRIPTOR_ARGV = [
+    "front step --schema uniform --k 2 --base omega/-5",
+    "front step --schema uniform --k 2 --at arith:-4,2",
+    "front restrict --schema uniform --k 2 --to prefix:-1+arith:3,1",
+    "front verify --schema uniform --k 2 --samples arith:-2,1",
+    "seq eval --fixture min@u2 --at arith:-1,1",
+    "shift orbit enum-of-set:arith:-3,1",
+    "shift rho affine:1,0 table:-2,5+tail:affine:1,9",
+    "front rank --schema uniform --k 2 --base arith:-5,1",
+]
+
 DOMAIN_ERROR_ARGV = [
     ["rado", "witness", "3", "3"],           # needs m < n
     ["front", "ray", "--schema", "trivial", "0"],
@@ -148,6 +160,12 @@ class TestExitCodes:
         assert code == 2, f"{argv} gave exit {code}"
         assert out == "" and "Traceback" not in err
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", NEGATIVE_DESCRIPTOR_ARGV)
+    def test_a_negative_descriptor_entry_is_a_usage_error(self, argv):
+        code, out, err = run_cli(argv.split())
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "left the naturals" in err
 
     @pytest.mark.parametrize("argv, content, message", [
         (["front", "rank", "--front-file"], {"schema": "uniform"},

@@ -31,7 +31,7 @@ from bqo.shifts import (
     successor,
     table_then_affine,
 )
-from bqo.streams import arithmetic, evens, omega
+from bqo.streams import InfSet, arithmetic, evens, omega, prefix_then_arithmetic
 from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import SHIFT_PAIR_FRONTS, member_colours_path
@@ -291,6 +291,75 @@ class TestFactorEnumeration:
         back = factor_enumeration(Xset, Y, 8)
         assert back is not None
         assert back.values(8) == h.values(8)
+
+
+# descriptor, name, reference evaluator
+INJECTIONS = [
+    ("id", "id", lambda n: n),
+    ("succ", "succ", lambda n: n + 1),
+    ("affine:1,0", "affine:1,0", lambda n: n),
+    ("affine:3,2", "affine:3,2", lambda n: 3 * n + 2),
+    ("table:0,2,5+tail:affine:1,6", "table:0,2,5+tail:affine:1,6",
+     lambda n: (0, 2, 5)[n] if n < 3 else n + 6),
+    ("table:4+tail:affine:2,3", "table:4+tail:affine:2,3",
+     lambda n: 4 if n == 0 else 2 * n + 3),
+    ("table:+tail:affine:2,1", "affine:2,1", lambda n: 2 * n + 1),
+    ("enum-of-set:evens", "enum-of-set:arith:0,2", lambda n: 2 * n),
+    ("enum-of-set:omega/3", "enum-of-set:omega/3", lambda n: n + 4),
+    ("enum-of-set:prefix:1,2,4+arith:10,5",
+     "enum-of-set:prefix:1,2,4+arith:10,5",
+     lambda n: (1, 2, 4)[n] if n < 3 else 10 + 5 * (n - 3)),
+]
+
+
+@pytest.mark.parametrize("desc, name, ev", INJECTIONS,
+                         ids=[i[0] for i in INJECTIONS])
+def test_descriptor_injection_matches_its_evaluator(desc, name, ev):
+    f, ref = parse_inj(desc), IncInj(ev, name=name)
+    assert f.name == ref.name and f.values(64) == ref.values(64)
+    assert f(10 ** 8) == ev(10 ** 8)
+    assert f._cache is None           # read from its set, with no dict
+    with pytest.raises(ValueError, match="defined on naturals"):
+        f(-1)
+
+
+def test_enum_of_a_generator_set_reads_its_checked_enumeration():
+    X = InfSet(lambda i: i * i + 1, name="sq")
+    f = enum_of_set(X)
+    assert f._cache is None and f.values(64) == X.prefix(64)
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        enum_of_set(InfSet(lambda i: 3 - i, name="down"))(1)
+
+
+def _generator(X):
+    return InfSet(X.nth, name=X.name)
+
+
+@pytest.mark.parametrize("make_x", [lambda X: X, _generator],
+                         ids=["closed-x", "generator-x"])
+@pytest.mark.parametrize("make_y", [lambda Y: Y, _generator],
+                         ids=["closed-y", "generator-y"])
+class TestFactorEnumerationClosedAndGenerator:
+    def test_inside(self, make_x, make_y):
+        X = make_x(prefix_then_arithmetic((1, 4), 10, 6))
+        Y = make_y(prefix_then_arithmetic((1, 2), 4, 3))
+        h = factor_enumeration(X, Y, 8)
+        ys = Y.prefix(200)
+        assert h.values(24) == tuple(ys.index(X.nth(n)) for n in range(24))
+
+    def test_not_inside(self, make_x, make_y):
+        assert factor_enumeration(make_x(arithmetic(1, 2)),
+                                  make_y(evens()), 8) is None
+        assert factor_enumeration(
+            make_x(prefix_then_arithmetic((0, 2, 4), 7, 2)),
+            make_y(evens()), 4) is None
+
+    def test_past_the_window(self, make_x, make_y):
+        X = make_x(prefix_then_arithmetic((0, 2, 4), 7, 2))
+        h = factor_enumeration(X, make_y(evens()), 3)
+        assert h.values(3) == (0, 1, 2)
+        with pytest.raises(ValueError, match="is not inside .* at position 3"):
+            h(3)
 
 
 class TestGJoinNodes:
