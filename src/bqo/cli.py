@@ -534,12 +534,26 @@ def _cmd_seq_sparsify(args):
     return payload, lines
 
 
+def _printable_count(count: int) -> int:
+    """count, if Python prints it: a count past the int-to-str digit limit
+    (4,300 digits by default, from Python 3.11 and the 3.10 security
+    releases; 0 lifts it) is a DomainError, one line and exit 1. Schreier
+    pair counts pass it just past window 20,000."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and count >= 10 ** limit:
+        raise DomainError(
+            f"pairs_scanned has more than {limit} decimal digits, past "
+            f"Python's int-to-str limit; try a smaller --window")
+    return count
+
+
 def _cmd_seq_bad(args):
     from .superseq import badness_check
     f = _ordered_superseq(args)
     rep = badness_check(f, args.window)
     payload = {"sequence": f.name, **_fields(
-        rep, "good_witness", "bad_on_window", "pairs_scanned")}
+        rep, "good_witness", "bad_on_window"),
+        "pairs_scanned": _printable_count(rep.pairs_scanned)}
     return payload, _lines(args, payload, "window", "bad_on_window",
                            "good_witness", "pairs_scanned")
 
@@ -549,7 +563,8 @@ def _cmd_seq_perfect(args):
     f, relation = _relation(args, _ordered_superseq(args))
     rep = perfect_check(f, relation, args.window)
     payload = {"sequence": f.name, "relation": args.relation,
-               **_fields(rep, "holds", "violation", "pairs_scanned")}
+               **_fields(rep, "holds", "violation"),
+               "pairs_scanned": _printable_count(rep.pairs_scanned)}
     return payload, _lines(args, payload, "window", "holds", "violation",
                            "pairs_scanned")
 

@@ -10,15 +10,19 @@ front from a family of rays. Every windowed report names its entry bound.
 A front is walked as a tree, one ray at a time (Nash-Williams' barrier
 view). Each schema's ray(n) says how it steps, and carries its own rank and
 file form; ray(F, n) is the one entry point for walkers, so membership,
-stepping, window enumeration and the truncated tree all go through it. The
-only shortcuts are the closed forms of a residual uniform front [X]^k:
-members_within lists its members in a window as the k-subsets, and
-front_step reads its member as the next k entries.
+stepping, window enumeration, the truncated tree and the shift-pair walk
+all go through it; shift pairs are walked top by top, so a scan that stops
+early lists no member past its stop. The shortcuts are closed forms: a
+residual [X]^k lists its window members as the k-subsets, front_step reads
+its member as the next k entries, and count_shift_pairs counts the pairs
+of uniform and Schreier fronts.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
@@ -31,7 +35,7 @@ from .errors import (
     RankInconsistent,
     TrivialHasNoRays,
 )
-from .ordinal import OrdinalCNF, ZERO
+from .ordinal import OrdinalCNF
 from .streams import InfSet, omega
 
 __all__ = [
@@ -39,8 +43,9 @@ __all__ = [
     "Front", "StepResult", "trivial_front", "uniform_front",
     "schreier_front", "seq_front", "front_member", "front_step", "ray",
     "restrict", "rank", "members_within", "residual_front", "tree_of_front",
-    "front_verify", "shift_rel", "ShiftPairs", "shift_pairs_within",
-    "front_from_dict", "front_to_dict", "check_front_element",
+    "front_verify", "shift_rel", "shift_pair_buckets", "shift_pairs_within",
+    "count_shift_pairs", "front_from_dict", "front_to_dict",
+    "check_front_element",
 ]
 
 
@@ -493,119 +498,118 @@ def shift_rel(s, t) -> bool:
     return False
 
 
-class ShiftPairs:
-    """The shift-related ordered pairs (s, t) among a set of front members,
-    walked in witness order and counted without being built.
+def _ending_at(F: Front, x: int) -> list:
+    """The members of F whose last entry is x, in lexicographic order: a
+    ray walk through the entries below x, where a residual [X]^k, k >= 1,
+    adds k - 1 points below x and then x, and a trivial ray at x adds x."""
+    out: list = []
 
-    Witness order sorts pairs by (largest entry of s + t, s, t), the pair
-    ((), ()) first. Partners of s come in two kinds (see shift_rel): members
-    that are initial segments of s minus its least entry, whose pairs top
-    out at s[-1], and members t extending that tail by entries above s[-1],
-    whose pairs top out at t[-1]. A pair of ranks (i, j) in the sorted
-    members is coded i * n + j for n members, so int order is (s, t) order.
+    def rec(front: Front, prefix: tuple):
+        schema = front.schema
+        if isinstance(schema, UniformSchema):
+            if schema.k and front.base.contains(x):
+                out.extend(prefix + combo + (x,) for combo in
+                           itertools.combinations(front.base.upto(x),
+                                                  schema.k - 1))
+            return
+        for n in front.base.upto(x):
+            rec(ray(front, n), prefix + (n,))
+        if front.base.contains(x) and schema.ray(x).trivial:
+            out.append(prefix + (x,))
 
-    buckets() builds and sorts one largest-entry bucket of codes at a time
-    and hands it out as a list of rank pairs, so a caller that stops at a
-    witness never holds the full pair list. A bucket's second-kind codes
-    come from one flat pass over its members t: by_tail lists the codes
-    i * n of the members s by their tail s[1:], looked up at each proper
-    prefix of t as long as some tail, and the singletons (a,) with
-    a < t[0] are a bisected slice of single_codes. First-kind pairs exist
-    only among members of several lengths; their codes, at most one per
-    member and length, are listed by s[-1] up front. len() counts every
-    pair without listing the second kind: each s with a nonempty tail s[1:]
-    pairs with every member properly extending that tail, a run of the
-    sorted members found by bisection, and a singleton (a,) pairs with
-    every member t with t[0] > a.
+    rec(F, ())
+    return out
 
-    Members are front elements: strictly increasing tuples of naturals.
-    shift_pairs_within lists any such family through this index, and the
-    badness and perfection scans of superseq walk it on every front except
-    a uniform [X]^k with k >= 1, whose pairs they generate in closed form.
-    """
 
-    def __init__(self, members: Iterable):
-        # dict.fromkeys keeps the order, so listed members sort in one pass
-        self.members = members = sorted(dict.fromkeys(map(tuple, members)))
-        n = len(members)
-        # t[-1] -> ranks of the members t; s[1:] -> codes i * n of the
-        # members s
-        self.by_last = by_last = defaultdict(list)
-        self.by_tail = by_tail = defaultdict(list)
-        for i, t in enumerate(members):
-            if t:
-                by_last[t[-1]].append(i)
-                by_tail[t[1:]].append(i * n)
-        # singletons (a,) leave by_tail: their codes and heads a, ascending
-        self.single_codes = by_tail.pop((), [])
-        self.single_heads = [members[c // n][0] for c in self.single_codes]
-        # the lengths of the tails in by_tail, the only proper prefixes of a
-        # member that bucket looks up
-        self.tail_lengths = sorted(set(map(len, by_tail)))
-        # first-kind codes by s[-1]: t an initial segment of s[1:]
-        self.segment_codes: dict = {}
-        lengths = sorted(set(map(len, members)))
-        if len(lengths) > 1:
-            rank = {m: i for i, m in enumerate(members)}
-            for i, s in enumerate(members):
-                tail = s[1:]
-                codes = [i * n + rank[tail[:k]] for k in lengths
-                         if k < len(s) and tail[:k] in rank]
-                if codes:
-                    self.segment_codes.setdefault(s[-1], []).extend(codes)
+def _pair_buckets(empty: bool, tops: Iterable):
+    """Witness-order buckets of shift pairs: ((), ()) alone when () is a
+    member, then the sorted pairs whose largest entry is x, for each list
+    of tops, the members ending at x, x ascending.
 
-    def bucket(self, top: int) -> list:
-        """The pairs whose largest entry is top, sorted by (s, t), as rank
-        pairs (i, j) for (members[i], members[j])."""
-        members, by_tail = self.members, self.by_tail
-        lengths = self.tail_lengths
-        tops = self.by_last.get(top, ())
-        codes = [b + j for j in tops for c in lengths if c < len(members[j])
-                 for b in by_tail.get(members[j][:c], ())]
-        if self.single_codes:
-            singles, heads = self.single_codes, self.single_heads
-            codes += [b + j for j in tops for b in
-                      singles[:bisect.bisect_left(heads, members[j][0])]]
-        codes += self.segment_codes.get(top, ())
-        codes.sort()
-        return list(map(divmod, codes, itertools.repeat(len(members))))
+    Partners of s come in two kinds (see shift_rel). Initial segments t
+    of s minus its least entry top out at s[-1] and are looked up among
+    the members walked so far, this bucket's included. Members t that
+    extend that tail by entries above s[-1] top out at t[-1]: by_tail
+    lists the members s of earlier buckets by s[1:], looked up at each
+    proper prefix of t, and the singletons (a,) with a < t[0] are a
+    bisected slice of their heads."""
+    walked: set = set()
+    if empty:
+        walked.add(())
+        yield [((), ())]
+    by_tail = defaultdict(list)
+    heads: list = []
+    for ending in tops:
+        walked.update(ending)
+        bucket = []
+        for m in ending:
+            bucket += [(m, m[1:1 + k]) for k in range(len(m))
+                       if m[1:1 + k] in walked]
+            bucket += [((a,), m) for a in
+                       heads[:bisect.bisect_left(heads, m[0])]]
+            bucket += [(s, m) for c in range(1, len(m))
+                       for s in by_tail.get(m[:c], ())]
+        bucket.sort()
+        yield bucket
+        for m in ending:
+            if len(m) == 1:
+                heads.append(m[0])
+            else:
+                by_tail[m[1:]].append(m)
 
-    def buckets(self):
-        """The pairs in witness order, one bucket list at a time, as rank
-        pairs (see bucket); ((), ()) comes first, alone."""
-        if self.members[:1] == [()]:
-            yield [(0, 0)]
-        for top in sorted(self.by_last):
-            yield self.bucket(top)
 
-    def __iter__(self):
-        members = self.members
-        for bucket in self.buckets():
-            for i, j in bucket:
-                yield members[i], members[j]
-
-    def __len__(self) -> int:
-        members = self.members
-        count = int(members[:1] == [()])
-        count += sum(map(len, self.segment_codes.values()))
-        count += sum(len(members) - bisect.bisect_left(members, (a + 1,))
-                     for a in self.single_heads)
-        for tail, codes in self.by_tail.items():
-            # the members properly extending tail are a run of members
-            lo = bisect.bisect_right(members, tail)
-            hi = bisect.bisect_left(members, tail[:-1] + (tail[-1] + 1,))
-            count += len(codes) * (hi - lo)
-        return count
+def shift_pair_buckets(F: Front, bound: int):
+    """The shift-related pairs (s, t) of members of F within the bound in
+    witness order, by (largest entry, s, t), one sorted list per window
+    point x, built when the caller reaches it: a caller that stops at a
+    witness lists no member past it."""
+    tops = (_ending_at(F, x) for x in F.base.upto(bound))
+    return _pair_buckets(F.schema.trivial, tops)
 
 
 def shift_pairs_within(members: Iterable) -> list:
-    """All shift-related ordered pairs among the given front members, in
-    witness order: by largest entry, then s, then t (see ShiftPairs).
+    """All shift-related ordered pairs among the given front elements, in
+    witness order, walked top by top as shift_pair_buckets walks a front:
+    the cost grows with the related pairs, not the square of the family."""
+    members = set(map(tuple, members))
+    ordered = sorted(members - {()}, key=lambda m: (m[-1], m))
+    tops = itertools.groupby(ordered, key=operator.itemgetter(-1))
+    return [pair for bucket in _pair_buckets(
+        () in members, (list(run) for _, run in tops)) for pair in bucket]
 
-    Cost grows with the number of related pairs, not with the square of
-    the member count.
-    """
-    return list(ShiftPairs(members))
+
+def count_shift_pairs(F: Front, bound: int) -> int:
+    """The number of pairs shift_pair_buckets lists, in closed form on
+    uniform and Schreier fronts; any other front counts its buckets.
+
+    [X]^k, k >= 1, on n window points has C(n, k + 1) pairs, one per
+    (k + 1)-subset, and the trivial front one, ((), ()). A Schreier front
+    on window points p_0 < ... < p_(n-1) has the sum of
+    i * C(n - 1 - i, p_i). For b = p_i and each window point a below it,
+    the members (a, b, ...) with a >= 1 have C(n - 1 - i, b) partners in
+    all (Vandermonde's identity), as (0,) has among the members starting
+    at b: one term per point below b. Each binomial is stepped from the
+    last by small factors, and the terms vanish once p_i passes
+    n - 1 - i."""
+    schema = F.schema
+    if isinstance(schema, UniformSchema):
+        return math.comb(len(F.base.upto(bound)), schema.k + 1) \
+            if schema.k else 1
+    if not isinstance(schema, SchreierSchema):
+        return sum(map(len, shift_pair_buckets(F, bound)))
+    points = F.base.upto(bound)
+    n = len(points)
+    total, term, r = 0, 1, 0
+    for i, p in enumerate(points):
+        m = n - 1 - i
+        term = term * (m + 1 - r) // (m + 1)    # C(m + 1, r) -> C(m, r)
+        while r < p and term:
+            term = term * (m - r) // (r + 1)
+            r += 1
+        if not term:
+            break
+        total += i * term
+    return total
 
 
 # --- serialization --------------------------------------------------------

@@ -213,11 +213,7 @@ def game_leq(x: HSet, y: HSet, qo, memo: Optional[dict] = None) -> GameResult:
     order's raw_leq.
     """
     _check_base(qo, x, y)
-    return _solve(x, y, qo, {} if memo is None else memo)
-
-
-def _solve(x: HSet, y: HSet, qo, memo: dict) -> GameResult:
-    """game_leq on a position whose atoms are known to be in the carrier."""
+    memo = {} if memo is None else memo
     leq = qo.raw_leq
     if _ii_wins(x, y, leq, memo):
         return GameResult("II", _build_ii_strategy(x, y, leq, memo))
@@ -324,7 +320,8 @@ class StrungMultiSeq:
         of positions."""
         prefix = tuple(prefix)
         for i, v in enumerate(prefix):
-            if not isinstance(v, int) or not 0 <= v < self.window:
+            if (not isinstance(v, int) or isinstance(v, bool)
+                    or not 0 <= v < self.window):
                 raise BadIndices(
                     f"index {v!r} outside [0, {self.window})")
             if i and prefix[i - 1] >= v:
@@ -381,17 +378,34 @@ class StrungMultiSeq:
         return a.value, consumed
 
 
+class _Strategies(dict):
+    """I's winning strategies by index pair (m, k), each built from the
+    shared solver memo the first time a call plays the pair."""
+
+    def __init__(self, xs: tuple, leq, memo: dict):
+        super().__init__()
+        self.xs, self.leq, self.memo = xs, leq, memo
+
+    def __missing__(self, pair: tuple) -> dict:
+        m, k = pair
+        strat = self[pair] = _build_i_strategy(self.xs[m], self.xs[k],
+                                                self.leq, self.memo)
+        return strat
+
+
 def string_strategies(xs, qo, window: Optional[int] = None) -> StrungMultiSeq:
     """Verify badness of xs below the window and chain I's strategies.
 
     Solves every pair m < n < window up front (raising NotBad on any
     II-win) and returns the multi-sequence function.  Each set is checked
     against the carrier when a pair first uses it, as game_leq would check
-    it, and each distinct atom once.
+    it, and each distinct atom once.  I's strategy for a pair is built
+    from the shared memo when a call first plays that pair, so one call
+    builds at most len(prefix) - 1 of them.
     """
     xs = tuple(xs)
     n = len(xs) if window is None else min(window, len(xs))
-    strategies = {}
+    leq = qo.raw_leq
     memo: dict = {}
     seen: set = set()
     checked = 0                 # xs[:checked] lie in the carrier
@@ -400,13 +414,11 @@ def string_strategies(xs, qo, window: Optional[int] = None) -> StrungMultiSeq:
             while checked <= k:
                 _check_base(qo, xs[checked], seen=seen)
                 checked += 1
-            res = _solve(xs[m], xs[k], qo, memo)
-            if res.winner != "I":
+            if _ii_wins(xs[m], xs[k], leq, memo):
                 raise NotBad(
                     f"position ({m}, {k}) is a II-win; stringing requires "
                     "a bad sequence")
-            strategies[(m, k)] = res.strategy
-    return StrungMultiSeq(xs, qo, n, strategies)
+    return StrungMultiSeq(xs, qo, n, _Strategies(xs, leq, memo))
 
 
 # --- folding a front map into hereditarily finite sets ----------------------

@@ -167,9 +167,43 @@ def critical_point(g: IncInj, bound: int = 64) -> int:
     raise LooksLikeIdentity(bound)
 
 
+def _closed_power(g: IncInj) -> Optional[Callable[[int, int], int]]:
+    """(e, x) -> g^e(x) in closed form when g reads a descriptor set, a
+    head and then start + step * i; None for any other injection.
+
+    x walks the head, where a fixed point stays put, and past it g is
+    n -> a * n + c, whose e-th iterate is a^e * n + c * (a^e - 1) / (a - 1)
+    (n + e * c when a = 1). An increasing injection has g(n) >= n, so the
+    iterates of a point past the head stay past it."""
+    s = getattr(g.evaluator, "__self__", None)   # the set g enumerates
+    if not isinstance(s, InfSet) or s._root._gen is not None:
+        return None
+    root = s._root
+    head = root._cache[s._offset:]      # g(n) = head[n] below len(head)
+    a = root._step
+    c = root._start + a * (s._offset - len(root._cache))
+
+    def power(e: int, x: int) -> int:
+        while e and x < len(head) and head[x] != x:
+            x = head[x]
+            e -= 1
+        if not e or x < len(head):
+            return x
+        if a == 1:
+            return x + e * c
+        ae = a ** e
+        return ae * x + c * (ae - 1) // (a - 1)
+
+    return power
+
+
 def orbit_map(g: IncInj, probe: int = 64) -> IncInj:
-    """G(n) = n-th iterate of g at its critical point; strictly increasing."""
+    """G(n) = n-th iterate of g at its critical point; strictly increasing.
+    A descriptor g is iterated in closed form, any other g step by step."""
     kg = critical_point(g, probe)
+    power = _closed_power(g)
+    if power is not None:
+        return IncInj(lambda n: power(n, kg), name=f"orbit({g.name})")
     orbit: List[int] = [kg]
 
     def ev(n: int) -> int:
@@ -200,6 +234,8 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     boundary is checked by replaying the two inequality chains that
     establish it, and the exponent is checked non-negative (any increasing
     injection satisfies f(n) >= n); a failed link raises InvariantViolated.
+    A descriptor g is iterated in closed form (see _closed_power), so the
+    cost does not grow with f's offset; any other g is stepped.
     """
     G = orbit_map(g, probe)
     kg = G(0)
@@ -208,6 +244,8 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
         for _ in range(e):
             x = g(x)
         return x
+
+    gpow = _closed_power(g) or gpow
 
     checked = set()
 

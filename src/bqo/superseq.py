@@ -6,11 +6,13 @@ prefix until the unique member appears, then evaluate). Locally constant
 maps are only ever handled in this presented form: constancy on cylinders is
 not decidable for black-box functions, while the presented pair makes every
 diagnostic below a finite window computation. Each report echoes its window.
+The shift-pair scans walk the window top by top and stop at their witness,
+in closed form on uniform fronts; their pair counts come from
+count_shift_pairs, without listing the pairs.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from bisect import bisect_left
@@ -22,18 +24,18 @@ from .errors import DifferentBase, MissingValue
 from .fronts import (
     Front,
     SeqSchema,
-    ShiftPairs,
     TrivialSchema,
     UniformSchema,
     _json_field,
+    count_shift_pairs,
     front_step,
     members_within,
     ray,
     rank,
     residual_front,
+    shift_pair_buckets,
     trivial_front,
 )
-from .ordinal import OrdinalCNF
 from .streams import InfSet
 
 __all__ = [
@@ -296,41 +298,36 @@ _TAIL = operator.itemgetter(slice(1, None))
 def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
                 check: Optional[Callable[[Any], Any]] = None):
     """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
-    or None, and the number of shift pairs in the window.
+    or None, and count_shift_pairs' count of the window's pairs.
 
-    A uniform front [X]^k with k >= 1 is scanned in closed form, one
-    bucket per largest entry x: its least-point block, the s that start at
-    the window's least point, is walked pair by pair and reads every value
-    the bucket reads fresh, and the rest of the bucket is compared in one
-    lazy pass over values read before (see _first_uniform_pair). Any other
-    front walks ShiftPairs.buckets(), one sorted list of rank pairs per
-    largest entry, in a flat loop, and stops at the first hit, so buckets
-    past the witness are never built. Either way hit is called pair by
-    pair in witness order, up to the first hit. Each member's value is
-    read once, and passed through check (when given) the first time it is
-    read; values read at the same pair are read s then t and then checked
-    s then t, as evaluating a checked leq(f(s), f(t)) would, so the first
-    error raised is the same.
+    A uniform front [X]^k, k >= 1, is scanned in closed form (see
+    _first_uniform_pair); any other front walks shift_pair_buckets in a
+    flat loop, which lists no member past the witness (the count of a seq
+    front still walks every bucket). Either way hit is
+    called pair by pair in witness order, up to the first hit. Each
+    member's value is read once, and passed through check (when given)
+    the first time it is read; values read at the same pair are read s
+    then t and then checked s then t, as evaluating a checked
+    leq(f(s), f(t)) would, so the first error raised is the same.
     """
+    count = count_shift_pairs(f.front, bound)
     schema = f.front.schema
     if isinstance(schema, UniformSchema) and schema.k >= 1:
-        return _first_uniform_pair(f, schema.k, bound, hit, check)
-    pairs = ShiftPairs(members_within(f.front, bound))
-    members = pairs.members
+        return _first_uniform_pair(f, schema.k, bound, hit, check), count
     value = f.value
-    read = [_UNREAD] * len(members)   # values by member rank
-    for bucket in pairs.buckets():
-        for i, j in bucket:
-            vs = read[i]
-            vt = read[j]
+    read: dict = {}     # values by member
+    for bucket in shift_pair_buckets(f.front, bound):
+        for s, t in bucket:
+            vs = read.get(s, _UNREAD)
+            vt = read.get(t, _UNREAD)
             if vs is _UNREAD or vt is _UNREAD:
                 fresh_s = vs is _UNREAD
-                fresh_t = vt is _UNREAD and i != j
+                fresh_t = vt is _UNREAD and s != t
                 if fresh_s:
-                    read[i] = vs = value(members[i])
+                    read[s] = vs = value(s)
                 if fresh_t:
-                    read[j] = vt = value(members[j])
-                elif i == j:
+                    read[t] = vt = value(t)
+                elif s == t:
                     vt = vs
                 if check is not None:
                     if fresh_s:
@@ -338,14 +335,14 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
                     if fresh_t:
                         check(vt)
             if hit(vs, vt):
-                return (members[i], members[j]), len(pairs)
-    return None, len(pairs)
+                return (s, t), count
+    return None, count
 
 
 def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
                         hit: Callable[[Any, Any], bool],
                         check: Optional[Callable[[Any], Any]]):
-    """_first_pair on [X]^k, k >= 1, without listing or indexing members.
+    """_first_pair's witness on [X]^k, k >= 1, listing no members.
 
     The shift partners of a k-subset s are s[1:] + (x,) for the points x
     above s[-1], so the pairs whose largest entry is x are the k-subsets s
@@ -368,10 +365,9 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
     bucket is done.
     """
     points = list(f.front.base.upto(bound))
-    pairs = math.comb(len(points), k + 1)
     value = f.value
     if k == 1:
-        return _first_singleton_pair(points, value, hit, check), pairs
+        return _first_singleton_pair(points, value, hit, check)
     head = tuple(points[:1])   # (p0,)
     rows: defaultdict = defaultdict(list)
     for i in range(k, len(points)):
@@ -392,7 +388,7 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
                     check(vt)
                 c.append(vt)
                 if hit(vs, vt):
-                    return (h + (p,), t), pairs
+                    return h + (p,), t
             s = h + (ends[-1],)
             t = w + (ends[-1], x)
             vs = value(s)
@@ -403,7 +399,7 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
             row.append(vs)
             c.append(vt)
             if hit(vs, vt):
-                return (s, t), pairs
+                return s, t
         # the rest: s = h + (p,) for h within the points p1 .. below x
         vs_runs = map(rows.__getitem__, itertools.combinations(below, k - 1))
         if k == 2:   # every t = (p, x) sits in one column, from p on
@@ -418,14 +414,14 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
         if found is not None:
             s = next(itertools.islice(
                 itertools.combinations(points[1:i], k), found, None))
-            return (s, s[1:] + (x,)), pairs
+            return s, s[1:] + (x,)
         # t = u + (x,) joins the row of u, for u in the block's order (any
         # runs the appends, as each returns None)
         any(map(list.append,
                 map(rows.__getitem__, itertools.combinations(points[1:i],
                                                              k - 1)),
                 itertools.chain.from_iterable(col.values())))
-    return None, pairs
+    return None
 
 
 def _first_singleton_pair(points: list, value, hit, check):
@@ -460,9 +456,8 @@ def _first_singleton_pair(points: list, value, hit, check):
 @dataclass(frozen=True)
 class BadnessReport:
     """good_witness is the least good pair in witness order, where the scan
-    stopped; pairs_scanned counts the window's shift pairs, not the
-    comparisons made before the stop: C(n, k + 1) for n window points on a
-    uniform front [X]^k, k >= 1."""
+    stopped; pairs_scanned counts all the window's shift pairs, not the
+    comparisons made before the stop (see count_shift_pairs)."""
 
     window: int
     good_witness: Optional[tuple]
@@ -474,16 +469,14 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     """Look for a good pair f(s) <= f(t) among the shift-related member
     pairs within the window; its absence is badness on the window.
 
-    Pairs are scanned in witness order (largest entry, then s, then t) and
-    the scan stops at the first good pair, the reported witness. A uniform
-    front [X]^k, k >= 1, is scanned in closed form, without listing its
-    members, so the window may be large when the witness comes early: in
-    the bucket of each largest entry x, the pairs whose s starts at the
-    window's least point are compared one by one as their values are first
-    read, and the rest of the bucket, whose values were all read before,
-    in one pass that stops at its first good pair.
-    pairs_scanned is the number of shift pairs in the window either way,
-    C(n, k + 1) for n window points on [X]^k.
+    Pairs are scanned in witness order (largest entry, then s, then t),
+    one largest entry at a time, and the scan stops at the first good
+    pair, the reported witness, listing no member past it. A uniform front
+    [X]^k, k >= 1, is scanned in closed form (see _first_uniform_pair),
+    any other front through shift_pair_buckets. pairs_scanned counts every
+    shift pair in the window, in closed form on uniform and Schreier
+    fronts, so there the window may be large when the witness comes
+    early; a seq front's count walks every bucket.
     Each value is checked against the codomain once and then compared raw
     (see CodedQO); an invalid value raises the error the codomain's leq
     would raise, at the same pair.
@@ -500,9 +493,8 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
 @dataclass(frozen=True)
 class PerfectReport:
     """violation is the least violating pair in witness order, where the
-    scan stopped; pairs_scanned counts the window's shift pairs, not the
-    pairs tested before the stop: C(n, k + 1) for n window points on a
-    uniform front [X]^k, k >= 1."""
+    scan stopped; pairs_scanned counts all the window's shift pairs, not
+    the pairs tested before the stop (see count_shift_pairs)."""
 
     window: int
     holds: bool
@@ -516,11 +508,9 @@ class PerfectReport:
 def perfect_check(f: SuperSeq, R: Callable[[Any, Any], bool],
                   bound: int) -> PerfectReport:
     """True when every shift-related member pair within the window satisfies
-    R between its values. Pairs are scanned in witness order (largest entry,
-    then s, then t), in closed form on a uniform front [X]^k, k >= 1, and
-    the scan stops at the first violation; pairs_scanned is the number of
-    shift pairs in the window either way, C(n, k + 1) for n window points
-    on [X]^k."""
+    R between its values. Pairs are scanned as badness_check scans them,
+    and the scan stops at the first violation; pairs_scanned counts every
+    shift pair in the window."""
     violation, count = _first_pair(f, bound, lambda a, b: not R(a, b))
     return PerfectReport(window=bound, holds=violation is None,
                          violation=violation, pairs_scanned=count)

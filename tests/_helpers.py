@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 
 import bqo.fronts
@@ -297,6 +298,23 @@ SHIFT_PAIR_FRONTS = {
     "u3-prefix": (uniform_front(3, parse_base("prefix:0,2+arith:5,3")), 20),
     "u3-lone": (uniform_front(3), 3),
 }
+
+
+# the front kinds and bases of the shift-pair differential tests: each kind
+# by name, built on a given base; the sequence node is SHIFT_PAIR_FRONTS'
+# "seq" front
+FRONT_KINDS = {
+    "u0": functools.partial(uniform_front, 0),
+    "u1": functools.partial(uniform_front, 1),
+    "u2": functools.partial(uniform_front, 2),
+    "u3": functools.partial(uniform_front, 3),
+    "trivial": trivial_front,
+    "schreier": schreier_front,
+    "seq": functools.partial(seq_front, {0: UniformSchema(1),
+                                         3: UniformSchema(3)},
+                             UniformSchema(2), OrdinalCNF.natural(4)),
+}
+FRONT_BASES = ("omega", "evens", "odds", "prefix:0,2,3+arith:5,3")
 
 
 def _tokenize_reference(text: str) -> list:

@@ -11,11 +11,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqo.fronts
 import bqo.qo
 import bqo.ramsey
 import bqo.shifts
@@ -597,6 +600,37 @@ class TestSeqCommands:
                          "--codomain", "chain:2", "--relation", "leq",
                          "--window", "8"])
         assert data["holds"] is False
+
+    def test_schreier_probe_reads_its_witness_far_out(self):
+        # the scan stops at top 2, and the count is stepped in closed form
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            data = run_json(["seq", "bad", "--fixture", "min@schreier",
+                             "--window", "20000"])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data["good_witness"] == [[0], [1, 2]]
+        assert data["pairs_scanned"] == bqo.fronts.count_shift_pairs(
+            bqo.fronts.schreier_front(), 20000)
+        assert peak < 20_000_000 and elapsed < 2
+
+    # the Schreier pair count passes Python's 4,300-digit int-to-str limit
+    # just past window 20,000; --relation eq fails at the first pair
+    @pytest.mark.parametrize("cmd", [["bad"], ["perfect", "--relation", "eq"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_past_the_digit_limit_is_one_line(self, cmd, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python prints ints of any length")
+        code, out, err = run_cli(["seq", *cmd, "--fixture", "min@schreier",
+                                  "--window", "21000", "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err.startswith("DomainError: pairs_scanned has more than "
+                              f"{limit} decimal digits")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_seq_file_with_table_valuation(self, tmp_path):
         path = tmp_path / "seq.json"

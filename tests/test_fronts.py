@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,9 @@ from bqo.fronts import (
     Front,
     SchreierSchema,
     SeqSchema,
-    ShiftPairs,
     TrivialSchema,
     UniformSchema,
+    count_shift_pairs,
     front_from_dict,
     front_member,
     front_step,
@@ -37,6 +39,7 @@ from bqo.fronts import (
     restrict,
     schreier_front,
     seq_front,
+    shift_pair_buckets,
     shift_pairs_within,
     shift_rel,
     tree_of_front,
@@ -51,6 +54,8 @@ from bqo.streams import (InfSet, arithmetic, evens, odds, omega, parse_base,
 from bqo.superseq import SuperSeq, named_valuation
 
 from _helpers import (
+    FRONT_BASES,
+    FRONT_KINDS,
     SHIFT_PAIR_FRONTS,
     front_step_reference,
     segment_violation_reference,
@@ -510,43 +515,69 @@ class TestShiftPairs:
         ref = sorted(shift_pairs_reference(members), key=witness_key)
         assert set(ref) == {(s, t) for s in members for t in members
                             if shift_rel(s, t)}
-        assert list(ShiftPairs(members)) == ref
+        assert [pair for bucket in shift_pair_buckets(F, bound)
+                for pair in bucket] == ref
         assert shift_pairs_within(members) == ref
 
     @pytest.mark.parametrize("name", SHIFT_PAIR_FRONTS)
     def test_count_is_reference_length(self, name):
         F, bound = SHIFT_PAIR_FRONTS[name]
         members = members_within(F, bound)
-        assert len(ShiftPairs(members)) == len(shift_pairs_reference(members))
+        assert count_shift_pairs(F, bound) == len(
+            shift_pairs_reference(members))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 8), max_size=4, unique=True)
                     .map(lambda entries: tuple(sorted(entries))),
                     max_size=25))
     def test_any_family_of_increasing_tuples(self, members):
-        # mixed lengths put tails of several lengths in one index, so
-        # bucket looks up prefixes of some lengths and skips others
+        # mixed lengths put tails of several lengths in one index, and ()
+        # pairs with every nonempty member as its initial segment
         ref = sorted(set(shift_pairs_reference(set(members))),
                      key=witness_key)
-        pairs = ShiftPairs(members)
-        assert list(pairs) == ref
-        assert len(pairs) == len(ref)
+        assert shift_pairs_within(members) == ref
 
     def test_segment_partners_covered(self):
         # the sequence front has pairs whose t is an initial segment of s
         # minus its least entry, the kind uniform fronts never produce
         F, bound = SHIFT_PAIR_FRONTS["seq"]
         assert any(t == s[1:1 + len(t)]
-                   for s, t in ShiftPairs(members_within(F, bound)))
+                   for s, t in shift_pairs_within(members_within(F, bound)))
 
     def test_buckets_are_built_as_the_scan_reaches_them(self, monkeypatch):
-        pairs = ShiftPairs(members_within(uniform_front(2), 40))
-        built = []
-        bucket = pairs.bucket
-        monkeypatch.setattr(pairs, "bucket",
-                            lambda top: built.append(top) or bucket(top))
-        assert next(iter(pairs)) == ((0, 1), (1, 2))
-        assert built == [1, 2]
+        walked = []
+        ending_at = bqo.fronts._ending_at
+        monkeypatch.setattr(bqo.fronts, "_ending_at", lambda F, x: (
+            walked.append(x) or ending_at(F, x)))
+        buckets = shift_pair_buckets(uniform_front(2), 40)
+        assert next(filter(None, buckets)) == [((0, 1), (1, 2))]
+        assert walked == [0, 1, 2]
+
+    @pytest.mark.parametrize("base", FRONT_BASES)
+    @pytest.mark.parametrize("front", FRONT_KINDS)
+    def test_count_matches_the_listed_pairs(self, front, base):
+        F = FRONT_KINDS[front](parse_base(base))
+        for window in range(23):
+            pairs = shift_pairs_reference(members_within(F, window))
+            assert count_shift_pairs(F, window) == len(pairs), window
+
+    def test_schreier_counts_at_the_golden_windows(self):
+        assert [count_shift_pairs(schreier_front(), w)
+                for w in (8, 12, 16, 20, 24)] == [38, 420, 3970, 34690,
+                                                  289032]
+        assert [count_shift_pairs(schreier_front(evens()), w)
+                for w in (8, 12, 16)] == [1, 6, 25]
+
+    def test_schreier_count_far_out_is_stepped(self):
+        # each binomial is stepped from the one before; math.comb on every
+        # term takes tens of seconds at window 20,000
+        points = range(2000)
+        assert count_shift_pairs(schreier_front(), 2000) == sum(
+            i * math.comb(1999 - i, p) for i, p in enumerate(points))
+        start = time.perf_counter()
+        count = count_shift_pairs(schreier_front(), 20000)
+        assert time.perf_counter() - start < 1
+        assert count.bit_length() > 13000
 
 
 # a front of every schema class, the sequence node with trivial and

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bqo.games
 import bqo.hset
 import bqo.qo
 from bqo.errors import (BadIndices, EmptyTruncation, IllegalMove,
@@ -1215,6 +1216,32 @@ class TestStringStrategies:
             g((2, 1))
         with pytest.raises(BadIndices):
             g((0, 9))
+
+    def test_bool_indices_are_refused(self):
+        # bool is an int, but not an index, as front elements refuse it
+        ac4 = antichain(4)
+        g = string_strategies([Atom(n) for n in ac4.elements], ac4)
+        for prefix in [(False, True, 2), (0, True, 2), (0, 1, True)]:
+            with pytest.raises(BadIndices, match="outside"):
+                g(prefix)
+
+    def test_a_call_builds_only_the_strategies_it_plays(self, monkeypatch):
+        window = 8
+        xs = rado_powerset_sequence(window)
+        prefix = (0, 2, 3, 5, 7)
+        expected = strung_call_reference(string_strategies(xs, RADO, window),
+                                         prefix)
+        built = []
+        build = bqo.games._build_i_strategy
+        monkeypatch.setattr(bqo.games, "_build_i_strategy", lambda x, y, *a: (
+            built.append((x, y)) or build(x, y, *a)))
+        g = string_strategies(xs, RADO, window)
+        assert built == []
+        assert g(prefix) == expected
+        assert 0 < len(built) <= len(prefix) - 1
+        assert len(g._strategies) == len(built)
+        g(prefix)
+        assert len(built) == len(g._strategies)
 
     def test_rado_powerset_chained_plays(self):
         window = 8

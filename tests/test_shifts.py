@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bqo
+import bqo.shifts
 from bqo.errors import (DomainError, InvariantViolated, LooksLikeIdentity,
                         NotBQOEvidence, WindowExhausted)
 from bqo.fronts import schreier_front, uniform_front
@@ -16,6 +18,7 @@ from bqo.qo import OMEGA, RADO, antichain
 from bqo.ramsey import join_nodes
 from bqo.shifts import (
     IncInj,
+    _closed_power,
     affine,
     agrees_upto,
     compose,
@@ -242,6 +245,68 @@ class TestSigma:
         dip = IncInj(lambda n: 0 if n == 1 else n, name="dip")
         with pytest.raises(InvariantViolated):
             sigma(dip, successor())(1)
+
+
+# descriptor injections whose closed iterate is checked against stepping:
+# affine ones, a table with a fixed point and a table above the identity,
+# a prefix set, and a tail of a set, read at an offset into its root
+_DESCRIPTOR_SHIFTS = ("succ", "affine:1,3", "affine:2,0", "affine:2,5",
+                      "affine:3,1", "table:0,2,5+tail:affine:2,1",
+                      "table:1,3,4,9+tail:affine:1,7",
+                      "enum-of-set:prefix:0,2,3+arith:5,3")
+
+
+def _stepped(g: IncInj) -> IncInj:
+    """g behind an opaque evaluator, so that shifts steps it."""
+    return IncInj(lambda n: g(n), name=g.name)
+
+
+class TestClosedIterate:
+    @pytest.mark.parametrize("desc", _DESCRIPTOR_SHIFTS)
+    def test_iterate_matches_stepping(self, desc):
+        g = parse_inj(desc)
+        power = _closed_power(g)
+        for x in range(41):
+            y = x
+            for e in range(41):
+                assert power(e, x) == y, (e, x)
+                y = g(y)
+
+    def test_a_tail_set_iterates_from_its_offset(self):
+        g = enum_of_set(evens().after(5))       # n -> 2n + 6
+        assert [_closed_power(g)(e, 1) for e in range(4)] == [1, 8, 22, 50]
+
+    def test_generic_injections_are_stepped(self):
+        assert _closed_power(_stepped(successor())) is None
+        assert _closed_power(compose(successor(), successor())) is None
+
+    @pytest.mark.parametrize("g", _DESCRIPTOR_SHIFTS)
+    @pytest.mark.parametrize("f", ["succ", "affine:1,9", "affine:2,3",
+                                   "table:2,3,7+tail:affine:1,5"])
+    def test_sigma_and_orbit_match_the_stepped_shift(self, f, g):
+        f, g = parse_inj(f), parse_inj(g)
+        assert orbit_map(g).values(12) == orbit_map(_stepped(g)).values(12)
+        assert sigma(f, g).values(40) == sigma(f, _stepped(g)).values(40)
+
+    def test_every_chain_check_still_runs(self, monkeypatch):
+        # the closed iterate replaces stepping, not the chain checks
+        calls = []
+        require = bqo.shifts._require
+        monkeypatch.setattr(bqo.shifts, "_require", lambda holds, what: (
+            calls.append((holds, what)) or require(holds, what)))
+        runs = []
+        for g in (affine(1, 2), _stepped(affine(1, 2))):
+            calls.clear()
+            sigma(affine(2, 3), g).values(20)
+            runs.append(list(calls))
+        assert runs[0] == runs[1]
+        assert sum("exit chain" in what for _, what in runs[0]) >= 20
+
+    def test_a_far_offset_runs_in_closed_form(self):
+        start = time.perf_counter()
+        values = sigma(affine(1, 1000000), successor()).values(4)
+        assert values == (1000000, 1000001, 1000002, 1000003)
+        assert time.perf_counter() - start < 1
 
 
 def _raises_assertion_error(node) -> bool:

@@ -21,9 +21,9 @@ import bqo.superseq
 from bqo.errors import DifferentBase, MissingValue, NotAPair
 from bqo.fronts import (
     Front,
-    ShiftPairs,
     TrivialSchema,
     UniformSchema,
+    count_shift_pairs,
     front_member,
     front_to_dict,
     members_within,
@@ -50,6 +50,8 @@ from bqo.superseq import (
 )
 
 from _helpers import (
+    FRONT_BASES,
+    FRONT_KINDS,
     SHIFT_PAIR_FRONTS,
     decode_table_reference,
     shift_pairs_reference,
@@ -498,17 +500,17 @@ class TestScanErrors:
 
 class TestScanLaziness:
     def test_scan_builds_buckets_up_to_its_witness(self, monkeypatch):
-        built = []
-        bucket = ShiftPairs.bucket
-        monkeypatch.setattr(ShiftPairs, "bucket", lambda pairs, top: (
-            built.append(top) or bucket(pairs, top)))
-        # the Schreier front takes the ShiftPairs scan; no member ends in 1,
+        walked = []
+        ending_at = bqo.fronts._ending_at
+        monkeypatch.setattr(bqo.fronts, "_ending_at", lambda F, x: (
+            walked.append(x) or ending_at(F, x)))
+        # the Schreier front takes the bucket walk; no member ends in 1,
         # and ((0,), (1, 2)) is good
         members = members_within(schreier_front(), 12)
         rep = badness_check(constant(schreier_front(), 0), 12)
         assert rep.good_witness == ((0,), (1, 2))
         assert rep.pairs_scanned == len(shift_pairs_reference(members))
-        assert built == [0, 2] < sorted({m[-1] for m in members})
+        assert walked == [0, 1, 2]
 
     def test_uniform_scan_reads_no_member_past_its_witness(self,
                                                            monkeypatch):
@@ -517,14 +519,27 @@ class TestScanLaziness:
 
         def refuse(*args):
             raise AssertionError("the uniform scan indexes no members")
-        monkeypatch.setattr(ShiftPairs, "__init__", refuse)
+        monkeypatch.setattr(bqo.superseq, "shift_pair_buckets", refuse)
         monkeypatch.setattr(bqo.superseq, "members_within", refuse)
+        monkeypatch.setattr(bqo.fronts, "shift_pair_buckets", refuse)
         log = []
         f = SuperSeq(uniform_front(2), lambda s: log.append(s) or 0, OMEGA)
         rep = badness_check(f, 40)
         assert rep.good_witness == ((0, 1), (1, 2))
         assert rep.pairs_scanned == count == math.comb(40, 3)
         assert log == [(0, 1), (1, 2)]
+
+    def test_schreier_scan_lists_no_member_far_out(self, monkeypatch):
+        # the witness sits at top 2; the count is stepped in closed form
+        def refuse(*args):
+            raise AssertionError("members_within called")
+        monkeypatch.setattr(bqo.superseq, "members_within", refuse)
+        monkeypatch.setattr(bqo.fronts, "members_within", refuse)
+        rep = badness_check(SuperSeq(schreier_front(), named_valuation(
+            "min"), OMEGA), 20000)
+        assert rep.good_witness == ((0,), (1, 2))
+        assert rep.pairs_scanned == count_shift_pairs(schreier_front(),
+                                                      20000)
 
 
 def first_pair_reference(value, pairs: list, hit, check=None):
@@ -552,15 +567,15 @@ def _scan_valuation(seed: int, style: str, log: list):
     """Rado values by member, logged on each read. "mixed": small seeded
     pairs, so good pairs come early; "bad": (s[0], 100), bad on every
     shift pair, but for rare values (0, 1), good below each t with t[0] at
-    least 2; "malformed": "bad" with rare values outside the carrier;
-    "both": "mixed" with rare values outside the carrier."""
+    least 2 (() reads as 0); "malformed": "bad" with rare values outside
+    the carrier; "both": "mixed" with rare values outside the carrier."""
     def v(s):
         log.append(s)
         r = random.Random(repr((seed, s)))
         if style in ("malformed", "both") and r.random() < 0.03:
             return (5, 3)
         if style in ("bad", "malformed"):
-            return (0, 1) if r.random() < 0.05 else (s[0], 100)
+            return (0, 1) if r.random() < 0.05 else (s[0] if s else 0, 100)
         m = r.randrange(6)
         return (m, m + 1 + r.randrange(3))
     return v
@@ -594,7 +609,7 @@ def test_uniform_scan_matches_the_per_pair_scan(k, scan):
             pairs = sorted(shift_pairs_reference(members_within(F, window)),
                            key=witness_key)
             outcomes = []
-            for run in (_reference_scan, _uniform_scan):
+            for run in (_reference_scan, _library_scan):
                 log, calls = [], []
                 f = SuperSeq(F, _scan_valuation(seed, _SCAN_STYLES[seed % 4],
                                                 log), RADO)
@@ -608,6 +623,35 @@ def test_uniform_scan_matches_the_per_pair_scan(k, scan):
             assert outcomes[0] == outcomes[1], (window, seed)
 
 
+@pytest.mark.parametrize("front", FRONT_KINDS)
+@pytest.mark.parametrize("scan", ["badness", "perfect", "perfect-raising"])
+def test_every_front_scan_matches_the_per_pair_scan(front, scan):
+    """badness_check and perfect_check on every front kind against a
+    per-pair scan of the listed shift pairs, on windows 0 to 20 and four
+    bases: same witness, pair count, first error and read log, and, for
+    perfect_check, the same calls of R. The uniform fronts with k >= 1
+    take the closed form, the others the bucket walk."""
+    for window in range(21):
+        for b, base in enumerate(FRONT_BASES):
+            F = FRONT_KINDS[front](parse_base(base))
+            pairs = sorted(shift_pairs_reference(members_within(F, window)),
+                           key=witness_key)
+            for seed in range(4 * b, 4 * b + 4):
+                outcomes = []
+                for run in (_reference_scan, _library_scan):
+                    log, calls = [], []
+                    f = SuperSeq(F, _scan_valuation(
+                        seed, _SCAN_STYLES[seed % 4], log), RADO)
+                    R = _scan_relation(seed, scan == "perfect-raising", calls)
+                    try:
+                        out = run(f, None if scan == "badness" else R,
+                                  window, pairs)
+                    except (NotAPair, ValueError) as exc:
+                        out = type(exc), str(exc)
+                    outcomes.append((out, log, calls))
+                assert outcomes[0] == outcomes[1], (window, base, seed)
+
+
 def _reference_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
     if R is None:
         return first_pair_reference(f.value, pairs, RADO.raw_leq,
@@ -616,7 +660,7 @@ def _reference_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
                                 lambda a, b: not R(a, b)), len(pairs)
 
 
-def _uniform_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
+def _library_scan(f: SuperSeq, R, window: int, pairs: list) -> tuple:
     if R is None:
         rep = badness_check(f, window)
         return rep.good_witness, rep.pairs_scanned
