@@ -12,10 +12,11 @@ view). Each schema's ray(n) says how it steps, and carries its own rank and
 file form; ray(F, n) is the one entry point for walkers, so membership,
 stepping, window enumeration, the truncated tree and the shift-pair walk
 all go through it; shift pairs are walked top by top, so a scan that stops
-early lists no member past its stop. The shortcuts are closed forms: a
-residual [X]^k lists its window members as the k-subsets, front_step reads
-its member as the next k entries, and count_shift_pairs counts the pairs
-of uniform and Schreier fronts.
+early lists no member past its stop, and count_shift_pairs counts a walked
+front from the walk's own index, building no pair. The shortcuts are closed
+forms: a residual [X]^k lists its window members as the k-subsets,
+front_step reads its member as the next k entries, and count_shift_pairs
+counts the pairs of uniform and Schreier fronts.
 """
 from __future__ import annotations
 
@@ -282,11 +283,12 @@ def _step_entry(Y: InfSet, member: list, base: InfSet) -> int:
 
 
 def ray(F: Front, n: int) -> Front:
-    """The ray at n: {s | {n} + s is a member}, a front on base/n."""
-    schema = F.schema.ray(n)
-    if not F.base.contains(n):
+    """The ray at n: {s | {n} + s is a member}, a front on base/n; n is
+    checked against the base before the schema steps, save on the
+    trivial front, which has no rays."""
+    if not (F.schema.trivial or F.base.contains(n)):
         raise NotInBase(f"{n} is not in the base")
-    return Front(schema, F.base.after(n))
+    return Front(F.schema.ray(n), F.base.after(n))
 
 
 _PREFIX_CHECK = 16
@@ -521,7 +523,7 @@ def _ending_at(F: Front, x: int) -> list:
     return out
 
 
-def _pair_buckets(empty: bool, tops: Iterable):
+def _pair_buckets(empty: bool, tops: Iterable, count: bool = False):
     """Witness-order buckets of shift pairs: ((), ()) alone when () is a
     member, then the sorted pairs whose largest entry is x, for each list
     of tops, the members ending at x, x ascending.
@@ -532,25 +534,29 @@ def _pair_buckets(empty: bool, tops: Iterable):
     extend that tail by entries above s[-1] top out at t[-1]: by_tail
     lists the members s of earlier buckets by s[1:], looked up at each
     proper prefix of t, and the singletons (a,) with a < t[0] are a
-    bisected slice of their heads."""
+    bisected slice of their heads. With count, each bucket yields in its
+    place its size, the sum of these three lengths, and builds no pair."""
     walked: set = set()
     if empty:
         walked.add(())
-        yield [((), ())]
+        yield 1 if count else [((), ())]
     by_tail = defaultdict(list)
     heads: list = []
     for ending in tops:
         walked.update(ending)
-        bucket = []
+        bucket, size = [], 0
         for m in ending:
-            bucket += [(m, m[1:1 + k]) for k in range(len(m))
-                       if m[1:1 + k] in walked]
-            bucket += [((a,), m) for a in
-                       heads[:bisect.bisect_left(heads, m[0])]]
-            bucket += [(s, m) for c in range(1, len(m))
-                       for s in by_tail.get(m[:c], ())]
-        bucket.sort()
-        yield bucket
+            segments = [m[1:1 + k] for k in range(len(m))
+                        if m[1:1 + k] in walked]
+            below = bisect.bisect_left(heads, m[0])
+            tails = [by_tail.get(m[:c], ()) for c in range(1, len(m))]
+            if count:
+                size += len(segments) + below + sum(map(len, tails))
+            else:
+                bucket += [(m, t) for t in segments]
+                bucket += [((a,), m) for a in heads[:below]]
+                bucket += [(s, m) for run in tails for s in run]
+        yield size if count else sorted(bucket)
         for m in ending:
             if len(m) == 1:
                 heads.append(m[0])
@@ -580,7 +586,9 @@ def shift_pairs_within(members: Iterable) -> list:
 
 def count_shift_pairs(F: Front, bound: int) -> int:
     """The number of pairs shift_pair_buckets lists, in closed form on
-    uniform and Schreier fronts; any other front counts its buckets.
+    uniform and Schreier fronts. Any other front walks its tops as
+    shift_pair_buckets does and adds up each bucket's size from the
+    walk's index, building no pair.
 
     [X]^k, k >= 1, on n window points has C(n, k + 1) pairs, one per
     (k + 1)-subset, and the trivial front one, ((), ()). A Schreier front
@@ -596,7 +604,8 @@ def count_shift_pairs(F: Front, bound: int) -> int:
         return math.comb(len(F.base.upto(bound)), schema.k + 1) \
             if schema.k else 1
     if not isinstance(schema, SchreierSchema):
-        return sum(map(len, shift_pair_buckets(F, bound)))
+        tops = (_ending_at(F, x) for x in F.base.upto(bound))
+        return sum(_pair_buckets(schema.trivial, tops, True))
     points = F.base.upto(bound)
     n = len(points)
     total, term, r = 0, 1, 0

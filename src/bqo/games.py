@@ -39,7 +39,6 @@ from typing import Callable, Optional
 from .errors import (BadIndices, DomainError, EmptyTruncation, IllegalMove,
                      InsufficientPrefix, InvariantViolated, MixedBaseQO,
                      NotBad)
-from .fronts import members_within
 from .hset import Atom, HSet, Node, distinct_atoms, node
 
 
@@ -450,6 +449,7 @@ def tilde_build(f, window: int) -> TildeResult:
     a single member completes within the window (entries are drawn below
     the exclusive bound).
     """
+    from .fronts import members_within
     F = f.front
     members = members_within(F, window)
     if not members:

@@ -6,9 +6,10 @@ prefix until the unique member appears, then evaluate). Locally constant
 maps are only ever handled in this presented form: constancy on cylinders is
 not decidable for black-box functions, while the presented pair makes every
 diagnostic below a finite window computation. Each report echoes its window.
-The shift-pair scans walk the window top by top and stop at their witness,
-in closed form on uniform fronts; their pair counts come from
-count_shift_pairs, without listing the pairs.
+The shift-pair scans walk the window top by top and stop at their witness:
+a uniform front [X]^k, k >= 2, in closed form, and every other front, [X]^1
+included, through fronts.shift_pair_buckets. Their pair counts come from
+count_shift_pairs, which builds no pair.
 """
 from __future__ import annotations
 
@@ -300,19 +301,19 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     """The first shift pair (s, t) in witness order with hit(f(s), f(t)),
     or None, and count_shift_pairs' count of the window's pairs.
 
-    A uniform front [X]^k, k >= 1, is scanned in closed form (see
-    _first_uniform_pair); any other front walks shift_pair_buckets in a
-    flat loop, which lists no member past the witness (the count of a seq
-    front still walks every bucket). Either way hit is
-    called pair by pair in witness order, up to the first hit. Each
-    member's value is read once, and passed through check (when given)
-    the first time it is read; values read at the same pair are read s
-    then t and then checked s then t, as evaluating a checked
-    leq(f(s), f(t)) would, so the first error raised is the same.
+    A uniform front [X]^k, k >= 2, is scanned in closed form (see
+    _first_uniform_pair); any other front, [X]^1 included, walks
+    shift_pair_buckets in a flat loop, which lists no member past the
+    witness (the count of a seq front still walks every top, building no
+    pair). Either way hit is called pair by pair in witness order, up to
+    the first hit. Each member's value is read once, and passed through
+    check (when given) the first time it is read; values read at the same
+    pair are read s then t and then checked s then t, as evaluating a
+    checked leq(f(s), f(t)) would, so the first error raised is the same.
     """
     count = count_shift_pairs(f.front, bound)
     schema = f.front.schema
-    if isinstance(schema, UniformSchema) and schema.k >= 1:
+    if isinstance(schema, UniformSchema) and schema.k >= 2:
         return _first_uniform_pair(f, schema.k, bound, hit, check), count
     value = f.value
     read: dict = {}     # values by member
@@ -342,7 +343,7 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
 def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
                         hit: Callable[[Any, Any], bool],
                         check: Optional[Callable[[Any], Any]]):
-    """_first_pair's witness on [X]^k, k >= 1, listing no members.
+    """_first_pair's witness on [X]^k, k >= 2, listing no members.
 
     The shift partners of a k-subset s are s[1:] + (x,) for the points x
     above s[-1], so the pairs whose largest entry is x are the k-subsets s
@@ -366,8 +367,6 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
     """
     points = list(f.front.base.upto(bound))
     value = f.value
-    if k == 1:
-        return _first_singleton_pair(points, value, hit, check)
     head = tuple(points[:1])   # (p0,)
     rows: defaultdict = defaultdict(list)
     for i in range(k, len(points)):
@@ -424,35 +423,6 @@ def _first_uniform_pair(f: SuperSeq, k: int, bound: int,
     return None
 
 
-def _first_singleton_pair(points: list, value, hit, check):
-    """_first_uniform_pair on [X]^1: the bucket of x is (p,) against (x,)
-    for the points p below x; (x,) is its one fresh read, and (p0,) is
-    read fresh in the first bucket."""
-    row = []   # the values of (p,) for the points p below x
-    for i in range(1, len(points)):
-        x = (points[i],)
-        if row:
-            vs = row[0]
-            vt = value(x)
-            if check is not None:
-                check(vt)
-        else:
-            vs = value((points[0],))
-            vt = value(x)
-            if check is not None:
-                check(vs)
-                check(vt)
-            row.append(vs)
-        if hit(vs, vt):
-            return (points[0],), x
-        found = next(itertools.compress(itertools.count(), map(
-            hit, itertools.islice(row, 1, None), itertools.repeat(vt))), None)
-        if found is not None:
-            return (points[1 + found],), x
-        row.append(vt)
-    return None
-
-
 @dataclass(frozen=True)
 class BadnessReport:
     """good_witness is the least good pair in witness order, where the scan
@@ -472,11 +442,12 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     Pairs are scanned in witness order (largest entry, then s, then t),
     one largest entry at a time, and the scan stops at the first good
     pair, the reported witness, listing no member past it. A uniform front
-    [X]^k, k >= 1, is scanned in closed form (see _first_uniform_pair),
-    any other front through shift_pair_buckets. pairs_scanned counts every
-    shift pair in the window, in closed form on uniform and Schreier
-    fronts, so there the window may be large when the witness comes
-    early; a seq front's count walks every bucket.
+    [X]^k, k >= 2, is scanned in closed form (see _first_uniform_pair),
+    any other front, [X]^1 included, through shift_pair_buckets.
+    pairs_scanned counts every shift pair in the window, in closed form on
+    uniform and Schreier fronts, so there the window may be large when the
+    witness comes early; a seq front's count walks every top, building no
+    pair.
     Each value is checked against the codomain once and then compared raw
     (see CodedQO); an invalid value raises the error the codomain's leq
     would raise, at the same pair.

@@ -99,6 +99,7 @@ NEGATIVE_DESCRIPTOR_ARGV = [
 DOMAIN_ERROR_ARGV = [
     ["rado", "witness", "3", "3"],           # needs m < n
     ["front", "ray", "--schema", "trivial", "0"],
+    ["front", "ray", "--schema", "schreier", "-1"],
     ["front", "restrict", "--schema", "uniform", "--k", "2",
      "--base", "evens", "--to", "odds"],
     ["shift", "critical", "id"],             # no critical point
@@ -1401,6 +1402,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert bqo.cli.main(["rado", "witness", "0", "1"]) == 0
 steps.append(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
+    assert bqo.cli.main(["game", "solve", '(set (atom "1") (atom "2"))',
+                         '(set (atom "3"))']) == 0
+steps.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
     assert bqo.cli.main(["shift", "sigma", "affine:1,5", "affine:1,2",
                          "--window", "12"]) == 0
 steps.append(loaded())
@@ -1411,12 +1416,14 @@ print(json.dumps(steps))
 def test_a_command_loads_only_the_library_modules_it_uses():
     proc = _fresh_python("-c", _LOADED_AFTER_EACH_STEP)
     assert proc.returncode == 0, proc.stderr
-    parser, version, witness, sigma = (set(step) & LIBRARY
-                                       for step in json.loads(proc.stdout))
+    parser, version, witness, solve, sigma = (
+        set(step) & LIBRARY for step in json.loads(proc.stdout))
     assert parser == set(), "import bqo.cli; build_parser()"
     assert version == set(), "main(['--version'])"
     assert witness == {"bqo.qo"}, "main(['rado', 'witness', '0', '1'])"
-    assert sigma - witness == {"bqo.shifts", "bqo.streams"}, \
+    assert solve == {"bqo.games", "bqo.hset", "bqo.qo"}, \
+        "main(['game', 'solve', ...])"
+    assert sigma - solve == {"bqo.shifts", "bqo.streams"}, \
         "main(['shift', 'sigma', ...])"
 
 
@@ -1434,6 +1441,13 @@ def test_golden_invocation_replays_in_a_fresh_interpreter(group, flags):
                          stdin=entry["stdin"] or "")
     got = (proc.returncode, proc.stdout)
     assert got == (entry["exit"], entry["stdout"]), proc.stderr
+
+
+def test_a_negative_schreier_ray_is_one_line_in_a_fresh_interpreter():
+    proc = _fresh_python("-m", "bqo.cli", "front", "ray", "--schema",
+                         "schreier", "-1")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["NotInBase: -1 is not in the base"]
 
 
 def test_a_refused_argv_is_one_usage_error_in_a_fresh_interpreter():

@@ -262,6 +262,14 @@ class TestRays:
     def test_ray_not_in_base(self):
         with pytest.raises(NotInBase):
             ray(uniform_front(2, evens()), 3)
+        # the Schreier ray at -1 would be [X]^-1; the base is read first,
+        # save on the trivial front
+        for F in (uniform_front(2), schreier_front(),
+                  SHIFT_PAIR_FRONTS["seq"][0]):
+            with pytest.raises(NotInBase, match=r"^-1 is not in the base$"):
+                ray(F, -1)
+        with pytest.raises(TrivialHasNoRays):
+            ray(trivial_front(), -1)
 
     def test_seq_ray_roundtrip(self):
         table = {0: UniformSchema(1), 1: UniformSchema(2)}
@@ -522,9 +530,18 @@ class TestShiftPairs:
     @pytest.mark.parametrize("name", SHIFT_PAIR_FRONTS)
     def test_count_is_reference_length(self, name):
         F, bound = SHIFT_PAIR_FRONTS[name]
-        members = members_within(F, bound)
-        assert count_shift_pairs(F, bound) == len(
-            shift_pairs_reference(members))
+        for window in range(bound + 1):
+            members = members_within(F, window)
+            assert count_shift_pairs(F, window) == len(
+                shift_pairs_reference(members)), window
+
+    def test_walked_count_builds_no_bucket(self, monkeypatch):
+        # the seq front has no closed form; its count reads the walk's
+        # index, not the buckets shift_pair_buckets would list
+        def refuse(*args):
+            raise AssertionError("shift_pair_buckets called")
+        monkeypatch.setattr(bqo.fronts, "shift_pair_buckets", refuse)
+        assert count_shift_pairs(SHIFT_PAIR_FRONTS["seq"][0], 40) == 110920
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 8), max_size=4, unique=True)

@@ -541,6 +541,18 @@ class TestScanLaziness:
         assert rep.pairs_scanned == count_shift_pairs(schreier_front(),
                                                       20000)
 
+    def test_singleton_scan_lists_no_member_far_out(self, monkeypatch):
+        # [X]^1 takes the bucket walk, which stops at top 1; the count is
+        # C(n, 2) in closed form
+        def refuse(*args):
+            raise AssertionError("members_within called")
+        monkeypatch.setattr(bqo.superseq, "members_within", refuse)
+        monkeypatch.setattr(bqo.fronts, "members_within", refuse)
+        rep = badness_check(SuperSeq(uniform_front(1), named_valuation(
+            "min"), OMEGA), 20000)
+        assert rep.good_witness == ((0,), (1,))
+        assert rep.pairs_scanned == math.comb(20000, 2)
+
 
 def first_pair_reference(value, pairs: list, hit, check=None):
     """The first of pairs with hit(f(s), f(t)), read pair by pair: the
@@ -600,8 +612,9 @@ _SCAN_STYLES = ("mixed", "bad", "malformed", "both")
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("scan", ["badness", "perfect", "perfect-raising"])
 def test_uniform_scan_matches_the_per_pair_scan(k, scan):
-    """The uniform scan against a per-pair scan of the listed shift pairs
-    on windows 0 to 12 and three bases: same witness, pair count, first
+    """The uniform scans, the closed form for k >= 2 and the bucket walk
+    for k = 1, against a per-pair scan of the listed shift pairs on
+    windows 0 to 12 and three bases: same witness, pair count, first
     error and read log, and, for perfect_check, the same calls of R."""
     for window in range(13):
         for seed in range(12):
@@ -629,8 +642,8 @@ def test_every_front_scan_matches_the_per_pair_scan(front, scan):
     """badness_check and perfect_check on every front kind against a
     per-pair scan of the listed shift pairs, on windows 0 to 20 and four
     bases: same witness, pair count, first error and read log, and, for
-    perfect_check, the same calls of R. The uniform fronts with k >= 1
-    take the closed form, the others the bucket walk."""
+    perfect_check, the same calls of R. The uniform fronts with k >= 2
+    take the closed form, the others, [X]^1 included, the bucket walk."""
     for window in range(21):
         for b, base in enumerate(FRONT_BASES):
             F = FRONT_KINDS[front](parse_base(base))
