@@ -28,6 +28,7 @@ a ``bqo`` process then loads only its own command's modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -534,17 +535,33 @@ def _cmd_seq_sparsify(args):
     return payload, lines
 
 
-def _printable_count(count: int) -> int:
-    """count, if Python prints it: a count past the int-to-str digit limit
-    (4,300 digits by default, from Python 3.11 and the 3.10 security
-    releases; 0 lifts it) is a DomainError, one line and exit 1. Schreier
-    pair counts pass it just past window 20,000."""
+@functools.lru_cache(maxsize=None)
+def _digit_bound(limit: int) -> int:
+    """The least int with more than limit decimal digits."""
+    return 10 ** limit
+
+
+def _past_bound(value, bound: int) -> bool:
+    """Whether value, or an int within its tuples and lists, is at least
+    bound in absolute value."""
+    if isinstance(value, (tuple, list)):
+        return any(_past_bound(v, bound) for v in value)
+    return isinstance(value, int) and abs(value) >= bound
+
+
+def _printable(key: str, value):
+    """value, if Python prints every int in it, within tuples and lists
+    too: an int past the int-to-str digit limit (4,300 digits by default,
+    from Python 3.11 and the 3.10 security releases; 0 lifts it) is a
+    DomainError that names the payload key, one line and exit 1. Schreier
+    pair counts pass it just past window 20,000, and the orbit values of
+    affine:2,1 just past window 14,000."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and count >= 10 ** limit:
+    if limit and _past_bound(value, _digit_bound(limit)):
         raise DomainError(
-            f"pairs_scanned has more than {limit} decimal digits, past "
+            f"{key} has more than {limit} decimal digits, past "
             f"Python's int-to-str limit; try a smaller --window")
-    return count
+    return value
 
 
 def _cmd_seq_bad(args):
@@ -553,7 +570,7 @@ def _cmd_seq_bad(args):
     rep = badness_check(f, args.window)
     payload = {"sequence": f.name, **_fields(
         rep, "good_witness", "bad_on_window"),
-        "pairs_scanned": _printable_count(rep.pairs_scanned)}
+        "pairs_scanned": _printable("pairs_scanned", rep.pairs_scanned)}
     return payload, _lines(args, payload, "window", "bad_on_window",
                            "good_witness", "pairs_scanned")
 
@@ -563,8 +580,8 @@ def _cmd_seq_perfect(args):
     f, relation = _relation(args, _ordered_superseq(args))
     rep = perfect_check(f, relation, args.window)
     payload = {"sequence": f.name, "relation": args.relation,
-               **_fields(rep, "holds", "violation"),
-               "pairs_scanned": _printable_count(rep.pairs_scanned)}
+               **_fields(rep, "holds", "violation"), "pairs_scanned":
+               _printable("pairs_scanned", rep.pairs_scanned)}
     return payload, _lines(args, payload, "window", "holds", "violation",
                            "pairs_scanned")
 
@@ -736,7 +753,7 @@ def _cmd_shift_rho(args):
     from .shifts import compose, rho
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
     r = rho(f, g, probe=_probe(args))
-    values = r.values(args.window)
+    values = _printable("values", r.values(args.window))
     composed = rho(compose(f, g), g, probe=_probe(args))
     translated = all(composed(i) == r(i + 1) for i in range(args.window))
     payload = {"f": args.f, "g": args.g, "values": values,
@@ -768,7 +785,8 @@ def _cmd_shift_critical(args):
 def _cmd_shift_orbit(args):
     from .shifts import orbit_map
     g = _parse_inj_arg(args.g)
-    values = orbit_map(g, probe=_probe(args)).values(args.window)
+    values = _printable(
+        "values", orbit_map(g, probe=_probe(args)).values(args.window))
     payload = {"g": args.g, "values": values}
     return payload, [f"orbit map: {list(values)}"]
 

@@ -12,11 +12,11 @@ view). Each schema's ray(n) says how it steps, and carries its own rank and
 file form; ray(F, n) is the one entry point for walkers, so membership,
 stepping, window enumeration, the truncated tree and the shift-pair walk
 all go through it; shift pairs are walked top by top, so a scan that stops
-early lists no member past its stop, and count_shift_pairs counts a walked
-front from the walk's own index, building no pair. The shortcuts are closed
-forms: a residual [X]^k lists its window members as the k-subsets,
-front_step reads its member as the next k entries, and count_shift_pairs
-counts the pairs of uniform and Schreier fronts.
+early lists no member past its stop. The shortcuts are closed forms: a
+residual [X]^k lists its window members as the k-subsets, front_step reads
+its member as the next k entries, and count_shift_pairs counts the pairs of
+uniform and Schreier fronts; it counts those of any other front by a sum
+over rays, building no pair.
 """
 from __future__ import annotations
 
@@ -523,7 +523,7 @@ def _ending_at(F: Front, x: int) -> list:
     return out
 
 
-def _pair_buckets(empty: bool, tops: Iterable, count: bool = False):
+def _pair_buckets(empty: bool, tops: Iterable):
     """Witness-order buckets of shift pairs: ((), ()) alone when () is a
     member, then the sorted pairs whose largest entry is x, for each list
     of tops, the members ending at x, x ascending.
@@ -534,29 +534,24 @@ def _pair_buckets(empty: bool, tops: Iterable, count: bool = False):
     extend that tail by entries above s[-1] top out at t[-1]: by_tail
     lists the members s of earlier buckets by s[1:], looked up at each
     proper prefix of t, and the singletons (a,) with a < t[0] are a
-    bisected slice of their heads. With count, each bucket yields in its
-    place its size, the sum of these three lengths, and builds no pair."""
+    bisected slice of their heads."""
     walked: set = set()
     if empty:
         walked.add(())
-        yield 1 if count else [((), ())]
+        yield [((), ())]
     by_tail = defaultdict(list)
     heads: list = []
     for ending in tops:
         walked.update(ending)
-        bucket, size = [], 0
+        bucket = []
         for m in ending:
-            segments = [m[1:1 + k] for k in range(len(m))
-                        if m[1:1 + k] in walked]
-            below = bisect.bisect_left(heads, m[0])
-            tails = [by_tail.get(m[:c], ()) for c in range(1, len(m))]
-            if count:
-                size += len(segments) + below + sum(map(len, tails))
-            else:
-                bucket += [(m, t) for t in segments]
-                bucket += [((a,), m) for a in heads[:below]]
-                bucket += [(s, m) for run in tails for s in run]
-        yield size if count else sorted(bucket)
+            bucket += [(m, m[1:1 + k]) for k in range(len(m))
+                       if m[1:1 + k] in walked]
+            bucket += [((a,), m) for a in
+                       heads[:bisect.bisect_left(heads, m[0])]]
+            bucket += [(s, m) for c in range(1, len(m))
+                       for s in by_tail.get(m[:c], ())]
+        yield sorted(bucket)
         for m in ending:
             if len(m) == 1:
                 heads.append(m[0])
@@ -586,9 +581,8 @@ def shift_pairs_within(members: Iterable) -> list:
 
 def count_shift_pairs(F: Front, bound: int) -> int:
     """The number of pairs shift_pair_buckets lists, in closed form on
-    uniform and Schreier fronts. Any other front walks its tops as
-    shift_pair_buckets does and adds up each bucket's size from the
-    walk's index, building no pair.
+    uniform and Schreier fronts, and by a sum over rays on any other
+    front, building no pair.
 
     [X]^k, k >= 1, on n window points has C(n, k + 1) pairs, one per
     (k + 1)-subset, and the trivial front one, ((), ()). A Schreier front
@@ -598,14 +592,13 @@ def count_shift_pairs(F: Front, bound: int) -> int:
     all (Vandermonde's identity), as (0,) has among the members starting
     at b: one term per point below b. Each binomial is stepped from the
     last by small factors, and the terms vanish once p_i passes
-    n - 1 - i."""
+    n - 1 - i. Any other front is counted by _ray_pair_count."""
     schema = F.schema
     if isinstance(schema, UniformSchema):
         return math.comb(len(F.base.upto(bound)), schema.k + 1) \
             if schema.k else 1
     if not isinstance(schema, SchreierSchema):
-        tops = (_ending_at(F, x) for x in F.base.upto(bound))
-        return sum(_pair_buckets(schema.trivial, tops, True))
+        return _ray_pair_count(schema, F.base.upto(bound))
     points = F.base.upto(bound)
     n = len(points)
     total, term, r = 0, 1, 0
@@ -619,6 +612,55 @@ def count_shift_pairs(F: Front, bound: int) -> int:
             break
         total += i * term
     return total
+
+
+def _ray_pair_count(schema, points: Sequence) -> int:
+    """count_shift_pairs on a front that is not trivial, over the window
+    points P = points, n of them, as a sum over rays.
+
+    A pair (s, t) is s = (P[i],) + a with t a member on P[i + 1:] that is
+    comparable with a: t is an initial segment of a, or a is one of t,
+    whose further entries then lie above s[-1] (see shift_rel). So the count is
+    the sum over i of pairs(S.ray(P[i]), S, i + 1), where pairs(A, T, i)
+    counts the comparable a in A and t in T on P[i:]: members(T, i) when A
+    is trivial, members(A, i) when T is, C(n - i, max(j, k)) on [X]^j and
+    [X]^k, and otherwise the sum over j >= i of pairs(A.ray(P[j]),
+    T.ray(P[j]), j + 1), both stepping by P[j]. members(S, i) counts the
+    members on P[i:]: C(n - i, k) on [X]^k, and otherwise the sum over
+    j >= i of members(S.ray(P[j]), j + 1).
+
+    Each sum over j is a list of suffix sums per schema or schema pair,
+    built once from the end, so Python's recursion follows the nesting of
+    the schemas, not the window."""
+    n = len(points)
+    sums: dict = {}
+
+    def suffix(key, term) -> list:
+        out = sums.get(key)
+        if out is None:
+            out = [0] * (n + 1)
+            for j in range(n - 1, -1, -1):
+                out[j] = out[j + 1] + term(j)
+            sums[key] = out
+        return out
+
+    def members(S, i: int) -> int:
+        if isinstance(S, UniformSchema):
+            return math.comb(n - i, S.k)
+        return suffix(S, lambda j: members(S.ray(points[j]), j + 1))[i]
+
+    def pairs(A, T, i: int) -> int:
+        if A.trivial:
+            return members(T, i)
+        if T.trivial:
+            return members(A, i)
+        if isinstance(A, UniformSchema) and isinstance(T, UniformSchema):
+            return math.comb(n - i, max(A.k, T.k))
+        return suffix((A, T), lambda j: pairs(
+            A.ray(points[j]), T.ray(points[j]), j + 1))[i]
+
+    return sum(pairs(schema.ray(p), schema, i + 1)
+               for i, p in enumerate(points))
 
 
 # --- serialization --------------------------------------------------------

@@ -45,6 +45,9 @@ __all__ = [
     "superseq_from_dict",
 ]
 
+# a value not yet read: the sentinel of value cache and scan probes
+_UNREAD = object()
+
 
 @dataclass(frozen=True)
 class SuperSeq:
@@ -57,10 +60,14 @@ class SuperSeq:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def value(self, s: tuple):
-        s = tuple(s)
-        if s not in self._cache:
-            self._cache[s] = self.valuation(s)
-        return self._cache[s]
+        """The value of member s, read from the cache in one probe; a miss
+        calls the valuation once and caches its result, None included."""
+        if type(s) is not tuple:
+            s = tuple(s)
+        v = self._cache.get(s, _UNREAD)
+        if v is _UNREAD:
+            v = self._cache[s] = self.valuation(s)
+        return v
 
     def checked(self) -> "SuperSeq":
         """This sequence with each value passed through the codomain's
@@ -292,7 +299,6 @@ def sparsify(f: SuperSeq, bound: int) -> SuperSeq:
 
 # --- shift diagnostics ----------------------------------------------------
 
-_UNREAD = object()
 _TAIL = operator.itemgetter(slice(1, None))
 
 
@@ -304,7 +310,7 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     A uniform front [X]^k, k >= 2, is scanned in closed form (see
     _first_uniform_pair); any other front, [X]^1 included, walks
     shift_pair_buckets in a flat loop, which lists no member past the
-    witness (the count of a seq front still walks every top, building no
+    witness (the count of a seq front sums over its rays, building no
     pair). Either way hit is called pair by pair in witness order, up to
     the first hit. Each member's value is read once, and passed through
     check (when given) the first time it is read; values read at the same
@@ -445,9 +451,9 @@ def badness_check(f: SuperSeq, bound: int) -> BadnessReport:
     [X]^k, k >= 2, is scanned in closed form (see _first_uniform_pair),
     any other front, [X]^1 included, through shift_pair_buckets.
     pairs_scanned counts every shift pair in the window, in closed form on
-    uniform and Schreier fronts, so there the window may be large when the
-    witness comes early; a seq front's count walks every top, building no
-    pair.
+    uniform and Schreier fronts and by a sum over rays on seq fronts,
+    building no pair, so the window may be large when the witness comes
+    early.
     Each value is checked against the codomain once and then compared raw
     (see CodedQO); an invalid value raises the error the codomain's leq
     would raise, at the same pair.

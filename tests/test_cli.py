@@ -1450,6 +1450,25 @@ def test_a_negative_schreier_ray_is_one_line_in_a_fresh_interpreter():
     assert proc.stderr.splitlines() == ["NotInBase: -1 is not in the base"]
 
 
+# 2 ** 14300 has 4,305 decimal digits: the orbit values, and rho's, pass
+# the int-to-str limit before any text line is formatted
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["shift", "orbit", "affine:2,1"],
+    ["shift", "rho", "succ", "affine:2,1"]], ids=["orbit", "rho"])
+def test_values_past_the_digit_limit_are_one_line_in_a_fresh_interpreter(
+        argv, fmt):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints ints of any length")
+    proc = _fresh_python("-m", "bqo.cli", *argv, "--window", "14300",
+                         "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"DomainError: values has more than {limit} decimal digits, past "
+        f"Python's int-to-str limit; try a smaller --window"]
+
+
 def test_a_refused_argv_is_one_usage_error_in_a_fresh_interpreter():
     proc = _fresh_python("-m", "bqo.cli", "rado", "witness", "0", "one")
     lines = proc.stderr.splitlines()

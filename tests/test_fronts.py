@@ -502,6 +502,21 @@ class TestShiftRel:
         assert shift_rel(s, t) == shift_witness_oracle(s, t, bound=9)
 
 
+_INNER_SEQ = SeqSchema(((1, UniformSchema(2)), (4, TrivialSchema())),
+                       UniformSchema(1), OrdinalCNF.natural(3))
+NESTED_SEQ_FRONTS = {
+    "trivial-ray": SeqSchema(((2, TrivialSchema()),), UniformSchema(2),
+                             OrdinalCNF.natural(3)),
+    "schreier-ray": SeqSchema(((1, SchreierSchema()),), UniformSchema(2),
+                              OrdinalCNF.omega()),
+    "seq-rays": SeqSchema(((0, _INNER_SEQ), (2, TrivialSchema()),
+                           (5, SchreierSchema())), _INNER_SEQ,
+                          OrdinalCNF.omega()),
+    "schreier-default": SeqSchema(((3, _INNER_SEQ),), SchreierSchema(),
+                                  OrdinalCNF.omega()),
+}
+
+
 class TestShiftPairs:
     @pytest.mark.parametrize("F,bound", [
         (uniform_front(2), 10),
@@ -536,12 +551,29 @@ class TestShiftPairs:
                 shift_pairs_reference(members)), window
 
     def test_walked_count_builds_no_bucket(self, monkeypatch):
-        # the seq front has no closed form; its count reads the walk's
-        # index, not the buckets shift_pair_buckets would list
-        def refuse(*args):
-            raise AssertionError("shift_pair_buckets called")
-        monkeypatch.setattr(bqo.fronts, "shift_pair_buckets", refuse)
-        assert count_shift_pairs(SHIFT_PAIR_FRONTS["seq"][0], 40) == 110920
+        # the seq front has no closed form; its count sums over rays and
+        # neither lists the buckets nor walks the members ending at a top
+        def refuse(name):
+            def refused(*args):
+                raise AssertionError(f"{name} called")
+            return refused
+        for name in ("shift_pair_buckets", "_ending_at"):
+            monkeypatch.setattr(bqo.fronts, name, refuse(name))
+        F = SHIFT_PAIR_FRONTS["seq"][0]
+        assert count_shift_pairs(F, 40) == 110920
+        start = time.perf_counter()
+        assert count_shift_pairs(F, 20000) == 6668663251004910
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name", NESTED_SEQ_FRONTS)
+    def test_ray_sum_count_on_nested_rays(self, name):
+        # trivial, Schreier and seq rays inside a seq front, as a ray and
+        # as the default
+        for base in ("omega", "prefix:0,2,3+arith:5,3"):
+            F = Front(NESTED_SEQ_FRONTS[name], parse_base(base))
+            for window in range(15):
+                pairs = shift_pairs_reference(members_within(F, window))
+                assert count_shift_pairs(F, window) == len(pairs), window
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 8), max_size=4, unique=True)

@@ -95,6 +95,11 @@ class TestValidate:
         assert again == qo
 
 
+class _PairTuple(tuple):
+    def __new__(cls, m, n):
+        return super().__new__(cls, (m, n))
+
+
 class TestRado:
     def test_first_clause(self):
         assert rado_leq((0, 1), (0, 5))
@@ -115,8 +120,9 @@ class TestRado:
             rado_leq("01", (0, 1))
 
     @pytest.mark.parametrize("s", [
-        (False, True), (0, True), (0.0, 1), [0, 1], (0, 1, 2), (-1, 2),
-        (3, 3), (2, 1), "01", (), None])
+        (False, True), (0, True), (True, 2), (0.0, 1), [0, 1], (0, 1, 2),
+        (-1, 2), (-1, 0), (1, 1), (3, 3), (2, 1), "01", (), None,
+        _PairTuple(True, 2), _PairTuple(1, 1)])
     def test_carrier_check_rejects(self, s):
         message = f"{s!r} is not an increasing pair of naturals"
         for check in (bqo.qo._check_rado_pair, RADO.check):
@@ -135,6 +141,15 @@ class TestRado:
         assert bqo.qo._check_rado_pair(s) is s
         assert RADO.check(s) is s
         assert rado_leq(s, (2, 7)) and not rado_leq((2, 7), s)
+
+    @pytest.mark.parametrize("s", [
+        (0, 1), (3, 10 ** 30), _PairTuple(0, 1), _PairTuple(2, 5)])
+    def test_carrier_check_returns_the_pair_itself(self, s):
+        # plain pairs take the exact-type path, a tuple subclass the
+        # isinstance one; both hand back the very object
+        assert bqo.qo._check_rado_pair(s) is s
+        assert RADO.check(s) is s
+        assert rado_leq(s, (s[0], s[1] + 1))
 
     @pytest.mark.parametrize("x", ["x", (), "", None, True, -1, 1.5])
     def test_omega_checks_naturals_where_it_compares(self, x):

@@ -100,6 +100,29 @@ class TestEval:
         assert eval_up(min_u2(), Y).value == 2
 
 
+class TestValue:
+    def test_a_none_value_is_computed_once(self):
+        calls = []
+        f = SuperSeq(uniform_front(2), lambda s: calls.append(s))
+        assert f.value((0, 1)) is None and f.value((0, 1)) is None
+        assert calls == [(0, 1)] and f._cache == {(0, 1): None}
+
+    def test_a_table_member_calls_no_valuation(self):
+        def unread(s):
+            raise AssertionError(f"valuation called at {s}")
+        f = SuperSeq(uniform_front(2), unread, _cache={(0, 1): None})
+        assert f.value((0, 1)) is None and f.value([0, 1]) is None
+
+    def test_a_list_reads_the_tuple_value(self):
+        calls = []
+        f = SuperSeq(uniform_front(2),
+                     lambda s: calls.append(s) or s[1] - s[0])
+        assert f.value([2, 7]) == 5 and f.value((2, 7)) == 5
+        assert f.value(iter((2, 7))) == 5
+        assert calls == [(2, 7)] and type(calls[0]) is tuple
+        assert list(f._cache) == [(2, 7)]
+
+
 class TestSegOrder:
     def test_reflexive(self):
         f = identity_u2()
