@@ -535,7 +535,7 @@ def _cmd_seq_sparsify(args):
     return payload, lines
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _digit_bound(limit: int) -> int:
     """The least int with more than limit decimal digits."""
     return 10 ** limit
@@ -766,7 +766,8 @@ def _cmd_shift_rho(args):
 def _cmd_shift_sigma(args):
     from .shifts import sigma
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
-    values = sigma(f, g, probe=_probe(args)).values(args.window)
+    values = _printable(
+        "values", sigma(f, g, probe=_probe(args)).values(args.window))
     payload = {"f": args.f, "g": args.g, "values": values,
                "strictly_increasing": all(
                    a < b for a, b in zip(values, values[1:]))}

@@ -532,8 +532,8 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     evidence of a bad sequence in the codomain and raises
     RamseyStageFailed).  The minimum of the surviving set is dropped and
     both directions of the embedding are verified on every pair over X.
-    Each value is read once, checked against the codomain then and
-    compared raw after (see CodedQO).
+    Each value is read once, through f.checked(), checked against the
+    codomain then and compared raw after (see CodedQO).
 
     One call compares values along the badness scan and the two stages'
     searches, then every ordered pair of pairs over X, p-major, one row of
@@ -541,13 +541,7 @@ def laver_embed(f: SuperSeq, window: int, min_size: int = 4) -> LaverReport:
     built in closed form (see _pair_order_violations).
     """
     _require_bad_pairs(f, window, "embedding extraction")
-    leq, check = f.codomain.raw_leq, f.codomain.check
-    values: dict = {}
-
-    def value(p: tuple):
-        if p not in values:
-            values[p] = check(f.value(p))
-        return values[p]
+    leq, value = f.codomain.raw_leq, f.checked().value
 
     def c3(tr: tuple) -> int:
         i, j, k = tr

@@ -10,6 +10,10 @@ The shift-pair scans walk the window top by top and stop at their witness:
 a uniform front [X]^k, k >= 2, in closed form, and every other front, [X]^1
 included, through fronts.shift_pair_buckets. Their pair counts come from
 count_shift_pairs, which builds no pair.
+
+A super-sequence keeps only the values it was given, such as a file's
+table: value stores nothing it computes. checked() is the one view that
+keeps values, each checked once; the scans keep theirs for one call.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ __all__ = [
     "superseq_from_dict",
 ]
 
-# a value not yet read: the sentinel of value cache and scan probes
+# a value not yet read: the sentinel of value's table probe and the scans'
 _UNREAD = object()
 
 
@@ -60,23 +64,25 @@ class SuperSeq:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def value(self, s: tuple):
-        """The value of member s, read from the cache in one probe; a miss
-        calls the valuation once and caches its result, None included."""
+        """The value of member s: its entry in _cache, the values given up
+        front, read in one probe, or else the valuation's result, which is
+        not stored."""
         if type(s) is not tuple:
             s = tuple(s)
         v = self._cache.get(s, _UNREAD)
-        if v is _UNREAD:
-            v = self._cache[s] = self.valuation(s)
-        return v
+        return self.valuation(s) if v is _UNREAD else v
 
     def checked(self) -> "SuperSeq":
         """This sequence with each value passed through the codomain's
-        check on its first read, so that its values compare with raw_leq."""
+        check on its first read, so that its values compare with raw_leq.
+        The view keeps each value that passed in its _cache, so a member is
+        checked once; a failed check stores nothing and raises again."""
         if self.codomain is None:
             raise ValueError("checked() needs a quasi-order codomain")
-        check, valuation = self.codomain.check, self.valuation
-        return SuperSeq(self.front, lambda s: check(valuation(s)),
-                        self.codomain, self.name)
+        check, value, memo = self.codomain.check, self.value, {}
+        return SuperSeq(self.front,
+                        lambda s: memo.setdefault(s, check(value(s))),
+                        self.codomain, self.name, memo)
 
 
 @dataclass(frozen=True)
@@ -312,10 +318,11 @@ def _first_pair(f: SuperSeq, bound: int, hit: Callable[[Any, Any], bool],
     shift_pair_buckets in a flat loop, which lists no member past the
     witness (the count of a seq front sums over its rays, building no
     pair). Either way hit is called pair by pair in witness order, up to
-    the first hit. Each member's value is read once, and passed through
-    check (when given) the first time it is read; values read at the same
-    pair are read s then t and then checked s then t, as evaluating a
-    checked leq(f(s), f(t)) would, so the first error raised is the same.
+    the first hit. Each member's value is read once, into the walk's read
+    dict (or the kernel's rows), the scan's only value store, and checked
+    then when check is given; values read at one pair are read s then t,
+    then checked s then t, as a checked leq(f(s), f(t)) would, so the first
+    error raised is the same.
     """
     count = count_shift_pairs(f.front, bound)
     schema = f.front.schema
@@ -592,10 +599,10 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
     or "1, 2", is a ValueError that names it, so no two keys name one
     member. Table values must be hashable, and a list value becomes a tuple.
 
-    Keys and list values are decoded once, here, for the whole table, and
-    the table is the value cache, so reading a table member does not
-    call the valuation. Values are checked against the codomain only where
-    they are read (see badness_check and checked)."""
+    Keys and list values are decoded once, here, for the whole table, which
+    is kept as the given values and never added to, so reading a table
+    member does not call the valuation. Values are checked against the
+    codomain only where they are read (see badness_check and checked)."""
     from .fronts import front_from_dict
     front = front_from_dict(d["front"])
     vdata = _json_field(d.get("valuation", {}), dict, "'valuation'")
@@ -617,8 +624,5 @@ def superseq_from_dict(d: dict, codomain=None) -> SuperSeq:
         return fallback(s)
 
     name = rule or "table"
-    # the table is the value cache as well: value adds to it only val's
-    # results, which for a member off the table is the fallback's value,
-    # the same value val gives on a later call
     return SuperSeq(front=front, valuation=val, codomain=codomain, name=name,
                     _cache=table)

@@ -949,6 +949,11 @@ class TestShiftCommands:
         assert data["strictly_increasing"] is True
         assert data["values"] == sorted(set(data["values"]))
 
+    def test_sigma_values_just_under_the_digit_limit_print(self):
+        data = run_json(["shift", "sigma", "affine:1,14000", "affine:2,1",
+                         "--window", "4"])
+        assert [len(str(v)) for v in data["values"]] == [4215] * 3 + [4216]
+
     def test_sigma_of_identity_under_successor_collapses(self):
         data = run_json(["shift", "sigma", "id", "succ", "--window", "8"])
         assert data["values"] == list(range(8))
@@ -1450,23 +1455,33 @@ def test_a_negative_schreier_ray_is_one_line_in_a_fresh_interpreter():
     assert proc.stderr.splitlines() == ["NotInBase: -1 is not in the base"]
 
 
-# 2 ** 14300 has 4,305 decimal digits: the orbit values, and rho's, pass
-# the int-to-str limit before any text line is formatted
+# 2 ** 14300 has 4,305 decimal digits: the orbit values, rho's, and sigma's
+# of affine:1,14300 under affine:2,1, pass the int-to-str limit before any
+# text line is formatted
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("argv", [
-    ["shift", "orbit", "affine:2,1"],
-    ["shift", "rho", "succ", "affine:2,1"]], ids=["orbit", "rho"])
+    ["shift", "orbit", "affine:2,1", "--window", "14300"],
+    ["shift", "rho", "succ", "affine:2,1", "--window", "14300"],
+    ["shift", "sigma", "affine:1,14300", "affine:2,1", "--window", "4"]],
+    ids=["orbit", "rho", "sigma"])
 def test_values_past_the_digit_limit_are_one_line_in_a_fresh_interpreter(
         argv, fmt):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         pytest.skip("this Python prints ints of any length")
-    proc = _fresh_python("-m", "bqo.cli", *argv, "--window", "14300",
-                         "--format", fmt)
+    proc = _fresh_python("-m", "bqo.cli", *argv, "--format", fmt)
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
     assert proc.stderr.splitlines() == [
         f"DomainError: values has more than {limit} decimal digits, past "
         f"Python's int-to-str limit; try a smaller --window"]
+
+
+def test_the_installed_script_probes_pass_on_the_source_tree():
+    # CI runs the same probes on the installed console script
+    proc = _fresh_python(str(ROOT / "tests" / "installed_probes.py"),
+                         sys.executable, "-m", "bqo.cli")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(proc.stdout.splitlines()) == 5
 
 
 def test_a_refused_argv_is_one_usage_error_in_a_fresh_interpreter():

@@ -4,12 +4,15 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import pathlib
 import random
 import re
 import subprocess
 import sys
+import tracemalloc
+import types
 from dataclasses import dataclass, field
 
 import pytest
@@ -101,12 +104,6 @@ class TestEval:
 
 
 class TestValue:
-    def test_a_none_value_is_computed_once(self):
-        calls = []
-        f = SuperSeq(uniform_front(2), lambda s: calls.append(s))
-        assert f.value((0, 1)) is None and f.value((0, 1)) is None
-        assert calls == [(0, 1)] and f._cache == {(0, 1): None}
-
     def test_a_table_member_calls_no_valuation(self):
         def unread(s):
             raise AssertionError(f"valuation called at {s}")
@@ -119,8 +116,62 @@ class TestValue:
                      lambda s: calls.append(s) or s[1] - s[0])
         assert f.value([2, 7]) == 5 and f.value((2, 7)) == 5
         assert f.value(iter((2, 7))) == 5
-        assert calls == [(2, 7)] and type(calls[0]) is tuple
-        assert list(f._cache) == [(2, 7)]
+        assert calls == [(2, 7)] * 3 and all(type(s) is tuple for s in calls)
+
+    def test_reading_a_file_sequence_leaves_its_table_as_given(self):
+        # every member but the two on the table falls back to the rule
+        f = superseq_from_dict({"front": {"schema": "uniform", "k": 2},
+                                "valuation": {"rule": "span", "table": {
+                                    "0,1": 9, "2,5": 0}}}, codomain=OMEGA)
+        members = members_within(f.front, 8)
+        assert [f.value(s) for s in members] == [
+            {(0, 1): 9, (2, 5): 0}.get(s, s[1] - s[0]) for s in members]
+        assert perfect_check(f, lambda a, b: True, 8).holds
+        assert f.checked().value((3, 7)) == 4
+        assert f._cache == {(0, 1): 9, (2, 5): 0}
+
+    def test_a_checked_view_reads_and_checks_each_member_once(self):
+        reads, checks = [], []
+        codomain = types.SimpleNamespace(
+            check=lambda v: checks.append(v) or RADO.check(v))
+        f = SuperSeq(uniform_front(2), lambda s: reads.append(s) or s,
+                     codomain, _cache={(0, 1): (0, 5)})
+        g = f.checked()
+        members = members_within(f.front, 6)
+        values = [(0, 5), *members[1:]]
+        for _ in range(3):
+            assert [g.value(s) for s in members] == values
+        # the given value is read, not computed, and checked like the rest
+        assert reads == members[1:] and checks == values
+        assert g._cache == dict(zip(members, values))
+        assert f._cache == {(0, 1): (0, 5)}
+        # a failed check stores nothing, so the next read raises again
+        bad_reads = []
+        bad = SuperSeq(uniform_front(2),
+                       lambda s: bad_reads.append(s) or (5, 3), RADO).checked()
+        for _ in range(2):
+            with pytest.raises(NotAPair):
+                bad.value((0, 1))
+        assert bad_reads == [(0, 1)] * 2 and bad._cache == {}
+
+
+def test_a_rule_valued_scan_leaves_the_sequence_holding_no_values():
+    # min holds <= on every shift pair of the Schreier front, so the scan
+    # reads every window member; afterwards, with f alive, nothing that
+    # superseq allocated for the scan is held
+    f = SuperSeq(schreier_front(), named_valuation("min"), OMEGA, "min")
+    tracemalloc.start()
+    try:
+        rep = perfect_check(f, operator.le, 22)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.filter_traces(
+        [tracemalloc.Filter(True, bqo.superseq.__file__)]).statistics(
+            "filename"))
+    assert rep.holds and rep.pairs_scanned > 10 ** 5
+    assert held < 16_000, held
+    assert f._cache == {}
 
 
 class TestSegOrder:
@@ -175,7 +226,7 @@ class TestSpare:
 
 @dataclass(frozen=True)
 class LoggedSeq(SuperSeq):
-    """A super-sequence that logs every value read, cached or not."""
+    """A super-sequence that logs every value read, given or computed."""
 
     log: list = field(default_factory=list, compare=False, repr=False)
 
@@ -186,7 +237,7 @@ class LoggedSeq(SuperSeq):
 
 def spare_outcome(check, f: SuperSeq, bound: int):
     """The report of check, or the MissingValue it raises, with the log of
-    every value it read, on a copy of f with a copy of its value cache."""
+    every value it read, on a copy of f with a copy of its given values."""
     seq = LoggedSeq(f.front, f.valuation, f.codomain, f.name, dict(f._cache))
     try:
         result = check(seq, bound)
@@ -438,11 +489,9 @@ class TestScanErrors:
 
     @staticmethod
     def checked_reference(f: SuperSeq, pairs: list):
-        """The first good pair of a checked rado_leq in witness order."""
-        for s, t in pairs:
-            if rado_leq(f.value(s), f.value(t)):
-                return s, t
-        return None
+        """The first good pair of a checked rado_leq in witness order, each
+        member's value read once."""
+        return first_pair_reference(f.value, pairs, rado_leq)
 
     # (2, 5) is first met as t; (0, 5) as s, next to an unread t
     @pytest.mark.parametrize("member", [(2, 5), (0, 5)])
@@ -452,9 +501,10 @@ class TestScanErrors:
         ref = self.identity_except(table, ref_log)
         pairs = sorted(shift_pairs_reference(
             members_within(uniform_front(2), 8)), key=witness_key)
+        # identity is bad on every shift pair, so the reference reads on
+        # until the malformed value raises
         with pytest.raises(NotAPair) as ref_err:
-            for s, t in pairs:
-                rado_leq(ref.value(s), ref.value(t))
+            self.checked_reference(ref, pairs)
         log = []
         with pytest.raises(NotAPair) as err:
             badness_check(self.identity_except(table, log), 8)
