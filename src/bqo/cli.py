@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 when a checked mathematical precondition fails
 (any :class:`~bqo.errors.DomainError`), 2 on usage errors (unknown
 subcommands, malformed flags or descriptors, unreadable input files).
+Exit 1 also reports, in one line, running out of memory, a result with an
+int past Python's int-to-str digit limit, and input nested past Python's
+recursion limit.
 
 Output is either human-readable ``key: value`` lines (``--format text``,
 the default) or a canonical JSON report (``--format json``).  JSON output
@@ -28,7 +31,6 @@ a ``bqo`` process then loads only its own command's modules.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -535,42 +537,12 @@ def _cmd_seq_sparsify(args):
     return payload, lines
 
 
-@functools.lru_cache(maxsize=1)
-def _digit_bound(limit: int) -> int:
-    """The least int with more than limit decimal digits."""
-    return 10 ** limit
-
-
-def _past_bound(value, bound: int) -> bool:
-    """Whether value, or an int within its tuples and lists, is at least
-    bound in absolute value."""
-    if isinstance(value, (tuple, list)):
-        return any(_past_bound(v, bound) for v in value)
-    return isinstance(value, int) and abs(value) >= bound
-
-
-def _printable(key: str, value):
-    """value, if Python prints every int in it, within tuples and lists
-    too: an int past the int-to-str digit limit (4,300 digits by default,
-    from Python 3.11 and the 3.10 security releases; 0 lifts it) is a
-    DomainError that names the payload key, one line and exit 1. Schreier
-    pair counts pass it just past window 20,000, and the orbit values of
-    affine:2,1 just past window 14,000."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and _past_bound(value, _digit_bound(limit)):
-        raise DomainError(
-            f"{key} has more than {limit} decimal digits, past "
-            f"Python's int-to-str limit; try a smaller --window")
-    return value
-
-
 def _cmd_seq_bad(args):
     from .superseq import badness_check
     f = _ordered_superseq(args)
     rep = badness_check(f, args.window)
     payload = {"sequence": f.name, **_fields(
-        rep, "good_witness", "bad_on_window"),
-        "pairs_scanned": _printable("pairs_scanned", rep.pairs_scanned)}
+        rep, "good_witness", "bad_on_window", "pairs_scanned")}
     return payload, _lines(args, payload, "window", "bad_on_window",
                            "good_witness", "pairs_scanned")
 
@@ -580,8 +552,7 @@ def _cmd_seq_perfect(args):
     f, relation = _relation(args, _ordered_superseq(args))
     rep = perfect_check(f, relation, args.window)
     payload = {"sequence": f.name, "relation": args.relation,
-               **_fields(rep, "holds", "violation"), "pairs_scanned":
-               _printable("pairs_scanned", rep.pairs_scanned)}
+               **_fields(rep, "holds", "violation", "pairs_scanned")}
     return payload, _lines(args, payload, "window", "holds", "violation",
                            "pairs_scanned")
 
@@ -753,7 +724,7 @@ def _cmd_shift_rho(args):
     from .shifts import compose, rho
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
     r = rho(f, g, probe=_probe(args))
-    values = _printable("values", r.values(args.window))
+    values = r.values(args.window)
     composed = rho(compose(f, g), g, probe=_probe(args))
     translated = all(composed(i) == r(i + 1) for i in range(args.window))
     payload = {"f": args.f, "g": args.g, "values": values,
@@ -766,8 +737,7 @@ def _cmd_shift_rho(args):
 def _cmd_shift_sigma(args):
     from .shifts import sigma
     f, g = _parse_inj_arg(args.f), _parse_inj_arg(args.g)
-    values = _printable(
-        "values", sigma(f, g, probe=_probe(args)).values(args.window))
+    values = sigma(f, g, probe=_probe(args)).values(args.window)
     payload = {"f": args.f, "g": args.g, "values": values,
                "strictly_increasing": all(
                    a < b for a, b in zip(values, values[1:]))}
@@ -786,8 +756,7 @@ def _cmd_shift_critical(args):
 def _cmd_shift_orbit(args):
     from .shifts import orbit_map
     g = _parse_inj_arg(args.g)
-    values = _printable(
-        "values", orbit_map(g, probe=_probe(args)).values(args.window))
+    values = orbit_map(g, probe=_probe(args)).values(args.window)
     payload = {"g": args.g, "values": values}
     return payload, [f"orbit map: {list(values)}"]
 
@@ -1123,6 +1092,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.window < 2:
             raise CliUsageError("--window must be at least 2")
         payload, lines = HANDLERS[(args.group, args.cmd)](args)
+        _emit(args, f"{args.group} {args.cmd}", payload, lines)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(_subcommand_listing(), file=sys.stderr)
@@ -1134,7 +1104,20 @@ def main(argv: Optional[list] = None) -> int:
         print("MemoryError: out of memory; try a smaller --window",
               file=sys.stderr)
         return 1
-    _emit(args, f"{args.group} {args.cmd}", payload, lines)
+    except RecursionError:
+        print("RecursionError: input nested deeper than Python's recursion "
+              f"limit ({sys.getrecursionlimit()}) allows", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # Python 3.11 and the 3.10 security releases refuse to print an int
+        # of more than sys.get_int_max_str_digits() digits (4,300 by default)
+        if "integer string conversion" not in str(exc):
+            raise
+        print("DomainError: the result has an int of more than "
+              f"{sys.get_int_max_str_digits()} decimal digits, past Python's "
+              "int-to-str limit; try a smaller --window or smaller numbers",
+              file=sys.stderr)
+        return 1
     return 0
 
 

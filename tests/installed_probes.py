@@ -4,8 +4,9 @@ The probes: the README's nine invocations (one reads stdin `-`) in both
 formats against the cli goldens; a help and a usage-error argv, which
 argparse parses; a front member read far out in closed form; a descriptor
 with a negative entry; the far Schreier scan; the sigma probes, one far out
-in closed form and one past the int-to-str digit limit; and a seq front's
-pair count at windows 120 and 20,000.
+in closed form and one past the int-to-str digit limit; a seq eval value
+past that limit and an order file nested past the recursion limit; and a
+seq front's pair count at windows 120 and 20,000.
 
 Give the command to probe as the arguments:
 
@@ -97,16 +98,36 @@ def main(cmd: list) -> None:
                 "4"], lambda p: p.returncode == 0)
     # sigma's values of affine:1,14300 under affine:2,1 have 4,305 digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    past_the_digit_limit = [
+        f"DomainError: the result has an int of more than {limit} decimal "
+        "digits, past Python's int-to-str limit; try a smaller --window or "
+        "smaller numbers"]
     if limit:
         for fmt in ("text", "json"):
             probe(cmd, ["shift", "sigma", "affine:1,14300", "affine:2,1",
                         "--window", "4", "--format", fmt],
                   lambda p: (p.returncode, p.stdout) == (1, "")
-                  and p.stderr.splitlines() == [
-                      f"DomainError: values has more than {limit} decimal "
-                      f"digits, past Python's int-to-str limit; try a "
-                      f"smaller --window"])
+                  and p.stderr.splitlines() == past_the_digit_limit)
     print(f"{name}: the Schreier and sigma probes")
+
+    # span's value at arith:0,D, D the longest int argv reads, has one digit
+    # more; the order file nests its arrays past the recursion limit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        for fmt in ("text", "json"):
+            if limit:
+                probe(cmd, ["seq", "eval", "--fixture", "span@u3", "--at",
+                            f"arith:0,{'9' * limit}", "--format", fmt],
+                      lambda p: (p.returncode, p.stdout) == (1, "")
+                      and p.stderr.splitlines() == past_the_digit_limit)
+            probe(cmd, ["qo", "validate", str(path), "--format", fmt],
+                  lambda p: (p.returncode, p.stdout) == (1, "")
+                  and p.stderr.splitlines() == [
+                      "RecursionError: input nested deeper than Python's "
+                      f"recursion limit ({sys.getrecursionlimit()}) allows"])
+    print(f"{name}: an int past the digit limit and input past the "
+          "recursion limit")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "seq.json"

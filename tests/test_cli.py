@@ -15,7 +15,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bqo.fronts
@@ -38,6 +38,13 @@ def run_cli(argv, stdin=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def _digit_limit_line(limit):
+    """What main prints for a result with an int past the int-to-str limit."""
+    return (f"DomainError: the result has an int of more than {limit} "
+            "decimal digits, past Python's int-to-str limit; try a smaller "
+            "--window or smaller numbers")
 
 
 def run_json(argv):
@@ -629,8 +636,7 @@ class TestSeqCommands:
         code, out, err = run_cli(["seq", *cmd, "--fixture", "min@schreier",
                                   "--window", "21000", "--format", fmt])
         assert (code, out) == (1, "")
-        assert err.startswith("DomainError: pairs_scanned has more than "
-                              f"{limit} decimal digits")
+        assert err.startswith(_digit_limit_line(limit))
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_seq_file_with_table_valuation(self, tmp_path):
@@ -1471,9 +1477,143 @@ def test_values_past_the_digit_limit_are_one_line_in_a_fresh_interpreter(
         pytest.skip("this Python prints ints of any length")
     proc = _fresh_python("-m", "bqo.cli", *argv, "--format", fmt)
     assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
-    assert proc.stderr.splitlines() == [
-        f"DomainError: values has more than {limit} decimal digits, past "
-        f"Python's int-to-str limit; try a smaller --window"]
+    assert proc.stderr.splitlines() == [_digit_limit_line(limit)]
+
+
+# --- Python's int-to-str and recursion limits --------------------------------
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python prints ints of any length")
+
+
+def _recursion_limit_line():
+    return ("RecursionError: input nested deeper than Python's recursion "
+            f"limit ({sys.getrecursionlimit()}) allows")
+
+
+def _deep_json(tmp_path):
+    """A file of 100,000 nested JSON arrays."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return str(path)
+
+
+def _deep_front(tmp_path):
+    """A seq front file whose defaults nest 450 seq fronts around u1; at
+    300 deep its rank check ends inside the limit, at a declared rank."""
+    front = {"schema": "uniform", "k": 1}
+    for _ in range(450):
+        front = {"schema": "seq", "rays": {}, "default": front, "rank": [1]}
+    path = tmp_path / "front.json"
+    path.write_text(json.dumps(front), encoding="utf-8")
+    return str(path)
+
+
+# D, the longest int argv reads, is DIGIT_LIMIT nines; each argv computes an
+# int with one more digit, which main reports before printing anything
+_PAST_THE_DIGIT_LIMIT = {
+    "seq-eval-span": lambda d: ["seq", "eval", "--fixture", "span@u3",
+                                "--at", f"arith:0,{d}"],
+    "seq-eval-identity": lambda d: ["seq", "eval", "--fixture", "identity@u2",
+                                    "--at", f"arith:{d},{d}"],
+    "front-step": lambda d: ["front", "step", "--schema", "uniform", "--k",
+                             "3", "--at", f"arith:{d},{d}"],
+    "front-verify": lambda d: ["front", "verify", "--schema", "uniform",
+                               "--k", "2", "--samples", f"arith:{d},1"],
+}
+
+_PAST_THE_RECURSION_LIMIT = {
+    "qo-validate": lambda tmp: ["qo", "validate", _deep_json(tmp)],
+    "seq-bad": lambda tmp: ["seq", "bad", "--file", _deep_json(tmp),
+                            "--codomain", "omega-leq"],
+    "front-rank": lambda tmp: ["front", "rank", "--front-file",
+                               _deep_front(tmp)],
+}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", _PAST_THE_DIGIT_LIMIT)
+def test_an_int_past_the_digit_limit_is_one_line(name, fmt):
+    argv = _PAST_THE_DIGIT_LIMIT[name]("9" * DIGIT_LIMIT)
+    assert run_cli(argv + ["--format", fmt]) == (
+        1, "", _digit_limit_line(DIGIT_LIMIT) + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", _PAST_THE_RECURSION_LIMIT)
+def test_input_past_the_recursion_limit_is_one_line(name, fmt, tmp_path):
+    argv = _PAST_THE_RECURSION_LIMIT[name](tmp_path)
+    assert run_cli(argv + ["--format", fmt]) == (
+        1, "", _recursion_limit_line() + "\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_both_limits_are_one_line_in_a_fresh_interpreter(fmt, tmp_path):
+    argv = ["qo", "validate", _deep_json(tmp_path), "--format", fmt]
+    proc = _fresh_python("-m", "bqo.cli", *argv)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.splitlines() == [_recursion_limit_line()]
+    if not DIGIT_LIMIT:
+        pytest.skip("this Python prints ints of any length")
+    argv = _PAST_THE_DIGIT_LIMIT["seq-eval-span"]("9" * DIGIT_LIMIT)
+    proc = _fresh_python("-m", "bqo.cli", *argv, "--format", fmt)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.splitlines() == [_digit_limit_line(DIGIT_LIMIT)]
+
+
+# numbers that argv reads, and the one digit more that it refuses (exit 2)
+_DIGITS = DIGIT_LIMIT or 4300
+_NUMBERS = st.integers(-2, 40).map(str) | st.builds(
+    lambda digit, n: str(digit) * n, st.integers(1, 9),
+    st.sampled_from([_DIGITS - 1, _DIGITS, _DIGITS + 1]))
+_UNIFORM = st.sampled_from([["--schema", "uniform", "--k", str(k)]
+                            for k in range(1, 5)])
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A command that computes with drawn numbers.  shift sigma is left out:
+    sigma affine:1,D affine:2,1 computes 2 to the power D and runs away
+    rather than failing."""
+    a, b = draw(_NUMBERS), draw(_NUMBERS)
+    window = str(draw(st.integers(2, 24)))
+    argv = draw(st.sampled_from([
+        ["seq", "eval", "--fixture",
+         draw(st.sampled_from(["span", "identity", "min"])) + "@"
+         + draw(st.sampled_from(["u1", "u2", "u3", "schreier"])),
+         "--at", f"arith:{a},{b}"],
+        ["front", "step", "--schema", "uniform", "--k",
+         str(draw(st.integers(1, 4))), "--at", f"arith:{a},{b}"],
+        ["front", "member", "--schema", "uniform", "--k", "2", f"{a},{b}"],
+        ["front", "restrict", *draw(_UNIFORM | st.just(["--schema",
+                                                         "schreier"])),
+         "--to", f"arith:{a},{b}"],
+        ["front", "verify", *draw(_UNIFORM), "--samples", f"arith:{a},{b}"],
+        ["front", "ray", "--schema", "schreier", a],
+        ["shift", "critical", f"affine:1,{a}"],
+        ["shift", "orbit", f"affine:{a},{b}", "--window", window],
+        ["shift", "rho", f"affine:{a},{b}", "affine:2,1", "--window",
+         window]]))
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+# a Schreier front read from a far start consumes its 100,000-element
+# bound, about a second; front verify keeps to uniform fronts for that
+@settings(max_examples=150, deadline=None)
+@given(_numeric_argv())
+@example(["seq", "eval", "--fixture", "span@u3", "--at",
+          f"arith:0,{'9' * _DIGITS}"])
+def test_no_drawn_number_ends_in_a_traceback(argv):
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert out == "" and len(err.splitlines()) == 1
+    else:
+        assert err.startswith("error: ")
 
 
 def test_the_installed_script_probes_pass_on_the_source_tree():
@@ -1481,7 +1621,7 @@ def test_the_installed_script_probes_pass_on_the_source_tree():
     proc = _fresh_python(str(ROOT / "tests" / "installed_probes.py"),
                          sys.executable, "-m", "bqo.cli")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert len(proc.stdout.splitlines()) == 5
+    assert len(proc.stdout.splitlines()) == 6
 
 
 def test_a_refused_argv_is_one_usage_error_in_a_fresh_interpreter():
