@@ -36,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, past_digit_limit
 
 if TYPE_CHECKING:
     from .fronts import Front
@@ -143,7 +143,9 @@ def _load_json(path: str) -> dict:
             return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise CliUsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a decode error, bytes that are not UTF-8, or an int of more digits
+        # than Python's int-to-str limit
         raise CliUsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -1113,9 +1115,7 @@ def main(argv: Optional[list] = None) -> int:
         # of more than sys.get_int_max_str_digits() digits (4,300 by default)
         if "integer string conversion" not in str(exc):
             raise
-        print("DomainError: the result has an int of more than "
-              f"{sys.get_int_max_str_digits()} decimal digits, past Python's "
-              "int-to-str limit; try a smaller --window or smaller numbers",
+        print(f"DomainError: {past_digit_limit(sys.get_int_max_str_digits())}",
               file=sys.stderr)
         return 1
     return 0

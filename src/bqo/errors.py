@@ -11,6 +11,15 @@ class DomainError(Exception):
     """Base class for checked domain failures."""
 
 
+def past_digit_limit(limit: int) -> DomainError:
+    """The failure of a result with an int of more than `limit` decimal
+    digits, which Python 3.11 and the 3.10 security releases refuse to
+    print (sys.get_int_max_str_digits())."""
+    return DomainError(
+        f"the result has an int of more than {limit} decimal digits, past "
+        "Python's int-to-str limit; try a smaller --window or smaller numbers")
+
+
 class InvariantViolated(DomainError):
     """A proved invariant failed its runtime check: some input (a relation,
     an evaluator) did not behave as the construction requires."""

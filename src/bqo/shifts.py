@@ -1,11 +1,13 @@
 """Increasing injections of the naturals and shift transport.
 
-IncInj is a strictly increasing injection n -> f(n): a descriptor
-injection reads a set's enumeration in closed form, and any other
-evaluator is checked on every window it evaluates.  The module provides
-the composition monoid, critical points and orbit maps of non-identity
-members, and the two transport constructions rho and sigma that exchange
-the plain shift with an arbitrary right-composition shift:
+An increasing injection n -> f(n) is the enumeration of its image, so
+IncInj is an InfSet read as a function: a descriptor injection, or the
+composite of two, in closed form, and any other one generator-backed,
+each value checked against the one before it, so f(n) >= n throughout.
+The module provides the composition monoid, critical points and orbit
+maps of non-identity members, and the two transport constructions rho
+and sigma that exchange the plain shift with an arbitrary
+right-composition shift:
 
     rho(f o g) = rho(f) o successor        (rho(f) = f o orbit(g))
     sigma(f o successor) = sigma(f) o g    (piecewise orbit exponents)
@@ -24,68 +26,45 @@ bqo.errors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Iterable, List, Optional,
-                    Sequence)
+import math
+import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence
 
 from .errors import (InvariantViolated, LooksLikeIdentity, NoMemberWithinBound,
-                     NotBQOEvidence, NotInBase, WindowExhausted)
+                     NotBQOEvidence, NotInBase, WindowExhausted,
+                     past_digit_limit)
 from .streams import InfSet, _closed, parse_base, prefix_then_arithmetic
 
 if TYPE_CHECKING:
     from .superseq import SuperSeq
 
 
-@dataclass(frozen=True)
-class IncInj:
-    """A strictly increasing injection of the naturals, given by evaluator.
+class IncInj(InfSet):
+    """A strictly increasing injection of the naturals: an InfSet read as
+    n -> f(n). IncInj(evaluator, name) is generator-backed."""
 
-    Descriptor injections and enum_of_set read a set's enumeration as it
-    stands (_cache=None), which is checked or closed-form already. Other
-    values are cached, unbounded and sparse: each evaluation is checked
-    against its evaluated neighbours only, so a lone value below the
-    identity passes, and sigma's own f(n) >= n check catches it.
-    """
-
-    evaluator: Callable[[int], int]
-    name: str = "f"
-    _cache: Optional[dict] = field(default_factory=dict, compare=False,
-                                   repr=False)
+    __slots__ = ()
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("increasing injections are defined on naturals")
-        if self._cache is None:
-            return self.evaluator(n)
-        v = self._cache.get(n)
-        if v is None:
-            v = int(self.evaluator(n))
-            if v < 0:
-                raise ValueError(f"{self.name}: value {v} at {n} leaves omega")
-            prev = self._cache.get(n - 1)
-            if prev is not None and prev >= v:
-                raise ValueError(
-                    f"{self.name}: not increasing at {n} ({prev} then {v})")
-            nxt = self._cache.get(n + 1)
-            if nxt is not None and v >= nxt:
-                raise ValueError(
-                    f"{self.name}: not increasing at {n} ({v} then {nxt})")
-            self._cache[n] = v
-        return v
+        return self.nth(n)
 
-    def values(self, bound: int) -> tuple:
-        return tuple(self(n) for n in range(bound))
+    values = InfSet.prefix
 
-    def __repr__(self) -> str:
-        return f"IncInj({self.name})"
+
+def _closed_inj(head: tuple, a: int, b: int, name: str) -> IncInj:
+    """n -> head[n] below len(head), then a * n + b."""
+    return IncInj._view(_closed(head, a, b, name), 0, name)
 
 
 def identity_inj() -> IncInj:
-    return IncInj(_closed((), 0, 1, "id").nth, "id", _cache=None)
+    return _closed_inj((), 1, 0, "id")
 
 
 def successor() -> IncInj:
-    return IncInj(_closed((), 1, 1, "succ").nth, "succ", _cache=None)
+    return _closed_inj((), 1, 1, "succ")
 
 
 def affine(a: int, b: int) -> IncInj:
@@ -93,8 +72,7 @@ def affine(a: int, b: int) -> IncInj:
         raise ValueError("affine slope must be at least 1")
     if b < 0:
         raise ValueError("affine offset must be a natural")
-    name = f"affine:{a},{b}"
-    return IncInj(_closed((), b, a, name).nth, name, _cache=None)
+    return _closed_inj((), a, b, f"affine:{a},{b}")
 
 
 def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
@@ -109,14 +87,13 @@ def table_then_affine(table: Sequence[int], a: int, b: int) -> IncInj:
         raise ValueError("tail slope must be at least 1")
     if a * len(table) + b <= table[-1]:
         raise ValueError("tail must continue above the table")
-    name = f"table:{','.join(map(str, table))}+tail:affine:{a},{b}"
-    return IncInj(_closed(table, a * len(table) + b, a, name).nth, name,
-                  _cache=None)
+    return _closed_inj(table, a, b,
+                       f"table:{','.join(map(str, table))}+tail:affine:{a},{b}")
 
 
 def enum_of_set(X: InfSet) -> IncInj:
     """The injection enumerating an infinite set in increasing order."""
-    return IncInj(X.nth, name=f"enum-of-set:{X.name}", _cache=None)
+    return IncInj._view(X, 0, f"enum-of-set:{X.name}")
 
 
 def parse_inj(descriptor: str) -> IncInj:
@@ -147,8 +124,16 @@ def parse_inj(descriptor: str) -> IncInj:
 
 
 def compose(f: IncInj, g: IncInj) -> IncInj:
-    """Pointwise composition n -> f(g(n))."""
-    return IncInj(lambda n: f(g(n)), name=f"({f.name} o {g.name})")
+    """Pointwise composition n -> f(g(n)). Two closed forms compose in
+    closed form: g(n) >= n, so past both heads f(g(n)) is
+    a_f * (a_g * n + b_g) + b_f."""
+    name = f"({f.name} o {g.name})"
+    ff, fg = f.closed_form(), g.closed_form()
+    if ff is None or fg is None:
+        return IncInj(lambda n: f(g(n)), name)
+    (hf, af, bf), (hg, ag, bg) = ff, fg
+    head = tuple(f(g(n)) for n in range(max(len(hf), len(hg))))
+    return _closed_inj(head, af * ag, af * bg + bf, name)
 
 
 def agrees_upto(f: IncInj, g: IncInj, window: int) -> bool:
@@ -168,20 +153,19 @@ def critical_point(g: IncInj, bound: int = 64) -> int:
 
 
 def _closed_power(g: IncInj) -> Optional[Callable[[int, int], int]]:
-    """(e, x) -> g^e(x) in closed form when g reads a descriptor set, a
-    head and then start + step * i; None for any other injection.
+    """(e, x) -> g^e(x) in closed form when g reads a head and then
+    n -> a * n + c; None for a generator-backed g.
 
-    x walks the head, where a fixed point stays put, and past it g is
-    n -> a * n + c, whose e-th iterate is a^e * n + c * (a^e - 1) / (a - 1)
-    (n + e * c when a = 1). An increasing injection has g(n) >= n, so the
-    iterates of a point past the head stay past it."""
-    s = getattr(g.evaluator, "__self__", None)   # the set g enumerates
-    if not isinstance(s, InfSet) or s._root._gen is not None:
+    x walks the head, where a fixed point stays put, and past it the e-th
+    iterate is a^e * n + c * (a^e - 1) / (a - 1) (n + e * c when a = 1). An
+    increasing injection has g(n) >= n, so the iterates of a point past the
+    head stay past it. An a^e past Python's int-to-str digit limit raises
+    DomainError before it is computed."""
+    form = g.closed_form()
+    if form is None:
         return None
-    root = s._root
-    head = root._cache[s._offset:]      # g(n) = head[n] below len(head)
-    a = root._step
-    c = root._start + a * (s._offset - len(root._cache))
+    head, a, c = form
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
     def power(e: int, x: int) -> int:
         while e and x < len(head) and head[x] != x:
@@ -191,6 +175,8 @@ def _closed_power(g: IncInj) -> Optional[Callable[[int, int], int]]:
             return x
         if a == 1:
             return x + e * c
+        if limit and e >= limit / math.log10(a):
+            raise past_digit_limit(limit)
         ae = a ** e
         return ae * x + c * (ae - 1) // (a - 1)
 
@@ -199,26 +185,27 @@ def _closed_power(g: IncInj) -> Optional[Callable[[int, int], int]]:
 
 def orbit_map(g: IncInj, probe: int = 64) -> IncInj:
     """G(n) = n-th iterate of g at its critical point; strictly increasing.
-    A descriptor g is iterated in closed form, any other g step by step."""
+    Where g reads a head and then n -> n + c, G walks the head and then
+    steps by c, in closed form; any other G steps g from its last value."""
     kg = critical_point(g, probe)
-    power = _closed_power(g)
-    if power is not None:
-        return IncInj(lambda n: power(n, kg), name=f"orbit({g.name})")
-    orbit: List[int] = [kg]
-
-    def ev(n: int) -> int:
-        while len(orbit) <= n:
-            orbit.append(g(orbit[-1]))
-        return orbit[n]
-
-    return IncInj(ev, name=f"orbit({g.name})")
+    name = f"orbit({g.name})"
+    form = g.closed_form()
+    if form is not None and form[1] == 1:
+        head, _, c = form
+        orbit = [kg]
+        while orbit[-1] < len(head):
+            orbit.append(head[orbit[-1]])
+        return _closed_inj(tuple(orbit), c, orbit[-1] - c * (len(orbit) - 1),
+                           name)
+    G = IncInj(lambda n: g(G(n - 1)) if n else kg, name)
+    return G
 
 
 def rho(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     """Transport along the orbit: rho(f) = f o orbit(g), which turns
     right-composition by g into right-composition by the successor."""
-    G = orbit_map(g, probe)
-    return IncInj(lambda n: f(G(n)), name=f"rho({f.name};{g.name})")
+    return IncInj._view(compose(f, orbit_map(g, probe)), 0,
+                        f"rho({f.name};{g.name})")
 
 
 def _require(holds: bool, what: str) -> None:
@@ -230,12 +217,12 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
     """Piecewise transport turning the successor shift into the g shift.
 
     sigma(f)(l) = l below the orbit, and the (f(n) - n)-th iterate of g on
-    the n-th orbit gap.  Strict monotonicity across each evaluated piece
-    boundary is checked by replaying the two inequality chains that
-    establish it, and the exponent is checked non-negative (any increasing
-    injection satisfies f(n) >= n); a failed link raises InvariantViolated.
-    A descriptor g is iterated in closed form (see _closed_power), so the
-    cost does not grow with f's offset; any other g is stepped.
+    the n-th orbit gap; f(n) >= n, since f's values are checked increasing.
+    Strict monotonicity across each piece boundary is checked as the
+    piece is entered, by replaying the two inequality chains that establish
+    it; a failed link raises InvariantViolated. A closed-form g is iterated
+    in closed form (see _closed_power), so the cost does not grow with f's
+    offset; any other g is stepped.
     """
     G = orbit_map(g, probe)
     kg = G(0)
@@ -246,8 +233,6 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
         return x
 
     gpow = _closed_power(g) or gpow
-
-    checked = set()
 
     def check_boundary(n: int) -> None:
         if n == 0:
@@ -266,18 +251,15 @@ def sigma(f: IncInj, g: IncInj, probe: int = 64) -> IncInj:
         _require(nxt_base == gpow(f(n + 1) - (n + 1), G(n + 1)),
                  f"exit chain {n}: base in piece {n + 1}")
 
+    entered = 0     # pieces entered; values are read in increasing order
+
     def ev(l: int) -> int:
-        if l < G(0):
-            return l
-        n = 0
-        while not (G(n) <= l < G(n + 1)):
-            n += 1
-        e = f(n) - n
-        _require(e >= 0, f"f({n}) >= {n}")
-        if n not in checked:
-            checked.add(n)
-            check_boundary(n)
-        return gpow(e, l)
+        nonlocal entered
+        while G(entered) <= l:
+            check_boundary(entered)
+            entered += 1
+        n = entered - 1             # l's piece, or -1 below the orbit
+        return l if n < 0 else gpow(f(n) - n, l)
 
     return IncInj(ev, name=f"sigma({f.name};{g.name})")
 
@@ -316,7 +298,7 @@ def _resolve_value(phi: SuperSeq, h: IncInj, limit: int):
     beginning that set lies in the base and resolves within the limit."""
     from .fronts import front_step
     try:
-        step = front_step(phi.front, InfSet(h, name=h.name))
+        step = front_step(phi.front, h)
     except (NotInBase, NoMemberWithinBound):
         return None
     return phi.value(step.member) if step.modulus <= limit else None

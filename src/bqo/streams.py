@@ -2,24 +2,25 @@
 
 An InfSet is a strictly increasing enumeration n -> x_n, never a bare
 membership predicate: that way density arguments terminate with explicit
-moduli. Every descriptor set is a finite head and then an arithmetic tail,
-read in closed form with nothing cached. A set built from a generator
-keeps a checked prefix cache, unbounded because such a set answers
-contains(x) only by listing every element below x. Tails (after, shift)
-are offsets into their root set: they share its enumeration, a tail of a
-tail composes the offsets, and no chain of tails nests generators.
+moduli. Read as n -> x_n, it is an increasing injection (shifts.IncInj).
+Every descriptor set is a finite head and then an arithmetic tail, read in
+closed form with nothing cached. A set built from a generator keeps a
+checked prefix cache, dense from index 0 and unbounded, because such a
+set answers contains(x) only by listing every element below x. Tails
+(after, shift) are offsets into their root set: they share its
+enumeration, a tail of a tail composes the offsets, and no chain of tails
+nests generators.
 """
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class InfSet:
     """Infinite subset of the naturals, presented by its enumeration."""
 
-    __slots__ = ("_gen", "_cache", "_start", "_step", "_root", "_offset",
-                 "name")
+    __slots__ = ("_gen", "_cache", "_a", "_b", "_root", "_offset", "name")
 
     def __init__(self, gen: Callable[[int], int], name: str = "set"):
         self._gen = gen
@@ -37,7 +38,7 @@ class InfSet:
         if i < len(cache):
             return cache[i]
         if root._gen is None:
-            return root._start + root._step * (i - len(cache))
+            return root._a * i + root._b
         while len(cache) <= i:
             k = len(cache)
             v = int(root._gen(k))
@@ -50,6 +51,15 @@ class InfSet:
             cache.append(v)
         return cache[i]
 
+    def closed_form(self) -> Optional[tuple]:
+        """(head, a, b) when this set is read in closed form: its i-th
+        element is head[i] below len(head) and a * i + b past it. None for a
+        set built from a generator."""
+        root, lo = self._root, self._offset
+        if root._gen is not None:
+            return None
+        return root._cache[lo:], root._a, root._b + root._a * lo
+
     def _position(self, x: int) -> int:
         """Position in this set of its first element >= x."""
         root, cache = self._root, self._root._cache
@@ -58,13 +68,16 @@ class InfSet:
                 root.nth(len(cache))
         i = bisect.bisect_left(cache, x)
         if i == len(cache):     # past a closed form's head
-            i += max(0, -((root._start - x) // root._step))
+            i = max(i, -((root._b - x) // root._a))
         return max(i - self._offset, 0)
 
-    def _tail(self, offset: int, name: str) -> "InfSet":
-        tail = object.__new__(InfSet)
-        tail._root, tail._offset, tail.name = self._root, offset, name
-        return tail
+    @classmethod
+    def _view(cls, of: "InfSet", offset: int, name: str) -> "InfSet":
+        """A renamed view of `of` that drops its first `offset` elements."""
+        view = object.__new__(cls)
+        view._root, view._offset, view.name = (of._root, of._offset + offset,
+                                               name)
+        return view
 
     def prefix(self, k: int) -> tuple:
         return tuple(self.nth(i) for i in range(k))
@@ -76,19 +89,18 @@ class InfSet:
         head = tuple(root._cache[lo:lo + n])
         if len(head) == n:
             return head
-        return head + tuple(range(self.nth(len(head)), bound, root._step))
+        return head + tuple(range(self.nth(len(head)), bound, root._a))
 
     def contains(self, x: int) -> bool:
         return x >= 0 and self.nth(self._position(x)) == x
 
     def after(self, n: int) -> "InfSet":
         """The tail {x in this set | x > n}."""
-        return self._tail(self._offset + self._position(n + 1),
-                          f"{self.name}/{n}")
+        return InfSet._view(self, self._position(n + 1), f"{self.name}/{n}")
 
     def shift(self) -> "InfSet":
         """Drop the least element."""
-        return self._tail(self._offset + 1, f"shift({self.name})")
+        return InfSet._view(self, 1, f"shift({self.name})")
 
     def agrees_upto(self, other: "InfSet", bound: int) -> bool:
         return self.upto(bound) == other.upto(bound)
@@ -99,26 +111,27 @@ class InfSet:
         return all(other.contains(x) for x in self.prefix(count))
 
     def __repr__(self) -> str:
-        return f"InfSet({self.name})"
+        return f"{type(self).__name__}({self.name})"
 
 
-def _closed(head: tuple, start: int, step: int, name: str) -> InfSet:
-    """The one constructor of descriptor sets: a head, then start + step*i."""
-    if (head[0] if head else start) < 0:
+def _closed(head: tuple, a: int, b: int, name: str) -> InfSet:
+    """The one constructor of descriptor sets: the i-th element is head[i]
+    below len(head), then a * i + b."""
+    if (head[0] if head else b) < 0:
         raise ValueError(f"{name}: enumeration left the naturals")
     s = InfSet(None, name)
-    s._cache, s._start, s._step = head, start, step
+    s._cache, s._a, s._b = head, a, b
     return s
 
 
 def omega() -> InfSet:
-    return _closed((), 0, 1, "omega")
+    return _closed((), 1, 0, "omega")
 
 
 def arithmetic(start: int, step: int) -> InfSet:
     if step < 1:
         raise ValueError("arithmetic progression needs positive step")
-    return _closed((), start, step, f"arith:{start},{step}")
+    return _closed((), step, start, f"arith:{start},{step}")
 
 
 def evens() -> InfSet:
@@ -140,7 +153,8 @@ def prefix_then_arithmetic(prefix: Sequence[int], start: int,
     if step < 1:
         raise ValueError("tail needs positive step")
     head = ",".join(str(x) for x in prefix)
-    return _closed(prefix, start, step, f"prefix:{head}+arith:{start},{step}")
+    return _closed(prefix, step, start - step * len(prefix),
+                   f"prefix:{head}+arith:{start},{step}")
 
 
 def parse_base(descriptor: str) -> InfSet:
@@ -158,7 +172,7 @@ def parse_base(descriptor: str) -> InfSet:
         return odds()
     if d.startswith("omega/"):
         k = int(d.split("/", 1)[1])
-        return _closed((), k + 1, 1, f"omega/{k}")
+        return _closed((), 1, k + 1, f"omega/{k}")
     if d.startswith("prefix:"):
         head, _, tail = d.partition("+")
         if not tail.startswith("arith:"):

@@ -4,9 +4,10 @@ The probes: the README's nine invocations (one reads stdin `-`) in both
 formats against the cli goldens; a help and a usage-error argv, which
 argparse parses; a front member read far out in closed form; a descriptor
 with a negative entry; the far Schreier scan; the sigma probes, one far out
-in closed form and one past the int-to-str digit limit; a seq eval value
-past that limit and an order file nested past the recursion limit; and a
-seq front's pair count at windows 120 and 20,000.
+in closed form and two past the int-to-str digit limit; a seq eval value
+past that limit, an order file nested past the recursion limit and one
+holding an int past the digit limit; and a seq front's pair count at
+windows 120 and 20,000.
 
 Give the command to probe as the arguments:
 
@@ -102,31 +103,43 @@ def main(cmd: list) -> None:
         f"DomainError: the result has an int of more than {limit} decimal "
         "digits, past Python's int-to-str limit; try a smaller --window or "
         "smaller numbers"]
+    # and affine:1,D, D the longest int argv reads, would raise 2 to the
+    # power D, which is refused before it is computed
     if limit:
         for fmt in ("text", "json"):
-            probe(cmd, ["shift", "sigma", "affine:1,14300", "affine:2,1",
-                        "--window", "4", "--format", fmt],
-                  lambda p: (p.returncode, p.stdout) == (1, "")
-                  and p.stderr.splitlines() == past_the_digit_limit)
+            for offset in ("14300", "9" * limit):
+                probe(cmd, ["shift", "sigma", f"affine:1,{offset}",
+                            "affine:2,1", "--window", "4", "--format", fmt],
+                      lambda p: (p.returncode, p.stdout) == (1, "")
+                      and p.stderr.splitlines() == past_the_digit_limit)
     print(f"{name}: the Schreier and sigma probes")
 
     # span's value at arith:0,D, D the longest int argv reads, has one digit
-    # more; the order file nests its arrays past the recursion limit
+    # more; one order file nests its arrays past the recursion limit, and
+    # another holds an int 700 digits past the limit, which JSON cannot read
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        long = pathlib.Path(tmp) / "long.json"
+        long.write_text('{"elements": [%s], "pairs": []}'
+                        % ("9" * (limit + 700)), encoding="utf-8")
         for fmt in ("text", "json"):
             if limit:
                 probe(cmd, ["seq", "eval", "--fixture", "span@u3", "--at",
                             f"arith:0,{'9' * limit}", "--format", fmt],
                       lambda p: (p.returncode, p.stdout) == (1, "")
                       and p.stderr.splitlines() == past_the_digit_limit)
+                probe(cmd, ["qo", "validate", str(long), "--format", fmt],
+                      lambda p: (p.returncode, p.stdout) == (2, "")
+                      and p.stderr.startswith(f"error: {long} is not valid "
+                                              "JSON: ")
+                      and "Traceback" not in p.stderr)
             probe(cmd, ["qo", "validate", str(path), "--format", fmt],
                   lambda p: (p.returncode, p.stdout) == (1, "")
                   and p.stderr.splitlines() == [
                       "RecursionError: input nested deeper than Python's "
                       f"recursion limit ({sys.getrecursionlimit()}) allows"])
-    print(f"{name}: an int past the digit limit and input past the "
+    print(f"{name}: ints past the digit limit and input past the "
           "recursion limit")
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -347,6 +347,27 @@ class TestExitCodes:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("past_the_digit_limit", [True, False],
+                             ids=["long-int", "not-utf-8"])
+    def test_an_unreadable_int_or_byte_is_a_one_line_usage_error(
+            self, tmp_path, past_the_digit_limit, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if past_the_digit_limit and not limit:
+            pytest.skip("this Python reads ints of any size")
+        path = tmp_path / "order.json"
+        path.write_bytes(
+            b'{"elements": [%s], "pairs": []}' % (b"9" * (limit + 700))
+            if past_the_digit_limit
+            else b'\xff{"elements": [0], "pairs": [[0, 0]]}')
+        code, out, err = run_cli(["qo", "validate", str(path), "--format",
+                                  fmt])
+        assert code == 2 and out == "" and "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1, err
+        assert errors[0].startswith(f"error: {path} is not valid JSON: ")
+
     @pytest.mark.parametrize("argv", DOMAIN_ERROR_ARGV)
     def test_domain_errors_exit_one(self, argv):
         code, out, err = run_cli(argv)
@@ -1574,9 +1595,7 @@ _UNIFORM = st.sampled_from([["--schema", "uniform", "--k", str(k)]
 
 @st.composite
 def _numeric_argv(draw):
-    """A command that computes with drawn numbers.  shift sigma is left out:
-    sigma affine:1,D affine:2,1 computes 2 to the power D and runs away
-    rather than failing."""
+    """A command that computes with drawn numbers."""
     a, b = draw(_NUMBERS), draw(_NUMBERS)
     window = str(draw(st.integers(2, 24)))
     argv = draw(st.sampled_from([
@@ -1595,6 +1614,8 @@ def _numeric_argv(draw):
         ["shift", "critical", f"affine:1,{a}"],
         ["shift", "orbit", f"affine:{a},{b}", "--window", window],
         ["shift", "rho", f"affine:{a},{b}", "affine:2,1", "--window",
+         window],
+        ["shift", "sigma", f"affine:{a},{b}", "affine:2,1", "--window",
          window]]))
     return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
 
@@ -1605,6 +1626,8 @@ def _numeric_argv(draw):
 @given(_numeric_argv())
 @example(["seq", "eval", "--fixture", "span@u3", "--at",
           f"arith:0,{'9' * _DIGITS}"])
+@example(["shift", "sigma", f"affine:1,{'9' * _DIGITS}", "affine:2,1",
+          "--window", "4"])
 def test_no_drawn_number_ends_in_a_traceback(argv):
     code, out, err = run_cli(argv)
     assert code in (0, 1, 2)

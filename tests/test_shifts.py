@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import bqo
 import bqo.shifts
-from bqo.errors import (DomainError, InvariantViolated, LooksLikeIdentity,
-                        NotBQOEvidence, WindowExhausted)
+from bqo.errors import (DomainError, LooksLikeIdentity, NotBQOEvidence,
+                        WindowExhausted)
 from bqo.fronts import schreier_front, uniform_front
 from bqo.qo import OMEGA, RADO, antichain
 from bqo.ramsey import join_nodes
@@ -239,12 +240,29 @@ class TestSigma:
         vals = lhs.values(48)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_injection_below_the_identity_is_an_invariant_violation(self):
-        # f(1) = 0 < 1 goes unnoticed by IncInj while f(0) and f(2) are
-        # unevaluated, so sigma's own f(n) >= n check is what catches it
-        dip = IncInj(lambda n: 0 if n == 1 else n, name="dip")
-        with pytest.raises(InvariantViolated):
-            sigma(dip, successor())(1)
+    def test_each_value_resumes_the_piece_search(self, monkeypatch):
+        # values are read in increasing order, so the piece of l is found
+        # from the piece of l - 1: reads grow with the window, not its square
+        calls = []
+        call = IncInj.__call__
+        monkeypatch.setattr(IncInj, "__call__", lambda f, n: (
+            calls.append(n) or call(f, n)))
+        for window in (500, 1000):
+            calls.clear()
+            values = sigma(affine(1, 5), successor()).values(window)
+            assert values == tuple(range(5, window + 5))
+            assert len(calls) < 16 * window
+
+    def test_injection_below_the_identity_is_refused_at_its_first_read(self):
+        # f(1) = 0 < 1: reading f(1) reads f(0) = 0 first, and the dense
+        # check refuses the repeat, so sigma never sees a value below n
+        refused = (r"dip: enumeration not strictly increasing at index 1 "
+                   r"\(0 then 0\)")
+        for read in (lambda dip: dip(1),
+                     lambda dip: sigma(dip, successor())(1)):
+            dip = IncInj(lambda n: 0 if n == 1 else n, name="dip")
+            with pytest.raises(ValueError, match=refused):
+                read(dip)
 
 
 # descriptor injections whose closed iterate is checked against stepping:
@@ -278,7 +296,24 @@ class TestClosedIterate:
 
     def test_generic_injections_are_stepped(self):
         assert _closed_power(_stepped(successor())) is None
-        assert _closed_power(compose(successor(), successor())) is None
+        assert _closed_power(compose(successor(), successor())) is not None
+        for f, g in ((_stepped(successor()), successor()),
+                     (successor(), _stepped(successor()))):
+            assert _closed_power(compose(f, g)) is None
+
+    @pytest.mark.parametrize("g", _DESCRIPTOR_SHIFTS)
+    @pytest.mark.parametrize("f", _DESCRIPTOR_SHIFTS)
+    def test_descriptors_compose_in_closed_form(self, f, g):
+        f, g = parse_inj(f), parse_inj(g)
+        fg = compose(f, g)
+        power = _closed_power(fg)
+        assert fg.closed_form() is not None and power is not None
+        assert fg.values(65) == tuple(f(g(n)) for n in range(65))
+        for x in range(9):
+            y = x
+            for e in range(9):
+                assert power(e, x) == y, (e, x)
+                y = f(g(y))
 
     @pytest.mark.parametrize("g", _DESCRIPTOR_SHIFTS)
     @pytest.mark.parametrize("f", ["succ", "affine:1,9", "affine:2,3",
@@ -307,6 +342,28 @@ class TestClosedIterate:
         values = sigma(affine(1, 1000000), successor()).values(4)
         assert values == (1000000, 1000001, 1000002, 1000003)
         assert time.perf_counter() - start < 1
+
+    def test_a_composite_shift_runs_as_fast_as_its_descriptor(self):
+        def best(g):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                values = sigma(affine(1, 10 ** 5), g).values(4)
+                times.append(time.perf_counter() - start)
+            assert values == (200000, 200001, 200002, 200003)
+            return min(times)
+
+        assert best(compose(successor(), successor())) < \
+            10 * best(affine(1, 2)) + 0.005
+
+    def test_an_iterate_past_the_digit_limit_is_refused_before_it_is_computed(
+            self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python prints ints of any size")
+        f = affine(1, int("9" * limit))
+        with pytest.raises(DomainError, match=f"more than {limit} decimal"):
+            sigma(f, affine(2, 1)).values(4)
 
 
 def _raises_assertion_error(node) -> bool:
@@ -383,7 +440,11 @@ def test_descriptor_injection_matches_its_evaluator(desc, name, ev):
     f, ref = parse_inj(desc), IncInj(ev, name=name)
     assert f.name == ref.name and f.values(64) == ref.values(64)
     assert f(10 ** 8) == ev(10 ** 8)
-    assert f._cache is None           # read from its set, with no dict
+    # read from its set's closed form, with no cache of its own
+    head, a, b = f.closed_form()
+    assert f.values(64) == tuple(head[n] if n < len(head) else a * n + b
+                                 for n in range(64))
+    assert IncInj.__slots__ == ()
     with pytest.raises(ValueError, match="defined on naturals"):
         f(-1)
 
@@ -391,7 +452,9 @@ def test_descriptor_injection_matches_its_evaluator(desc, name, ev):
 def test_enum_of_a_generator_set_reads_its_checked_enumeration():
     X = InfSet(lambda i: i * i + 1, name="sq")
     f = enum_of_set(X)
-    assert f._cache is None and f.values(64) == X.prefix(64)
+    # f's reads fill X's own checked prefix, the one cache
+    assert f.values(64) == tuple(i * i + 1 for i in range(64))
+    assert X._cache == list(f.values(64)) and f.closed_form() is None
     with pytest.raises(ValueError, match="not strictly increasing"):
         enum_of_set(InfSet(lambda i: 3 - i, name="down"))(1)
 
@@ -563,6 +626,16 @@ class TestGPerfectClosedForm:
                 assert perfect_outcome(phi, [a, b], window) == \
                     perfect_outcome(perfect_fixture(rule, front), [b, a],
                                     window), (a, b, window)
+
+    def test_descriptor_shifts_build_no_generator_backed_enumeration(
+            self, monkeypatch):
+        gens = []
+        init = InfSet.__init__
+        monkeypatch.setattr(InfSet, "__init__", lambda s, gen, name="set": (
+            gens.append(gen) or init(s, gen, name)))
+        rep = g_perfect_extract(perfect_fixture("min", "u2"), [successor()],
+                                12)
+        assert rep.checks_passed > 0 and gens and set(gens) == {None}
 
     def test_a_shared_join_node_holds_every_shift_comparison(self):
         # affine:1,2 and affine:2,1 both resolve pair-front join nodes at
